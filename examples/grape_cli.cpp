@@ -240,7 +240,6 @@ int RunDistributed(const FlagParser& flags, const std::string& app_name,
   EngineOptions options;
   options.transport = world->get();
   options.remote_app = app_name;
-  options.load_mode = "distributed";
   options.checkpoint.every_k =
       static_cast<uint32_t>(flags.GetInt("ckpt-every", 0));
   options.checkpoint.dir = flags.GetString("ckpt-dir", "");

@@ -175,7 +175,6 @@ int main(int argc, char** argv) {
   }
   EngineOptions options;
   options.transport = world->get();
-  options.load_mode = load;
   options.compute_threads = static_cast<uint32_t>(compute_threads);
   if (compute == "remote") options.remote_app = "sssp";
   options.checkpoint.every_k = static_cast<uint32_t>(ckpt_every);

@@ -10,7 +10,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -56,18 +55,6 @@ struct CheckpointPolicy {
   uint32_t lease_ms = 1000;
 
   bool enabled() const { return every_k > 0; }
-};
-
-/// Polling cadence shared by every remote await loop — the engine's
-/// coordinator side and the in-thread worker hosts: poll at
-/// `poll_interval_us` for `idle_spins` empty polls, then back off to
-/// `idle_poll_interval_us` until the next frame resets the spin budget.
-/// Hoisted into one knob set (previously scattered hard-coded constants)
-/// so deadlines and poll rates are tuned — and tested — in one place.
-struct EngineTimingOptions {
-  uint32_t poll_interval_us = 50;
-  uint32_t idle_spins = 40;
-  uint32_t idle_poll_interval_us = 1000;
 };
 
 /// Engine configuration (the demo's "play panel" knobs).
@@ -123,15 +110,6 @@ struct EngineOptions {
   /// gives up with Unavailable (a dead endpoint usually surfaces faster
   /// through the transport's health tracking).
   int remote_timeout_ms = 120000;
-  /// How the graph reached the workers — drivers resolve their --load
-  /// flag here. "coordinator": rank 0 loaded and partitioned the whole
-  /// graph and constructs the engine from a FragmentedGraph (the
-  /// historical path). "distributed": the graph was built in place by
-  /// rt/distributed_load.h — each worker assembled its own fragment from
-  /// its shard of the input — and the engine is constructed from the
-  /// DistributedGraphMeta, never holding a fragment; requires remote_app
-  /// and an endpoint-backed transport sharing the build's world.
-  std::string load_mode = "coordinator";
   /// Query sessions (SessionRun) on a coordinator-loaded engine only:
   /// when non-zero, the session's first load ships each fragment together
   /// with this token and the worker deposits it in its process-local
@@ -145,8 +123,6 @@ struct EngineOptions {
   /// Superstep checkpointing + automatic recovery (remote compute only;
   /// drivers resolve --ckpt-every / --ckpt-dir here).
   CheckpointPolicy checkpoint;
-  /// Await-loop poll cadence, also handed to in-thread worker hosts.
-  EngineTimingOptions timing;
   /// Observability/test hook: invoked after each remote superstep's round
   /// is recorded (and after its checkpoint, when one was due) with the
   /// completed superstep count. Fault-injection tests use it to kill
@@ -235,16 +211,24 @@ struct EngineMetrics {
 /// the coordinator (which resolves conflicts with the app's aggregate
 /// function), and terminates when no parameter changes anywhere.
 ///
-/// Two execution modes share the superstep loop and the coordinator:
+/// Two placements, one superstep loop each:
 ///
 ///  * local compute (default): each worker is a WorkerCore driven inline
-///    by this process's thread pool — the historical single-process mode.
+///    by this process's thread pool. Run and the warm-started
+///    RunIncremental(query, previous, ...) differ only in superstep 1
+///    (PEval, or warm start + IncEval) and share RunLocal's loop.
 ///  * remote compute (EngineOptions::remote_app): each worker is the same
 ///    WorkerCore, but executing inside its rank's worker host — the
 ///    endpoint OS process on socket/tcp, an in-process thread on inproc —
 ///    driven through the control frames of rt/worker_protocol.h. The
 ///    engine keeps only the coordinator role: route, aggregate, decide
-///    termination, assemble.
+///    termination, assemble. Run, SessionRun and the incremental delta
+///    all go through one driver, DriveRemote, that differs only in its
+///    opening: a cold load, a warm query re-seed, or a warm IncEval start
+///    (plus Run's checkpoint restore). Every remote wait goes through one
+///    await skeleton, AwaitWorkers. Worker hosts live from the cold load
+///    until EndSession(), the only place that retires them; Run calls it
+///    after every attempt, sessions keep their workers until it is called.
 template <PIEProgram App>
 class GrapeEngine {
  public:
@@ -347,93 +331,7 @@ class GrapeEngine {
           "a distributed-load engine has no local fragments; local compute "
           "is impossible (set remote_app)");
     }
-    WallTimer total_timer;
-    metrics_ = EngineMetrics{};
-    world_->ResetStats();
-    recorded_messages_ = 0;
-    recorded_bytes_ = 0;
-    extra_messages_ = 0;
-    extra_bytes_ = 0;
-    const FragmentId n = n_frags_;
-
-    for (FragmentId i = 0; i < n; ++i) {
-      cores_[i].Reset(options_.check_monotonicity);
-    }
-
-    // Superstep 1: partial evaluation on every fragment in parallel.
-    // Messages are staged inside the parallel phase and dispatched after
-    // the barrier, so nothing a worker sends can be consumed in the same
-    // superstep (BSP delivery semantics).
-    {
-      ScopedTimer t(&metrics_.peval_seconds);
-      pool_.ParallelFor(0, n, [&](size_t i) {
-        cores_[i].PEval(query);
-        cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
-      });
-      metrics_.supersteps = 1;
-    }
-    GRAPE_RETURN_NOT_OK(CheckPhase());
-    uint64_t direct = 0;
-    GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
-    RecordRound(0.0, TotalUpdated());
-    uint64_t dirty = TotalDirty();
-
-    // Supersteps 2..: coordinator routes, workers incrementally evaluate.
-    // Termination per Sec. 2.2(3): every worker inactive and no update
-    // parameter changed anywhere — i.e. neither in-flight messages (routed
-    // through the coordinator or sent directly) nor local parameter changes
-    // (dirty) remain.
-    while (metrics_.supersteps < options_.max_supersteps) {
-      double global = 0;
-      for (FragmentId i = 0; i < n; ++i) global += cores_[i].GlobalValue();
-      if (!metrics_.rounds.empty()) metrics_.rounds.back().global = global;
-      if (cores_[0].ShouldTerminate(metrics_.supersteps, global)) break;
-
-      uint64_t routed = 0;
-      {
-        ScopedTimer t(&metrics_.coordinator_seconds);
-        GRAPE_ASSIGN_OR_RETURN(routed, CoordinatorRoute());
-      }
-      if (routed + direct == 0 && dirty == 0) break;  // simultaneous fixpoint
-
-      WallTimer round_timer;
-      {
-        ScopedTimer t(&metrics_.inceval_seconds);
-        pool_.ParallelFor(0, n, [&](size_t i) {
-          auto fid = static_cast<FragmentId>(i);
-          Status s = ApplyMessages(fid);
-          if (!s.ok()) {
-            phase_status_[i] = s;
-            return;
-          }
-          cores_[i].IncEval(query, options_.incremental);
-          cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
-        });
-      }
-      metrics_.supersteps++;
-      GRAPE_RETURN_NOT_OK(CheckPhase());
-      GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
-      RecordRound(round_timer.ElapsedSeconds(), TotalUpdated());
-      dirty = TotalDirty();
-      if (options_.verbose) {
-        GRAPE_LOG(kInfo) << "superstep " << metrics_.supersteps << ": "
-                         << metrics_.rounds.back().messages << " msgs";
-      }
-    }
-
-    // Termination: pull partial results and Assemble at the coordinator.
-    Output output;
-    {
-      ScopedTimer t(&metrics_.assemble_seconds);
-      std::vector<Partial> partials(n);
-      pool_.ParallelFor(0, n, [&](size_t i) {
-        partials[i] = cores_[i].GetPartial(query);
-      });
-      output = App::Assemble(query, std::move(partials));
-    }
-
-    FinishMetrics(total_timer);
-    return output;
+    return RunLocal(query, nullptr, {});
   }
 
   /// Incremental evaluation across *graph updates* (Sec. 2.1: IncEval
@@ -462,18 +360,14 @@ class GrapeEngine {
     if (!options_.remote_app.empty()) {
       if constexpr (RemoteCompatibleApp<App>) {
         (void)previous;  // the endpoints hold the warm state, not `previous`
-        Result<Output> out = RunIncrementalRemote(query, touched);
-        // Same invalidation contract as SessionRun: a failed delta leaves
-        // workers mid-phase, so the next call must cold-start.
-        if (!out.ok()) EndSession();
-        return out;
+        return RunOnSession(query, Opening::kIncStart, touched);
       } else {
         return Status::InvalidArgument(
             "remote incremental evaluation requires wire-codable "
             "Query/Partial/Value types");
       }
     }
-    // Local-oracle preconditions: the warm start below reads `previous`'s
+    // Local-oracle preconditions: the warm start reads `previous`'s
     // in-process stores, so previous must have computed locally, and both
     // engines need coordinator-held fragments.
     if (!previous.metrics_.remote_worker_pids.empty()) {
@@ -488,97 +382,7 @@ class GrapeEngine {
           "engines; distributed-load engines answer incrementally over "
           "their live session (RunIncremental(query, batch))");
     }
-    WallTimer total_timer;
-    metrics_ = EngineMetrics{};
-    world_->ResetStats();
-    recorded_messages_ = 0;
-    recorded_bytes_ = 0;
-    extra_messages_ = 0;
-    extra_bytes_ = 0;
-    const FragmentId n = n_frags_;
-
-    // Warm start: every local copy adopts the owner's converged value from
-    // the previous run (unseen vertices keep InitValue).
-    for (FragmentId i = 0; i < n; ++i) {
-      const Fragment& frag = fg_->fragments[i];
-      cores_[i].Reset(options_.check_monotonicity);
-      ParamStore<Value>& store = cores_[i].store();
-      for (LocalId lid = 0; lid < frag.num_local(); ++lid) {
-        VertexId gid = frag.Gid(lid);
-        if (gid >= previous.fg_->owner->size()) continue;  // new vertex
-        FragmentId prev_owner = (*previous.fg_->owner)[gid];
-        const Fragment& prev_frag = previous.fg_->fragments[prev_owner];
-        LocalId prev_lid = prev_frag.Lid(gid);
-        if (prev_lid == kInvalidLocal) continue;
-        store.UntrackedRef(lid) =
-            previous.cores_[prev_owner].store().Get(prev_lid);
-      }
-    }
-    // Seed M: the update's touched vertices (all local copies).
-    for (VertexId gid : touched) {
-      for (FragmentId i = 0; i < n; ++i) {
-        LocalId lid = fg_->fragments[i].Lid(gid);
-        if (lid != kInvalidLocal) cores_[i].updated().push_back(lid);
-      }
-    }
-
-    // IncEval-only fixed point (superstep 1 is the first IncEval).
-    {
-      ScopedTimer t(&metrics_.inceval_seconds);
-      pool_.ParallelFor(0, n, [&](size_t i) {
-        cores_[i].IncEval(query, true);
-        cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
-      });
-      metrics_.supersteps = 1;
-    }
-    GRAPE_RETURN_NOT_OK(CheckPhase());
-    uint64_t direct = 0;
-    GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
-    RecordRound(0.0, TotalUpdated());
-    uint64_t dirty = TotalDirty();
-
-    while (metrics_.supersteps < options_.max_supersteps) {
-      double global = 0;
-      for (FragmentId i = 0; i < n; ++i) global += cores_[i].GlobalValue();
-      if (cores_[0].ShouldTerminate(metrics_.supersteps, global)) break;
-      uint64_t routed = 0;
-      {
-        ScopedTimer t(&metrics_.coordinator_seconds);
-        GRAPE_ASSIGN_OR_RETURN(routed, CoordinatorRoute());
-      }
-      if (routed + direct == 0 && dirty == 0) break;
-      WallTimer round_timer;
-      {
-        ScopedTimer t(&metrics_.inceval_seconds);
-        pool_.ParallelFor(0, n, [&](size_t i) {
-          auto fid = static_cast<FragmentId>(i);
-          Status s = ApplyMessages(fid);
-          if (!s.ok()) {
-            phase_status_[i] = s;
-            return;
-          }
-          cores_[i].IncEval(query, true);
-          cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
-        });
-      }
-      metrics_.supersteps++;
-      GRAPE_RETURN_NOT_OK(CheckPhase());
-      GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
-      RecordRound(round_timer.ElapsedSeconds(), TotalUpdated());
-      dirty = TotalDirty();
-    }
-
-    Output output;
-    {
-      ScopedTimer t(&metrics_.assemble_seconds);
-      std::vector<Partial> partials(n);
-      pool_.ParallelFor(0, n, [&](size_t i) {
-        partials[i] = cores_[i].GetPartial(query);
-      });
-      output = App::Assemble(query, std::move(partials));
-    }
-    FinishMetrics(total_timer);
-    return output;
+    return RunLocal(query, &previous, touched);
   }
 
   /// Streams one edge-mutation batch into the live session: every endpoint
@@ -641,10 +445,7 @@ class GrapeEngine {
         metrics_.incremental_fallback = true;
         return out;
       }
-      Result<Output> out = RunIncrementalRemote(query,
-                                                batch.TouchedVertices());
-      if (!out.ok()) EndSession();
-      return out;
+      return RunOnSession(query, Opening::kIncStart, batch.TouchedVertices());
     } else {
       return Status::InvalidArgument(
           "query sessions require wire-codable Query/Partial/Value types");
@@ -708,21 +509,19 @@ class GrapeEngine {
             "query sessions do not support checkpoint/recovery; the retry "
             "unit is the query itself");
       }
-      Result<Output> out = RunSessionQuery(query);
-      // Any failure invalidates the session wholesale: workers may be
-      // mid-phase with frames in flight. The next call reloads from
-      // scratch (and the stale-drain swallows whatever this run left).
-      if (!out.ok()) EndSession();
-      return out;
+      return RunOnSession(query,
+                          session_live_ ? Opening::kQuery : Opening::kLoad);
     } else {
       return Status::InvalidArgument(
           "query sessions require wire-codable Query/Partial/Value types");
     }
   }
 
-  /// Retires a live session: best-effort shutdown frames to the resident
-  /// workers, then the in-thread hosts (inproc) are joined. Idempotent;
-  /// also runs on destruction and before any Run() on this engine.
+  /// Retires the remote workers: best-effort shutdown frames to the
+  /// resident workers, then the in-thread hosts (inproc) are joined. The
+  /// one retirement path — Run calls it after every attempt, sessions
+  /// keep their workers until it runs. Idempotent; also runs on
+  /// destruction and before any Run() on this engine.
   void EndSession() {
     if (session_live_) {
       for (FragmentId i = 0; i < n_frags_; ++i) {
@@ -759,6 +558,20 @@ class GrapeEngine {
       }
     }
     return Status::OK();
+  }
+
+  /// Zeroes what one run accumulates: metrics, the CommStats views with
+  /// their recovery bases, and the routed inbox.
+  void ResetRunState() {
+    metrics_ = EngineMetrics{};
+    world_->ResetStats();
+    recorded_messages_ = 0;
+    recorded_bytes_ = 0;
+    extra_messages_ = 0;
+    extra_bytes_ = 0;
+    base_messages_ = 0;
+    base_bytes_ = 0;
+    remote_inbox_.clear();
   }
 
   void RecordRound(double seconds, uint64_t updated_params) {
@@ -806,6 +619,127 @@ class GrapeEngine {
     uint64_t total = 0;
     for (const auto& core : cores_) total += core.updated().size();
     return total;
+  }
+
+  // ------------------------------------------------------- local compute
+
+  /// The local fixed point. Superstep 1 is PEval, or — given `previous` —
+  /// a warm start from previous's converged stores seeded with `touched`,
+  /// then IncEval (always incremental, like the remote kTagWkIncStart).
+  /// Every later superstep: the coordinator routes, workers IncEval.
+  Result<Output> RunLocal(const Query& query, const GrapeEngine* previous,
+                          const std::vector<VertexId>& touched) {
+    WallTimer total_timer;
+    ResetRunState();
+    const FragmentId n = n_frags_;
+    for (FragmentId i = 0; i < n; ++i) {
+      cores_[i].Reset(options_.check_monotonicity);
+    }
+    if (previous != nullptr) WarmStart(*previous, touched);
+
+    // Messages are staged inside each parallel phase and dispatched after
+    // the barrier, so nothing a worker sends can be consumed in the same
+    // superstep (BSP delivery semantics).
+    {
+      ScopedTimer t(previous == nullptr ? &metrics_.peval_seconds
+                                        : &metrics_.inceval_seconds);
+      pool_.ParallelFor(0, n, [&](size_t i) {
+        if (previous == nullptr) {
+          cores_[i].PEval(query);
+        } else {
+          cores_[i].IncEval(query, true);
+        }
+        cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
+      });
+      metrics_.supersteps = 1;
+    }
+    GRAPE_RETURN_NOT_OK(CheckPhase());
+    uint64_t direct = 0;
+    GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
+    RecordRound(0.0, TotalUpdated());
+    uint64_t dirty = TotalDirty();
+
+    // Termination per Sec. 2.2(3): every worker inactive and no update
+    // parameter changed anywhere — i.e. neither in-flight messages (routed
+    // through the coordinator or sent directly) nor local parameter changes
+    // (dirty) remain.
+    while (metrics_.supersteps < options_.max_supersteps) {
+      double global = 0;
+      for (FragmentId i = 0; i < n; ++i) global += cores_[i].GlobalValue();
+      metrics_.rounds.back().global = global;
+      if (cores_[0].ShouldTerminate(metrics_.supersteps, global)) break;
+
+      uint64_t routed = 0;
+      {
+        ScopedTimer t(&metrics_.coordinator_seconds);
+        GRAPE_ASSIGN_OR_RETURN(routed, CoordinatorRoute());
+      }
+      if (routed + direct == 0 && dirty == 0) break;  // simultaneous fixpoint
+
+      WallTimer round_timer;
+      {
+        ScopedTimer t(&metrics_.inceval_seconds);
+        pool_.ParallelFor(0, n, [&](size_t i) {
+          auto fid = static_cast<FragmentId>(i);
+          Status s = ApplyMessages(fid);
+          if (!s.ok()) {
+            phase_status_[i] = s;
+            return;
+          }
+          cores_[i].IncEval(query, options_.incremental);
+          cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
+        });
+      }
+      metrics_.supersteps++;
+      GRAPE_RETURN_NOT_OK(CheckPhase());
+      GRAPE_ASSIGN_OR_RETURN(direct, DispatchSends());
+      RecordRound(round_timer.ElapsedSeconds(), TotalUpdated());
+      dirty = TotalDirty();
+      if (options_.verbose) {
+        GRAPE_LOG(kInfo) << "superstep " << metrics_.supersteps << ": "
+                         << metrics_.rounds.back().messages << " msgs";
+      }
+    }
+
+    // Termination: pull partial results and Assemble at the coordinator.
+    Output output;
+    {
+      ScopedTimer t(&metrics_.assemble_seconds);
+      std::vector<Partial> partials(n);
+      pool_.ParallelFor(0, n, [&](size_t i) {
+        partials[i] = cores_[i].GetPartial(query);
+      });
+      output = App::Assemble(query, std::move(partials));
+    }
+    FinishMetrics(total_timer);
+    return output;
+  }
+
+  /// Every local copy adopts its owner's converged value from `previous`
+  /// (unseen vertices keep InitValue), and the update's touched vertices
+  /// seed M at all their local copies.
+  void WarmStart(const GrapeEngine& previous,
+                 const std::vector<VertexId>& touched) {
+    for (FragmentId i = 0; i < n_frags_; ++i) {
+      const Fragment& frag = fg_->fragments[i];
+      ParamStore<Value>& store = cores_[i].store();
+      for (LocalId lid = 0; lid < frag.num_local(); ++lid) {
+        VertexId gid = frag.Gid(lid);
+        if (gid >= previous.fg_->owner->size()) continue;  // new vertex
+        FragmentId prev_owner = (*previous.fg_->owner)[gid];
+        const Fragment& prev_frag = previous.fg_->fragments[prev_owner];
+        LocalId prev_lid = prev_frag.Lid(gid);
+        if (prev_lid == kInvalidLocal) continue;
+        store.UntrackedRef(lid) =
+            previous.cores_[prev_owner].store().Get(prev_lid);
+      }
+    }
+    for (VertexId gid : touched) {
+      for (FragmentId i = 0; i < n_frags_; ++i) {
+        LocalId lid = fg_->fragments[i].Lid(gid);
+        if (lid != kInvalidLocal) cores_[i].updated().push_back(lid);
+      }
+    }
   }
 
   /// Ships every staged buffer (runs between parallel phases); returns the
@@ -962,6 +896,19 @@ class GrapeEngine {
       for (double v : global_by_frag) g += v;
       return g;
     }
+
+    /// (sender rank, frames) for every peer that shipped worker `dst`
+    /// direct frames this phase — what the next command tells it to await.
+    std::vector<std::pair<uint32_t, uint32_t>> DirectInto(
+        FragmentId dst) const {
+      std::vector<std::pair<uint32_t, uint32_t>> expect;
+      for (FragmentId s = 0; s < direct_matrix.size(); ++s) {
+        if (direct_matrix[s][dst] > 0) {
+          expect.emplace_back(RankOf(s), direct_matrix[s][dst]);
+        }
+      }
+      return expect;
+    }
   };
 
   /// Coordinator state at a checkpoint barrier — everything the superstep
@@ -988,13 +935,21 @@ class GrapeEngine {
     std::vector<uint64_t> remote_mono;
   };
 
+  /// How a remote query reaches its first completed superstep.
+  enum class Opening {
+    kLoad,      // kTagWkLoad + kTagWkRunPEval: fresh worker hosts
+    kQuery,     // kTagWkQuery + kTagWkRunPEval: a live session's next query
+    kIncStart,  // kTagWkIncStart(touched): warm IncEval round 1, no re-seed
+    kRestore,   // kTagWkRestore: Run's recovery, resuming at a checkpoint
+  };
+
   /// Remote compute with fault tolerance: each attempt runs the full
-  /// PEval → IncEval* → Assemble pipeline; when a CheckpointPolicy is
-  /// enabled and an attempt dies with Unavailable (endpoint SIGKILLed,
-  /// transport broken, liveness probe fired), the world is rebuilt in
-  /// place (Transport::Recover) and the next attempt resumes from the
-  /// last completed checkpoint. With the policy off this degenerates to
-  /// exactly one attempt with no added control traffic.
+  /// pipeline; when a CheckpointPolicy is enabled and an attempt dies with
+  /// Unavailable (endpoint SIGKILLed, transport broken, liveness probe
+  /// fired), the world is rebuilt in place (Transport::Recover) and the
+  /// next attempt resumes from the last completed checkpoint. With the
+  /// policy off this degenerates to exactly one attempt with no added
+  /// control traffic.
   Result<Output> RunRemote(const Query& query)
     requires RemoteCompatibleApp<App>
   {
@@ -1006,7 +961,13 @@ class GrapeEngine {
     // silently compute over the wrong graph/query. Start from nothing.
     ckpt_store_.Clear();
     for (;;) {
-      Result<Output> out = RunRemoteAttempt(query, run_recoveries_ > 0);
+      Result<Output> out = DriveRemote(
+          query, run_recoveries_ > 0 && snapshot_.valid ? Opening::kRestore
+                                                        : Opening::kLoad);
+      metrics_.recoveries = run_recoveries_;
+      // A one-shot run's workers never outlive the attempt, and no
+      // in-thread host may straddle a world rebuild.
+      EndSession();
       if (out.ok()) return out;
       const CheckpointPolicy& cp = options_.checkpoint;
       // Recoverable means: the failure is a death, not an app error; the
@@ -1032,29 +993,163 @@ class GrapeEngine {
     }
   }
 
-  Result<Output> RunRemoteAttempt(const Query& query, bool resume)
+  /// One query over the persistent worker session. Any failure
+  /// invalidates the session wholesale — workers may be mid-phase with
+  /// frames in flight — so the next call cold-starts, and the stale drain
+  /// swallows whatever this one left.
+  Result<Output> RunOnSession(const Query& query, Opening opening,
+                              const std::vector<VertexId>& touched = {})
+    requires RemoteCompatibleApp<App>
+  {
+    if (opening == Opening::kIncStart && !session_live_) {
+      return Status::FailedPrecondition(
+          "incremental evaluation rides a live query session: SessionRun "
+          "the query, ApplyMutations the batch, then RunIncremental "
+          "re-answers that same query");
+    }
+    Result<Output> out =
+        DriveRemote(query, opening, touched, options_.resident_stash_token);
+    if (!out.ok()) EndSession();
+    return out;
+  }
+
+  /// The one remote superstep driver. `opening` brings the workers to a
+  /// completed superstep 1 — or, for kRestore, back to the last checkpoint
+  /// barrier. Every later superstep is the same: termination vote, route,
+  /// IncEval command, RecordRound, checkpoint, on_superstep. GetPartial +
+  /// Assemble close the query. Cold loads ship `stash_token` with each
+  /// fragment when non-zero (kWkLoadStashResident). Worker retirement is
+  /// left to the caller (EndSession).
+  Result<Output> DriveRemote(const Query& query, Opening opening,
+                             const std::vector<VertexId>& touched = {},
+                             uint64_t stash_token = 0)
     requires RemoteCompatibleApp<App>
   {
     WallTimer total_timer;
-    metrics_ = EngineMetrics{};
-    world_->ResetStats();
-    recorded_messages_ = 0;
-    recorded_bytes_ = 0;
-    extra_messages_ = 0;
-    extra_bytes_ = 0;
-    base_messages_ = 0;
-    base_bytes_ = 0;
-    remote_inbox_.clear();
+    ResetRunState();
     const FragmentId n = n_frags_;
     metrics_.remote_worker_pids.assign(n, 0);
     metrics_.remote_peval_runs.assign(n, 0);
     metrics_.remote_inceval_runs.assign(n, 0);
-    metrics_.recoveries = run_recoveries_;
     remote_mono_.assign(n, 0);
+    if (opening == Opening::kLoad || opening == Opening::kRestore) {
+      StartWorkers();
+    }
 
+    RemoteRound round;
+    if (opening == Opening::kRestore) {
+      GRAPE_RETURN_NOT_OK(RestoreFromSnapshot(&round));
+    } else {
+      if (opening == Opening::kIncStart) {
+        // Deliberately no kTagWkQuery: a re-seed would reset the converged
+        // stores this delta warm-starts from.
+        ScopedTimer t(&metrics_.inceval_seconds);
+        GRAPE_RETURN_NOT_OK(
+            SendToWorkers(kTagWkIncStart, [&](FragmentId, Encoder& enc) {
+              enc.WritePodVector(touched);
+            }));
+        GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseIncEval, 1, &round));
+      } else {
+        {
+          // A warm query re-seeds the resident fragment and acks exactly
+          // like a load.
+          ScopedTimer t(&metrics_.load_seconds);
+          const bool cold = opening == Opening::kLoad;
+          GRAPE_RETURN_NOT_OK(SendToWorkers(
+              cold ? kTagWkLoad : kTagWkQuery,
+              [&](FragmentId i, Encoder& enc) {
+                if (cold) {
+                  EncodeLoadFrame(i, query, stash_token, enc);
+                } else {
+                  EncodeValue(enc, query);
+                }
+              }));
+          RemoteRound load;
+          GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseLoad, 0, &load));
+        }
+        ScopedTimer t(&metrics_.peval_seconds);
+        GRAPE_RETURN_NOT_OK(SendToWorkers(kTagWkRunPEval));
+        GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhasePEval, 1, &round));
+      }
+      metrics_.supersteps = 1;
+      GRAPE_RETURN_NOT_OK(CompleteRemoteRound(round, 0.0));
+    }
+
+    while (metrics_.supersteps < options_.max_supersteps) {
+      const double global = round.GlobalSum();
+      metrics_.rounds.back().global = global;
+      // The termination hook lives in worker rank 1; one control
+      // round-trip evaluates it against the summed global.
+      bool terminate = false;
+      GRAPE_ASSIGN_OR_RETURN(
+          terminate, RemoteCheckTerminate(metrics_.supersteps, global));
+      if (terminate) break;
+
+      uint64_t routed = 0;
+      std::vector<uint32_t> apply_counts;
+      {
+        ScopedTimer t(&metrics_.coordinator_seconds);
+        GRAPE_ASSIGN_OR_RETURN(
+            routed, RouteInbox(std::exchange(remote_inbox_, {}), kTagWkApply,
+                               &apply_counts));
+      }
+      if (routed + round.direct_updates == 0 && round.dirty == 0) {
+        break;  // simultaneous fixpoint
+      }
+
+      WallTimer round_timer;
+      RemoteRound next;
+      {
+        ScopedTimer t(&metrics_.inceval_seconds);
+        const uint32_t step = metrics_.supersteps + 1;
+        GRAPE_RETURN_NOT_OK(
+            SendToWorkers(kTagWkRunIncEval, [&](FragmentId i, Encoder& enc) {
+              IncEvalCommand cmd;
+              cmd.round = step;
+              cmd.incremental = options_.incremental;
+              cmd.apply_frames = apply_counts[i];
+              cmd.expect_direct = round.DirectInto(i);
+              cmd.EncodeTo(enc);
+            }));
+        GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseIncEval, step, &next));
+      }
+      round = std::move(next);
+      metrics_.supersteps++;
+      GRAPE_RETURN_NOT_OK(
+          CompleteRemoteRound(round, round_timer.ElapsedSeconds()));
+    }
+    if (!round.mono_by_frag.empty()) remote_mono_ = round.mono_by_frag;
+
+    // Termination: remote GetPartial everywhere, Assemble here.
+    Output output;
+    {
+      ScopedTimer t(&metrics_.assemble_seconds);
+      GRAPE_RETURN_NOT_OK(SendToWorkers(kTagWkGetPartial));
+      std::vector<Partial> partials(n);
+      GRAPE_RETURN_NOT_OK(AwaitWorkers(
+          "partials", n,
+          [&](FragmentId frag, bool replied, RtMessage& msg) -> Result<bool> {
+            if (msg.tag != kTagWkPartial || replied) return false;
+            Decoder dec(msg.payload);
+            GRAPE_RETURN_NOT_OK(DecodeValue(dec, &partials[frag]));
+            return true;
+          }));
+      output = App::Assemble(query, std::move(partials));
+    }
+    FinishMetrics(total_timer);
+    return output;
+  }
+
+  /// Brings up fresh worker hosts for a cold load or a restore: arms the
+  /// failure detector (CheckpointPolicy only), makes sure the app is
+  /// registered, drains stale worker frames, and spawns in-thread hosts
+  /// on backends without endpoint processes.
+  void StartWorkers()
+    requires RemoteCompatibleApp<App>
+  {
     const CheckpointPolicy& cp = options_.checkpoint;
     if (cp.enabled()) {
-      monitor_.Reset(n, cp.lease_ms);
+      monitor_.Reset(n_frags_, cp.lease_ms);
       const std::vector<int64_t> pids = world_->endpoint_process_ids();
       monitor_.set_pid_probe([pids](uint32_t frag) {
         const uint32_t rank = frag + 1;
@@ -1067,357 +1162,97 @@ class GrapeEngine {
         return ::waitpid(static_cast<pid_t>(pids[rank]), &st, WNOHANG) != 0;
       });
     }
-
     // Cover the in-thread host path even when nobody pre-registered this
     // app; endpoint processes snapshot the registry at fork, so for
     // socket/tcp the registration must already have happened there.
     if (!WorkerAppRegistry::Global().Has(options_.remote_app)) {
       RegisterRemoteWorker<App>(options_.remote_app);
     }
-    // A previous run on this world may have left worker-protocol frames
-    // behind (an abandoned phase after an error): drain them before any
-    // worker host can see them, so they cannot masquerade as this run's
-    // traffic. Only worker tags are touched.
+    // An abandoned query, or another engine's session on this shared
+    // world, may have left worker-protocol frames behind: drain them
+    // before any worker host can see them, so they cannot masquerade as
+    // this run's traffic. Only worker tags are touched.
     for (uint32_t tag = kTagWkLoad; tag < kTagWkEnd_; ++tag) {
-      for (uint32_t rank = 0; rank <= n; ++rank) {
+      for (uint32_t rank = 0; rank <= n_frags_; ++rank) {
         while (auto stale = world_->TryRecv(rank, tag)) {
           world_->buffer_pool().Release(std::move(stale->payload));
         }
       }
     }
-    InThreadWorkers in_thread(world_, n, !world_->has_remote_endpoints(),
-                              options_.timing.poll_interval_us,
-                              options_.timing.idle_spins,
-                              options_.timing.idle_poll_interval_us);
-
-    RemoteRound round;
-    uint64_t dirty = 0;
-    uint64_t direct = 0;
-    double global = 0;
-    if (resume && snapshot_.valid) {
-      // Rebuilt world: re-seed every (fresh) worker from its checkpoint
-      // image and roll the coordinator back to the barrier.
-      GRAPE_RETURN_NOT_OK(
-          RestoreFromSnapshot(&round, &dirty, &direct, &global));
-    } else {
-      // Load: app name + flags + query + the fragment. Coordinator-loaded
-      // engines serialize the fragment (with its routing plan and the
-      // shared owner tables); distributed-load engines ship only the build
-      // token, and each worker attaches to the fragment already resident
-      // in its own process — the graph never transits rank 0.
-      {
-        ScopedTimer t(&metrics_.load_seconds);
-        for (FragmentId i = 0; i < n; ++i) {
-          Encoder enc(world_->buffer_pool().Acquire());
-          enc.WriteString(options_.remote_app);
-          uint8_t flags =
-              options_.check_monotonicity ? kWkLoadCheckMonotonicity : 0;
-          if (fg_ == nullptr) flags |= kWkLoadUseResident;
-          if (options_.compute_threads > 1) flags |= kWkLoadComputeThreads;
-          enc.WriteU8(flags);
-          // Gated on the flag so compute_threads <= 1 load frames stay
-          // byte-identical to every frame this engine ever sent.
-          if (options_.compute_threads > 1) {
-            enc.WriteU32(options_.compute_threads);
-          }
-          EncodeValue(enc, query);
-          if (fg_ == nullptr) {
-            enc.WriteU64(resident_token_);
-          } else {
-            fg_->fragments[i].EncodeTo(enc);
-          }
-          GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                           kTagWkLoad, enc.TakeBuffer()));
-        }
-        RemoteRound load;
-        GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseLoad, 0, &load));
-      }
-
-      // Superstep 1: remote PEval everywhere.
-      {
-        ScopedTimer t(&metrics_.peval_seconds);
-        for (FragmentId i = 0; i < n; ++i) {
-          GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                           kTagWkRunPEval, {}));
-        }
-        GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhasePEval, 1, &round));
-        metrics_.supersteps = 1;
-      }
-      extra_messages_ += round.sent_messages;
-      extra_bytes_ += round.sent_bytes;
-      RecordRound(0.0, round.updated_count);
-      dirty = round.dirty;
-      direct = round.direct_updates;
-      global = round.GlobalSum();
-      GRAPE_RETURN_NOT_OK(MaybeTakeCheckpoint(round));
-      if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
-    }
-
-    while (metrics_.supersteps < options_.max_supersteps) {
-      if (!metrics_.rounds.empty()) metrics_.rounds.back().global = global;
-      // apps_[0]'s termination hook lives in worker rank 1 now; one
-      // control round-trip evaluates it against the summed global.
-      bool terminate = false;
-      GRAPE_ASSIGN_OR_RETURN(
-          terminate, RemoteCheckTerminate(metrics_.supersteps, global));
-      if (terminate) break;
-
-      uint64_t routed = 0;
-      std::vector<uint32_t> apply_counts;
-      {
-        ScopedTimer t(&metrics_.coordinator_seconds);
-        std::vector<RtMessage> inbox = std::move(remote_inbox_);
-        remote_inbox_.clear();
-        GRAPE_ASSIGN_OR_RETURN(
-            routed, RouteInbox(std::move(inbox), kTagWkApply, &apply_counts));
-      }
-      if (routed + direct == 0 && dirty == 0) break;  // simultaneous fixpoint
-
-      WallTimer round_timer;
-      RemoteRound next;
-      {
-        ScopedTimer t(&metrics_.inceval_seconds);
-        for (FragmentId i = 0; i < n; ++i) {
-          IncEvalCommand cmd;
-          cmd.round = metrics_.supersteps + 1;
-          cmd.incremental = options_.incremental;
-          cmd.apply_frames = apply_counts[i];
-          for (FragmentId s = 0; s < n; ++s) {
-            const uint32_t frames = round.direct_matrix[s][i];
-            if (frames > 0) cmd.expect_direct.emplace_back(RankOf(s), frames);
-          }
-          Encoder enc(world_->buffer_pool().Acquire());
-          cmd.EncodeTo(enc);
-          GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                           kTagWkRunIncEval,
-                                           enc.TakeBuffer()));
-        }
-        GRAPE_RETURN_NOT_OK(
-            AwaitPhase(kWkPhaseIncEval, metrics_.supersteps + 1, &next));
-      }
-      round = std::move(next);
-      metrics_.supersteps++;
-      extra_messages_ += round.sent_messages;
-      extra_bytes_ += round.sent_bytes;
-      RecordRound(round_timer.ElapsedSeconds(), round.updated_count);
-      dirty = round.dirty;
-      direct = round.direct_updates;
-      global = round.GlobalSum();
-      if (options_.verbose) {
-        GRAPE_LOG(kInfo) << "superstep " << metrics_.supersteps << ": "
-                         << metrics_.rounds.back().messages
-                         << " msgs (remote)";
-      }
-      GRAPE_RETURN_NOT_OK(MaybeTakeCheckpoint(round));
-      if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
-    }
-    remote_mono_ = round.mono_by_frag.empty() ? remote_mono_
-                                              : round.mono_by_frag;
-
-    // Termination: remote GetPartial everywhere, Assemble here.
-    Output output;
-    {
-      ScopedTimer t(&metrics_.assemble_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkGetPartial, {}));
-      }
-      std::vector<Partial> partials(n);
-      GRAPE_RETURN_NOT_OK(AwaitPartials(&partials));
-      output = App::Assemble(query, std::move(partials));
-    }
-
-    // Retire the workers (best effort: the run already succeeded; an
-    // endpoint that died here surfaces through the transport anyway).
-    for (FragmentId i = 0; i < n; ++i) {
-      (void)world_->Send(kCoordinatorRank, RankOf(i), kTagWkShutdown, {});
-    }
-
-    FinishMetrics(total_timer);
-    return output;
+    session_workers_ = std::make_unique<InThreadWorkers>(
+        world_, n_frags_, !world_->has_remote_endpoints());
+    session_live_ = true;
   }
 
-  /// One query over a persistent worker session. Structurally
-  /// RunRemoteAttempt minus checkpointing, recovery, and worker
-  /// retirement: the load step runs once per session (full fragment ship
-  /// or resident attach, optionally stashing under
-  /// options_.resident_stash_token), and later queries replace it with a
-  /// kTagWkQuery re-seed that reuses the worker's resident fragment. The
-  /// superstep loop, routing, and assembly are identical, which is what
-  /// makes session answers bit-identical to Run()'s.
-  Result<Output> RunSessionQuery(const Query& query)
+  /// Flag bits shared by the kTagWkLoad and kTagWkRestore frames.
+  uint8_t WorkerFlags() const {
+    uint8_t flags = options_.check_monotonicity ? kWkLoadCheckMonotonicity : 0;
+    if (options_.compute_threads > 1) flags |= kWkLoadComputeThreads;
+    return flags;
+  }
+
+  /// Worker i's kTagWkLoad frame: app name, flags, lane count (gated on
+  /// its flag so compute_threads <= 1 frames stay byte-identical to every
+  /// frame this engine ever sent), query, then the fragment source.
+  /// Coordinator-loaded engines serialize the fragment — preceded by
+  /// `stash_token` when the worker should also deposit it in its
+  /// ResidentFragmentStore. Distributed-load engines ship only the build
+  /// token, and each worker attaches to the fragment already resident in
+  /// its own process — the graph never transits rank 0.
+  void EncodeLoadFrame(FragmentId i, const Query& query, uint64_t stash_token,
+                       Encoder& enc) const
     requires RemoteCompatibleApp<App>
   {
-    WallTimer total_timer;
-    metrics_ = EngineMetrics{};
-    world_->ResetStats();
-    recorded_messages_ = 0;
-    recorded_bytes_ = 0;
-    extra_messages_ = 0;
-    extra_bytes_ = 0;
-    base_messages_ = 0;
-    base_bytes_ = 0;
-    remote_inbox_.clear();
-    const FragmentId n = n_frags_;
-    metrics_.remote_worker_pids.assign(n, 0);
-    metrics_.remote_peval_runs.assign(n, 0);
-    metrics_.remote_inceval_runs.assign(n, 0);
-    remote_mono_.assign(n, 0);
-
-    if (!session_live_) {
-      if (!WorkerAppRegistry::Global().Has(options_.remote_app)) {
-        RegisterRemoteWorker<App>(options_.remote_app);
-      }
-      // Same stale-drain as a fresh Run: an abandoned query (or a prior
-      // engine's session on this shared world) may have left
-      // worker-protocol frames behind.
-      for (uint32_t tag = kTagWkLoad; tag < kTagWkEnd_; ++tag) {
-        for (uint32_t rank = 0; rank <= n; ++rank) {
-          while (auto stale = world_->TryRecv(rank, tag)) {
-            world_->buffer_pool().Release(std::move(stale->payload));
-          }
-        }
-      }
-      session_workers_ = std::make_unique<InThreadWorkers>(
-          world_, n, !world_->has_remote_endpoints(),
-          options_.timing.poll_interval_us, options_.timing.idle_spins,
-          options_.timing.idle_poll_interval_us);
-      {
-        ScopedTimer t(&metrics_.load_seconds);
-        for (FragmentId i = 0; i < n; ++i) {
-          Encoder enc(world_->buffer_pool().Acquire());
-          enc.WriteString(options_.remote_app);
-          uint8_t flags =
-              options_.check_monotonicity ? kWkLoadCheckMonotonicity : 0;
-          if (fg_ == nullptr) {
-            flags |= kWkLoadUseResident;
-          } else if (options_.resident_stash_token != 0) {
-            flags |= kWkLoadStashResident;
-          }
-          if (options_.compute_threads > 1) flags |= kWkLoadComputeThreads;
-          enc.WriteU8(flags);
-          if (options_.compute_threads > 1) {
-            enc.WriteU32(options_.compute_threads);
-          }
-          EncodeValue(enc, query);
-          if (fg_ == nullptr) {
-            enc.WriteU64(resident_token_);
-          } else if (options_.resident_stash_token != 0) {
-            enc.WriteU64(options_.resident_stash_token);
-            fg_->fragments[i].EncodeTo(enc);
-          } else {
-            fg_->fragments[i].EncodeTo(enc);
-          }
-          GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                           kTagWkLoad, enc.TakeBuffer()));
-        }
-        RemoteRound load;
-        GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseLoad, 0, &load));
-      }
-      session_live_ = true;
-    } else {
-      // Warm path: just the query crosses the wire. The worker re-seeds
-      // its parameter store from the fragment it already holds and acks
-      // with the same load-phase ack a full load would produce.
-      ScopedTimer t(&metrics_.load_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        Encoder enc(world_->buffer_pool().Acquire());
-        EncodeValue(enc, query);
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkQuery, enc.TakeBuffer()));
-      }
-      RemoteRound load;
-      GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseLoad, 0, &load));
+    uint8_t flags = WorkerFlags();
+    if (fg_ == nullptr) {
+      flags |= kWkLoadUseResident;
+    } else if (stash_token != 0) {
+      flags |= kWkLoadStashResident;
     }
-
-    // Superstep 1: remote PEval everywhere.
-    RemoteRound round;
-    {
-      ScopedTimer t(&metrics_.peval_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkRunPEval, {}));
-      }
-      GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhasePEval, 1, &round));
-      metrics_.supersteps = 1;
+    enc.WriteString(options_.remote_app);
+    enc.WriteU8(flags);
+    if (options_.compute_threads > 1) enc.WriteU32(options_.compute_threads);
+    EncodeValue(enc, query);
+    if (fg_ == nullptr) {
+      enc.WriteU64(resident_token_);
+      return;
     }
+    if (stash_token != 0) enc.WriteU64(stash_token);
+    fg_->fragments[i].EncodeTo(enc);
+  }
+
+  /// Sends one control frame to every worker, encoding worker i's payload
+  /// with `encode(i, enc)`.
+  template <typename EncodeFn>
+  Status SendToWorkers(uint32_t tag, EncodeFn&& encode) {
+    for (FragmentId i = 0; i < n_frags_; ++i) {
+      Encoder enc(world_->buffer_pool().Acquire());
+      encode(i, enc);
+      GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i), tag,
+                                       enc.TakeBuffer()));
+    }
+    return Status::OK();
+  }
+
+  Status SendToWorkers(uint32_t tag) {
+    return SendToWorkers(tag, [](FragmentId, Encoder&) {});
+  }
+
+  /// Folds a completed remote superstep into the run: ack-reported flush
+  /// traffic, the round's metrics, a checkpoint when one is due (no-op
+  /// with the policy off), then the on_superstep hook.
+  Status CompleteRemoteRound(const RemoteRound& round, double seconds) {
     extra_messages_ += round.sent_messages;
     extra_bytes_ += round.sent_bytes;
-    RecordRound(0.0, round.updated_count);
-    uint64_t dirty = round.dirty;
-    uint64_t direct = round.direct_updates;
-    double global = round.GlobalSum();
+    RecordRound(seconds, round.updated_count);
+    if (options_.verbose) {
+      GRAPE_LOG(kInfo) << "superstep " << metrics_.supersteps << ": "
+                       << metrics_.rounds.back().messages
+                       << " msgs (remote)";
+    }
+    GRAPE_RETURN_NOT_OK(MaybeTakeCheckpoint(round));
     if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
-
-    while (metrics_.supersteps < options_.max_supersteps) {
-      if (!metrics_.rounds.empty()) metrics_.rounds.back().global = global;
-      bool terminate = false;
-      GRAPE_ASSIGN_OR_RETURN(
-          terminate, RemoteCheckTerminate(metrics_.supersteps, global));
-      if (terminate) break;
-
-      uint64_t routed = 0;
-      std::vector<uint32_t> apply_counts;
-      {
-        ScopedTimer t(&metrics_.coordinator_seconds);
-        std::vector<RtMessage> inbox = std::move(remote_inbox_);
-        remote_inbox_.clear();
-        GRAPE_ASSIGN_OR_RETURN(
-            routed, RouteInbox(std::move(inbox), kTagWkApply, &apply_counts));
-      }
-      if (routed + direct == 0 && dirty == 0) break;  // simultaneous fixpoint
-
-      WallTimer round_timer;
-      RemoteRound next;
-      {
-        ScopedTimer t(&metrics_.inceval_seconds);
-        for (FragmentId i = 0; i < n; ++i) {
-          IncEvalCommand cmd;
-          cmd.round = metrics_.supersteps + 1;
-          cmd.incremental = options_.incremental;
-          cmd.apply_frames = apply_counts[i];
-          for (FragmentId s = 0; s < n; ++s) {
-            const uint32_t frames = round.direct_matrix[s][i];
-            if (frames > 0) cmd.expect_direct.emplace_back(RankOf(s), frames);
-          }
-          Encoder enc(world_->buffer_pool().Acquire());
-          cmd.EncodeTo(enc);
-          GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                           kTagWkRunIncEval,
-                                           enc.TakeBuffer()));
-        }
-        GRAPE_RETURN_NOT_OK(
-            AwaitPhase(kWkPhaseIncEval, metrics_.supersteps + 1, &next));
-      }
-      round = std::move(next);
-      metrics_.supersteps++;
-      extra_messages_ += round.sent_messages;
-      extra_bytes_ += round.sent_bytes;
-      RecordRound(round_timer.ElapsedSeconds(), round.updated_count);
-      dirty = round.dirty;
-      direct = round.direct_updates;
-      global = round.GlobalSum();
-      if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
-    }
-    remote_mono_ = round.mono_by_frag.empty() ? remote_mono_
-                                              : round.mono_by_frag;
-
-    // Termination: remote GetPartial everywhere, Assemble here. No
-    // shutdown frames — the workers stay resident for the next query.
-    Output output;
-    {
-      ScopedTimer t(&metrics_.assemble_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkGetPartial, {}));
-      }
-      std::vector<Partial> partials(n);
-      GRAPE_RETURN_NOT_OK(AwaitPartials(&partials));
-      output = App::Assemble(query, std::move(partials));
-    }
-
-    FinishMetrics(total_timer);
-    return output;
+    return Status::OK();
   }
 
   /// Ships the encoded batch to every endpoint and collects the rebuilt
@@ -1425,175 +1260,23 @@ class GrapeEngine {
   /// after the worker finished its peer-to-peer mirror/warm-value
   /// exchange, so a complete ack set means every routing plan is resolved
   /// and every outer copy holds its owner's converged value.
-  Result<std::vector<WkBuildAck>> ApplyMutationsImpl(const MutationBatch& b)
-    requires RemoteCompatibleApp<App>
-  {
+  Result<std::vector<WkBuildAck>> ApplyMutationsImpl(const MutationBatch& b) {
     if (fg_ != nullptr) {
       GRAPE_RETURN_NOT_OK(b.Validate(fg_->total_vertices));
     }
-    const FragmentId n = n_frags_;
-    for (FragmentId i = 0; i < n; ++i) {
-      Encoder enc(world_->buffer_pool().Acquire());
-      b.EncodeTo(enc);
-      GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                       kTagWkMutate, enc.TakeBuffer()));
-    }
-    std::vector<WkBuildAck> shapes(n);
-    std::vector<uint8_t> seen(n, 0);
-    FragmentId have = 0;
-    uint32_t idle = 0;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options_.remote_timeout_ms);
-    while (have < n) {
-      std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
-      if (!msg) {
-        GRAPE_RETURN_NOT_OK(
-            CheckRemoteLiveness(deadline, "mutation acks", &idle));
-        continue;
-      }
-      idle = 0;
-      if (msg->from >= 1 && msg->from <= n) monitor_.Heard(msg->from - 1);
-      if (msg->tag == kTagWkError) return DecodeWorkerError(msg->payload);
-      if (msg->tag == kTagWkMutateAck && msg->from >= 1 && msg->from <= n &&
-          !seen[msg->from - 1]) {
-        Decoder dec(msg->payload);
-        WkBuildAck ack;
-        Status s = WkBuildAck::DecodeFrom(dec, &ack);
-        world_->buffer_pool().Release(std::move(msg->payload));
-        GRAPE_RETURN_NOT_OK(s);
-        shapes[msg->from - 1] = ack;
-        seen[msg->from - 1] = 1;
-        have++;
-        continue;
-      }
-      world_->buffer_pool().Release(std::move(msg->payload));
-    }
+    GRAPE_RETURN_NOT_OK(SendToWorkers(
+        kTagWkMutate, [&](FragmentId, Encoder& enc) { b.EncodeTo(enc); }));
+    std::vector<WkBuildAck> shapes(n_frags_);
+    GRAPE_RETURN_NOT_OK(AwaitWorkers(
+        "mutation acks", n_frags_,
+        [&](FragmentId frag, bool replied, RtMessage& msg) -> Result<bool> {
+          if (msg.tag != kTagWkMutateAck || replied) return false;
+          Decoder dec(msg.payload);
+          GRAPE_RETURN_NOT_OK(WkBuildAck::DecodeFrom(dec, &shapes[frag]));
+          return true;
+        }));
     RefreshShapes(shapes);
     return shapes;
-  }
-
-  /// The bounded delta: IncEval warm-started inside the endpoints from
-  /// the state the session's last query left there, seeded with the
-  /// mutation's touched vertices. Deliberately NO kTagWkQuery frame — a
-  /// query re-seed resets the parameter store, destroying exactly the
-  /// state this path exists to exploit. From superstep 1 onward this is
-  /// RunSessionQuery's loop verbatim: route, aggregate, terminate,
-  /// assemble.
-  Result<Output> RunIncrementalRemote(const Query& query,
-                                      const std::vector<VertexId>& touched)
-    requires RemoteCompatibleApp<App>
-  {
-    if (!session_live_) {
-      return Status::FailedPrecondition(
-          "incremental evaluation rides a live query session: SessionRun "
-          "the query, ApplyMutations the batch, then RunIncremental "
-          "re-answers that same query");
-    }
-    WallTimer total_timer;
-    metrics_ = EngineMetrics{};
-    world_->ResetStats();
-    recorded_messages_ = 0;
-    recorded_bytes_ = 0;
-    extra_messages_ = 0;
-    extra_bytes_ = 0;
-    base_messages_ = 0;
-    base_bytes_ = 0;
-    remote_inbox_.clear();
-    const FragmentId n = n_frags_;
-    metrics_.remote_worker_pids.assign(n, 0);
-    metrics_.remote_peval_runs.assign(n, 0);
-    metrics_.remote_inceval_runs.assign(n, 0);
-    remote_mono_.assign(n, 0);
-
-    // Superstep 1: warm IncEval everywhere (PEval's slot in the loop).
-    RemoteRound round;
-    {
-      ScopedTimer t(&metrics_.inceval_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        Encoder enc(world_->buffer_pool().Acquire());
-        enc.WritePodVector(touched);
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkIncStart, enc.TakeBuffer()));
-      }
-      GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseIncEval, 1, &round));
-      metrics_.supersteps = 1;
-    }
-    extra_messages_ += round.sent_messages;
-    extra_bytes_ += round.sent_bytes;
-    RecordRound(0.0, round.updated_count);
-    uint64_t dirty = round.dirty;
-    uint64_t direct = round.direct_updates;
-    double global = round.GlobalSum();
-    if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
-
-    while (metrics_.supersteps < options_.max_supersteps) {
-      if (!metrics_.rounds.empty()) metrics_.rounds.back().global = global;
-      bool terminate = false;
-      GRAPE_ASSIGN_OR_RETURN(
-          terminate, RemoteCheckTerminate(metrics_.supersteps, global));
-      if (terminate) break;
-
-      uint64_t routed = 0;
-      std::vector<uint32_t> apply_counts;
-      {
-        ScopedTimer t(&metrics_.coordinator_seconds);
-        std::vector<RtMessage> inbox = std::move(remote_inbox_);
-        remote_inbox_.clear();
-        GRAPE_ASSIGN_OR_RETURN(
-            routed, RouteInbox(std::move(inbox), kTagWkApply, &apply_counts));
-      }
-      if (routed + direct == 0 && dirty == 0) break;  // simultaneous fixpoint
-
-      WallTimer round_timer;
-      RemoteRound next;
-      {
-        ScopedTimer t(&metrics_.inceval_seconds);
-        for (FragmentId i = 0; i < n; ++i) {
-          IncEvalCommand cmd;
-          cmd.round = metrics_.supersteps + 1;
-          cmd.incremental = options_.incremental;
-          cmd.apply_frames = apply_counts[i];
-          for (FragmentId s = 0; s < n; ++s) {
-            const uint32_t frames = round.direct_matrix[s][i];
-            if (frames > 0) cmd.expect_direct.emplace_back(RankOf(s), frames);
-          }
-          Encoder enc(world_->buffer_pool().Acquire());
-          cmd.EncodeTo(enc);
-          GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                           kTagWkRunIncEval,
-                                           enc.TakeBuffer()));
-        }
-        GRAPE_RETURN_NOT_OK(
-            AwaitPhase(kWkPhaseIncEval, metrics_.supersteps + 1, &next));
-      }
-      round = std::move(next);
-      metrics_.supersteps++;
-      extra_messages_ += round.sent_messages;
-      extra_bytes_ += round.sent_bytes;
-      RecordRound(round_timer.ElapsedSeconds(), round.updated_count);
-      dirty = round.dirty;
-      direct = round.direct_updates;
-      global = round.GlobalSum();
-      if (options_.on_superstep) options_.on_superstep(metrics_.supersteps);
-    }
-    remote_mono_ = round.mono_by_frag.empty() ? remote_mono_
-                                              : round.mono_by_frag;
-
-    Output output;
-    {
-      ScopedTimer t(&metrics_.assemble_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkGetPartial, {}));
-      }
-      std::vector<Partial> partials(n);
-      GRAPE_RETURN_NOT_OK(AwaitPartials(&partials));
-      output = App::Assemble(query, std::move(partials));
-    }
-
-    FinishMetrics(total_timer);
-    return output;
   }
 
   /// Checkpoint barrier, entered right after a round's acks (and therefore
@@ -1601,7 +1284,9 @@ class GrapeEngine {
   /// direct frames it should already hold buffered (this round's
   /// direct_matrix column); it snapshots state + buffered frames WITHOUT
   /// consuming them and acks with the image (inline in memory mode, via
-  /// its local CheckpointStore in disk mode). Once every ack is in, the
+  /// its local CheckpointStore in disk mode). Inline images are validated
+  /// by a full decode BEFORE being committed to the store: a corrupt image
+  /// must never become the recovery point. Once every ack is in, the
   /// coordinator rolls its own loop state into snapshot_.
   Status MaybeTakeCheckpoint(const RemoteRound& round) {
     const CheckpointPolicy& cp = options_.checkpoint;
@@ -1609,27 +1294,37 @@ class GrapeEngine {
       return Status::OK();
     }
     ScopedTimer timer(&metrics_.checkpoint_seconds);
-    const FragmentId n = n_frags_;
-    for (FragmentId i = 0; i < n; ++i) {
-      WkCheckpointCommand cmd;
-      cmd.round = metrics_.supersteps;
-      cmd.dir = cp.dir;
-      for (FragmentId s = 0; s < n; ++s) {
-        const uint32_t frames = round.direct_matrix[s][i];
-        if (frames > 0) cmd.expect_direct.emplace_back(RankOf(s), frames);
-      }
-      Encoder enc(world_->buffer_pool().Acquire());
-      cmd.EncodeTo(enc);
-      GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                       kTagWkCheckpoint, enc.TakeBuffer()));
-    }
-    uint64_t bytes = 0;
-    GRAPE_RETURN_NOT_OK(AwaitCheckpointAcks(metrics_.supersteps, &bytes));
+    const uint32_t barrier = metrics_.supersteps;
+    GRAPE_RETURN_NOT_OK(
+        SendToWorkers(kTagWkCheckpoint, [&](FragmentId i, Encoder& enc) {
+          WkCheckpointCommand cmd;
+          cmd.round = barrier;
+          cmd.dir = cp.dir;
+          cmd.expect_direct = round.DirectInto(i);
+          cmd.EncodeTo(enc);
+        }));
+    GRAPE_RETURN_NOT_OK(AwaitWorkers(
+        "checkpoint acks", n_frags_,
+        [&](FragmentId, bool replied, RtMessage& msg) -> Result<bool> {
+          if (msg.tag != kTagWkCheckpointAck || replied) return false;
+          Decoder dec(msg.payload);
+          WkCheckpointAck ack;
+          GRAPE_RETURN_NOT_OK(WkCheckpointAck::DecodeFrom(dec, &ack));
+          if (ack.round != barrier) return false;  // stale duplicate
+          metrics_.checkpoint_bytes += ack.bytes;
+          if (!ack.image.empty()) {
+            GRAPE_RETURN_NOT_OK(
+                DecodeCheckpointImage(ack.image.data(), ack.image.size())
+                    .status());
+            GRAPE_RETURN_NOT_OK(
+                ckpt_store_.Put(msg.from, barrier, std::move(ack.image)));
+          }
+          return true;
+        }));
     metrics_.checkpoints++;
-    metrics_.checkpoint_bytes += bytes;
 
     snapshot_.valid = false;  // not valid while half-written
-    snapshot_.supersteps = metrics_.supersteps;
+    snapshot_.supersteps = barrier;
     snapshot_.round = round;
     snapshot_.inbox.clear();
     snapshot_.inbox.reserve(remote_inbox_.size());
@@ -1649,93 +1344,41 @@ class GrapeEngine {
     return Status::OK();
   }
 
-  /// Collects one kTagWkCheckpointAck per worker for barrier `round`.
-  /// Inline images are validated by a full decode BEFORE being committed
-  /// to the store: a corrupt image must never become the recovery point.
-  /// No kTagWkData can legitimately arrive here (the barrier sits between
-  /// a round's acks and the next round's commands), so anything else is
-  /// stale and released.
-  Status AwaitCheckpointAcks(uint32_t round, uint64_t* bytes) {
-    const FragmentId n = n_frags_;
-    std::vector<uint8_t> seen(n, 0);
-    FragmentId have = 0;
-    uint32_t idle = 0;
-    const auto deadline =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(options_.remote_timeout_ms);
-    while (have < n) {
-      std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
-      if (!msg) {
-        GRAPE_RETURN_NOT_OK(
-            CheckRemoteLiveness(deadline, "checkpoint acks", &idle));
-        continue;
-      }
-      idle = 0;
-      if (msg->from >= 1 && msg->from <= n) monitor_.Heard(msg->from - 1);
-      if (msg->tag == kTagWkError) return DecodeWorkerError(msg->payload);
-      if (msg->tag == kTagWkCheckpointAck && msg->from >= 1 &&
-          msg->from <= n && !seen[msg->from - 1]) {
-        Decoder dec(msg->payload);
-        WkCheckpointAck ack;
-        GRAPE_RETURN_NOT_OK(WkCheckpointAck::DecodeFrom(dec, &ack));
-        world_->buffer_pool().Release(std::move(msg->payload));
-        if (ack.round != round) continue;  // stale duplicate
-        seen[msg->from - 1] = 1;
-        have++;
-        *bytes += ack.bytes;
-        if (!ack.image.empty()) {
-          GRAPE_RETURN_NOT_OK(
-              DecodeCheckpointImage(ack.image.data(), ack.image.size())
-                  .status());
-          GRAPE_RETURN_NOT_OK(
-              ckpt_store_.Put(msg->from, round, std::move(ack.image)));
-        }
-        continue;
-      }
-      world_->buffer_pool().Release(std::move(msg->payload));
-    }
-    return Status::OK();
-  }
-
   /// Re-seeds a rebuilt world from snapshot_ + ckpt_store_: ships each
   /// worker its image (inline in memory mode; by directory in disk mode),
   /// awaits the restore acks — which report the NEW endpoint pids — then
   /// rolls the coordinator's counters, metrics, and routed inbox back to
   /// the barrier. The loop resumes exactly as the fault-free run would
   /// have continued from that superstep.
-  Status RestoreFromSnapshot(RemoteRound* round, uint64_t* dirty,
-                             uint64_t* direct, double* global) {
-    const FragmentId n = n_frags_;
+  Status RestoreFromSnapshot(RemoteRound* round) {
     const CheckpointPolicy& cp = options_.checkpoint;
+    // Name the barrier explicitly: a crash during a later checkpoint can
+    // leave newer images committed for SOME ranks, and those must not be
+    // restored over the last complete cut.
+    const uint32_t barrier = snapshot_.supersteps;
     double restore_seconds = 0;
     {
       ScopedTimer t(&restore_seconds);
-      for (FragmentId i = 0; i < n; ++i) {
-        WkRestoreCommand cmd;
-        cmd.app_name = options_.remote_app;
-        cmd.flags = options_.check_monotonicity ? kWkLoadCheckMonotonicity : 0;
-        if (options_.compute_threads > 1) {
-          cmd.flags |= kWkLoadComputeThreads;
-          cmd.compute_threads = options_.compute_threads;
+      std::vector<std::vector<uint8_t>> images(n_frags_);
+      if (cp.dir.empty()) {
+        for (FragmentId i = 0; i < n_frags_; ++i) {
+          GRAPE_ASSIGN_OR_RETURN(images[i],
+                                 ckpt_store_.GetEncoded(RankOf(i), barrier));
         }
-        // Name the barrier explicitly: a crash during a later checkpoint
-        // can leave newer images committed for SOME ranks, and those must
-        // not be restored over the last complete cut.
-        cmd.round = snapshot_.supersteps;
-        cmd.dir = cp.dir;
-        if (cp.dir.empty()) {
-          GRAPE_ASSIGN_OR_RETURN(
-              cmd.image,
-              ckpt_store_.GetEncoded(RankOf(i), snapshot_.supersteps));
-        }
-        Encoder enc(world_->buffer_pool().Acquire());
-        cmd.EncodeTo(enc);
-        GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(i),
-                                         kTagWkRestore, enc.TakeBuffer()));
       }
-      RemoteRound acks;
       GRAPE_RETURN_NOT_OK(
-          AwaitPhase(kWkPhaseRestore, snapshot_.supersteps, &acks));
+          SendToWorkers(kTagWkRestore, [&](FragmentId i, Encoder& enc) {
+            WkRestoreCommand cmd;
+            cmd.app_name = options_.remote_app;
+            cmd.flags = WorkerFlags();
+            cmd.compute_threads = options_.compute_threads;
+            cmd.round = barrier;
+            cmd.dir = cp.dir;
+            cmd.image = std::move(images[i]);
+            cmd.EncodeTo(enc);
+          }));
+      RemoteRound acks;
+      GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseRestore, barrier, &acks));
     }
     // The restore acks deposited the fresh worker pids into this attempt's
     // cold metrics_; carry them over the snapshot's metrics, which are
@@ -1743,7 +1386,6 @@ class GrapeEngine {
     std::vector<uint64_t> pids = std::move(metrics_.remote_worker_pids);
     metrics_ = snapshot_.metrics;
     metrics_.remote_worker_pids = std::move(pids);
-    metrics_.recoveries = run_recoveries_;
     metrics_.load_seconds += restore_seconds;
     extra_messages_ = snapshot_.extra_messages;
     extra_bytes_ = snapshot_.extra_bytes;
@@ -1763,60 +1405,32 @@ class GrapeEngine {
           RtMessage{from, kCoordinatorRank, kTagWkData, std::move(copy)});
     }
     *round = snapshot_.round;
-    *dirty = snapshot_.round.dirty;
-    *direct = snapshot_.round.direct_updates;
-    *global = snapshot_.round.GlobalSum();
     return Status::OK();
   }
 
-  /// Pulls rank-0 frames until every worker acked `phase` (round-tagged
-  /// for IncEval). kTagWkData frames are buffered into remote_inbox_ —
-  /// FIFO per channel guarantees a worker's data precedes its ack, so a
-  /// complete ack set means a complete round inbox. Never blocks in Recv:
-  /// a dead endpoint or a dropped control frame must surface as a Status
-  /// within bounded time, not hang the superstep loop.
+  /// Collects every worker's ack for `phase` (round-tagged for IncEval)
+  /// into `out`. kTagWkData frames are buffered into remote_inbox_ — FIFO
+  /// per channel guarantees a worker's data precedes its ack, so a
+  /// complete ack set means a complete round inbox.
   Status AwaitPhase(uint8_t phase, uint32_t round, RemoteRound* out) {
     const FragmentId n = n_frags_;
     out->global_by_frag.assign(n, 0.0);
     out->mono_by_frag.assign(n, 0);
     out->direct_matrix.assign(n, std::vector<uint32_t>(n, 0));
-    std::vector<uint8_t> seen(n, 0);
-    FragmentId have = 0;
-    uint32_t idle = 0;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(options_.remote_timeout_ms);
-    while (have < n) {
-      std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
-      if (!msg) {
-        GRAPE_RETURN_NOT_OK(
-            CheckRemoteLiveness(deadline, "phase acks", &idle));
-        continue;
-      }
-      idle = 0;
-      // Any frame from a worker — data, ack, vote, pong — is proof of
-      // life for the lease monitor (pongs then fall to the stale branch).
-      if (msg->from >= 1 && msg->from <= n) monitor_.Heard(msg->from - 1);
-      switch (msg->tag) {
-        case kTagWkData:
-          remote_inbox_.push_back(std::move(*msg));
-          break;
-        case kTagWkError:
-          return DecodeWorkerError(msg->payload);
-        case kTagWkAck: {
-          Decoder dec(msg->payload);
+    return AwaitWorkers(
+        "phase acks", n,
+        [&](FragmentId frag, bool replied, RtMessage& msg) -> Result<bool> {
+          if (msg.tag == kTagWkData) {
+            remote_inbox_.push_back(std::move(msg));
+            return false;
+          }
+          if (msg.tag != kTagWkAck) return false;
+          Decoder dec(msg.payload);
           WorkerAck ack;
           GRAPE_RETURN_NOT_OK(WorkerAck::DecodeFrom(dec, &ack));
-          world_->buffer_pool().Release(std::move(msg->payload));
-          if (msg->from < 1 || msg->from > n) {
-            return Status::Internal("worker ack from rank " +
-                                    std::to_string(msg->from));
+          if (ack.phase != phase || ack.round != round || replied) {
+            return false;  // stale or duplicated (flaky substrate)
           }
-          const FragmentId frag = msg->from - 1;
-          if (ack.phase != phase || ack.round != round || seen[frag]) {
-            break;  // stale or duplicated (flaky substrate); ignore
-          }
-          seen[frag] = 1;
-          have++;
           out->dirty += ack.dirty;
           out->direct_updates += ack.direct_updates;
           out->updated_count += ack.updated_count;
@@ -1826,9 +1440,9 @@ class GrapeEngine {
           out->mono_by_frag[frag] = ack.mono_violations;
           for (const auto& [dst_rank, frames] : ack.direct_frames) {
             if (dst_rank < 1 || dst_rank > n) {
-              return Status::Internal("worker reported direct frames to "
-                                      "rank " +
-                                      std::to_string(dst_rank));
+              return Status::Internal(
+                  "worker reported direct frames to rank " +
+                  std::to_string(dst_rank));
             }
             out->direct_matrix[frag][dst_rank - 1] += frames;
           }
@@ -1838,15 +1452,8 @@ class GrapeEngine {
           } else if (ack.phase == kWkPhaseIncEval) {
             metrics_.remote_inceval_runs[frag]++;
           }
-          break;
-        }
-        default:
-          // Stale vote/partial after a duplicated control frame: ignore.
-          world_->buffer_pool().Release(std::move(msg->payload));
-          break;
-      }
-    }
-    return Status::OK();
+          return true;
+        });
   }
 
   Result<bool> RemoteCheckTerminate(uint32_t round, double global) {
@@ -1855,114 +1462,87 @@ class GrapeEngine {
     enc.WriteDouble(global);
     GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(0),
                                      kTagWkCheckTerm, enc.TakeBuffer()));
+    bool vote = false;
+    GRAPE_RETURN_NOT_OK(AwaitWorkers(
+        "termination vote", 1,
+        [&](FragmentId, bool, RtMessage& msg) -> Result<bool> {
+          if (msg.tag == kTagWkData) {
+            remote_inbox_.push_back(std::move(msg));
+            return false;
+          }
+          if (msg.tag != kTagWkVote) return false;
+          Decoder dec(msg.payload);
+          uint32_t vote_round = 0;
+          GRAPE_RETURN_NOT_OK(dec.ReadU32(&vote_round));
+          GRAPE_RETURN_NOT_OK(dec.ReadBool(&vote));
+          // A duplicated CheckTerm (flaky substrate) leaves a stale vote
+          // for an earlier round behind; only this round's verdict counts.
+          return vote_round == round;
+        }));
+    return vote;
+  }
+
+  /// The await skeleton behind every remote wait: pulls rank-0 frames
+  /// until `replies` workers have answered. `on_frame(frag, replied, msg)`
+  /// sees each frame from a worker rank — `replied` tells whether that
+  /// worker already answered this wait — claims what it wants by moving
+  /// it out, and returns true when the frame is the worker's answer.
+  /// The skeleton owns everything else. A kTagWkError fails the wait.
+  /// Unclaimed frames — stale acks, votes, partials or pongs left behind
+  /// by duplicated control frames — go back to the pool. Any frame is
+  /// proof of life for the lease monitor. Never blocks in Recv: while
+  /// idle it fails fast on a dead transport, fails with Unavailable past
+  /// remote_timeout_ms (a dropped control frame on a flaky-but-alive
+  /// substrate), runs the failure detector under a CheckpointPolicy
+  /// (expired leases get a ping, a control frame invisible to CommStats;
+  /// the pid probe turns a SIGKILLed local endpoint into Unavailable
+  /// within one poll), and otherwise backs off (IdleWait).
+  template <typename OnFrame>
+  Status AwaitWorkers(const char* what, FragmentId replies,
+                      OnFrame&& on_frame) {
+    std::vector<uint8_t> replied(n_frags_, 0);
     uint32_t idle = 0;
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(options_.remote_timeout_ms);
-    for (;;) {
+    while (replies > 0) {
       std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
       if (!msg) {
-        GRAPE_RETURN_NOT_OK(
-            CheckRemoteLiveness(deadline, "termination vote", &idle));
+        if (!world_->healthy()) {
+          return Status::Unavailable(
+              std::string("transport died while awaiting remote ") + what);
+        }
+        if (std::chrono::steady_clock::now() > deadline) {
+          return Status::Unavailable(
+              std::string("timed out awaiting remote ") + what + " after " +
+              std::to_string(options_.remote_timeout_ms) + "ms");
+        }
+        if (options_.checkpoint.enabled()) {
+          for (FragmentId i = 0; i < n_frags_; ++i) {
+            // Best effort: a failed ping send means the world is dying,
+            // and the healthy() check surfaces that next pass.
+            if (monitor_.ShouldPing(i)) {
+              (void)world_->Send(kCoordinatorRank, RankOf(i), kTagWkPing, {});
+            }
+          }
+          GRAPE_RETURN_NOT_OK(monitor_.Check());
+        }
+        IdleWait(&idle);
         continue;
       }
       idle = 0;
+      if (msg->tag == kTagWkError) return DecodeWorkerError(msg->payload);
       if (msg->from >= 1 && msg->from <= n_frags_) {
-        monitor_.Heard(msg->from - 1);
-      }
-      if (msg->tag == kTagWkVote) {
-        Decoder dec(msg->payload);
-        uint32_t vote_round = 0;
-        bool vote = false;
-        GRAPE_RETURN_NOT_OK(dec.ReadU32(&vote_round));
-        GRAPE_RETURN_NOT_OK(dec.ReadBool(&vote));
-        world_->buffer_pool().Release(std::move(msg->payload));
-        // A duplicated CheckTerm (flaky substrate) leaves a stale vote
-        // for an earlier round behind; only this round's verdict counts.
-        if (vote_round != round) continue;
-        return vote;
-      }
-      if (msg->tag == kTagWkError) return DecodeWorkerError(msg->payload);
-      if (msg->tag == kTagWkData) {
-        remote_inbox_.push_back(std::move(*msg));
-        continue;
-      }
-      world_->buffer_pool().Release(std::move(msg->payload));  // stale
-    }
-  }
-
-  Status AwaitPartials(std::vector<Partial>* partials)
-    requires RemoteCompatibleApp<App>
-  {
-    const FragmentId n = n_frags_;
-    std::vector<uint8_t> seen(n, 0);
-    FragmentId have = 0;
-    uint32_t idle = 0;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(options_.remote_timeout_ms);
-    while (have < n) {
-      std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
-      if (!msg) {
-        GRAPE_RETURN_NOT_OK(
-            CheckRemoteLiveness(deadline, "partials", &idle));
-        continue;
-      }
-      idle = 0;
-      if (msg->from >= 1 && msg->from <= n) monitor_.Heard(msg->from - 1);
-      if (msg->tag == kTagWkError) return DecodeWorkerError(msg->payload);
-      if (msg->tag == kTagWkPartial && msg->from >= 1 && msg->from <= n &&
-          !seen[msg->from - 1]) {
-        Decoder dec(msg->payload);
-        GRAPE_RETURN_NOT_OK(DecodeValue(dec, &(*partials)[msg->from - 1]));
-        seen[msg->from - 1] = 1;
-        have++;
-      }
-      world_->buffer_pool().Release(std::move(msg->payload));
-    }
-    return Status::OK();
-  }
-
-  /// The await loops' idle step: fail fast on a dead transport (a killed
-  /// endpoint marks it unhealthy within its bounded detection time), fail
-  /// with Unavailable past the per-phase deadline (a dropped control
-  /// frame on a flaky-but-alive substrate), otherwise yield. The yield
-  /// backs off adaptively per EngineTimingOptions — fast polls while a
-  /// phase is actively completing (sub-millisecond inproc rounds stay
-  /// snappy), the idle cadence once the wait is clearly compute-bound —
-  /// so a long remote PEval does not burn an engine core on TryRecv
-  /// polling. Callers reset *idle on every received frame. Under a
-  /// CheckpointPolicy the step also runs the failure detector: leases
-  /// that expired get a ping (a control frame invisible to CommStats),
-  /// and the pid probe turns a SIGKILLed local endpoint into Unavailable
-  /// within one poll instead of waiting out the phase deadline.
-  Status CheckRemoteLiveness(
-      const std::chrono::steady_clock::time_point& deadline,
-      const char* what, uint32_t* idle) {
-    if (!world_->healthy()) {
-      return Status::Unavailable(
-          std::string("transport died while awaiting remote ") + what);
-    }
-    if (std::chrono::steady_clock::now() > deadline) {
-      return Status::Unavailable(
-          std::string("timed out awaiting remote ") + what + " after " +
-          std::to_string(options_.remote_timeout_ms) + "ms");
-    }
-    if (options_.checkpoint.enabled()) {
-      for (FragmentId i = 0; i < n_frags_; ++i) {
-        if (monitor_.ShouldPing(i)) {
-          // Best effort: a failed ping send means the world is dying, and
-          // the healthy() check above surfaces that next pass.
-          (void)world_->Send(kCoordinatorRank, RankOf(i), kTagWkPing, {});
+        const FragmentId frag = msg->from - 1;
+        monitor_.Heard(frag);
+        bool answered = false;
+        GRAPE_ASSIGN_OR_RETURN(answered,
+                               on_frame(frag, replied[frag] != 0, *msg));
+        if (answered) {
+          replied[frag] = 1;
+          --replies;
         }
       }
-      GRAPE_RETURN_NOT_OK(monitor_.Check());
-    }
-    if (*idle < options_.timing.idle_spins) {
-      ++*idle;
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.timing.poll_interval_us));
-    } else {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.timing.idle_poll_interval_us));
+      world_->buffer_pool().Release(std::move(msg->payload));
     }
     return Status::OK();
   }
@@ -2009,10 +1589,10 @@ class GrapeEngine {
   uint64_t recorded_messages_ = 0;
   uint64_t recorded_bytes_ = 0;
 
-  // Query sessions (SessionRun): persistent in-thread hosts (inproc
-  // backends; endpoint backends keep their workers in the endpoint
-  // processes) and whether the remote workers currently hold a loaded
-  // app + fragment.
+  // Remote worker hosts, from StartWorkers until EndSession: the
+  // in-thread hosts (inproc backends; endpoint backends keep their
+  // workers in the endpoint processes) and whether the remote workers may
+  // hold a loaded app + fragment.
   std::unique_ptr<InThreadWorkers> session_workers_;
   bool session_live_ = false;
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <thread>
 #include <utility>
 
 #include "rt/message.h"
@@ -24,9 +23,9 @@ std::atomic<uint64_t>& TokenCounter() {
   return counter;
 }
 
-/// One coordinator await step (mirrors the engine's CheckRemoteLiveness):
-/// fail fast on a dead transport, Unavailable past the deadline,
-/// otherwise yield with adaptive backoff.
+/// One coordinator await step (like the engine's await skeleton): fail
+/// fast on a dead transport, Unavailable past the deadline, otherwise
+/// back off (IdleWait).
 Status AwaitStep(Transport* world,
                  const std::chrono::steady_clock::time_point& deadline,
                  const char* what, uint32_t* idle) {
@@ -37,12 +36,7 @@ Status AwaitStep(Transport* world,
   if (std::chrono::steady_clock::now() > deadline) {
     return Status::Unavailable(std::string("timed out awaiting ") + what);
   }
-  if (*idle < 40) {
-    ++*idle;
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  } else {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  IdleWait(idle);
   return Status::OK();
 }
 

@@ -1,7 +1,6 @@
 #include "rt/remote_worker.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "rt/checkpoint.h"
 #include "util/random.h"
@@ -973,9 +972,7 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
 // -------------------------------------------------------- in-thread hosts
 
 InThreadWorkers::InThreadWorkers(Transport* world, uint32_t num_workers,
-                                 bool enable, uint32_t poll_us,
-                                 uint32_t idle_spins, uint32_t idle_poll_us)
-    : poll_us_(poll_us), idle_spins_(idle_spins), idle_poll_us_(idle_poll_us) {
+                                 bool enable) {
   if (!enable) return;
   threads_.reserve(num_workers);
   for (uint32_t rank = 1; rank <= num_workers; ++rank) {
@@ -1006,14 +1003,7 @@ void InThreadWorkers::Loop(Transport* world, uint32_t rank) {
       // consumed now instead of greeting (and instantly killing) the
       // next run's worker thread.
       if (stop_.load(std::memory_order_acquire) || !world->healthy()) break;
-      // Same adaptive backoff as the engine's await loops: snappy while
-      // traffic flows, slower once idle so n workers don't burn n cores.
-      if (idle < idle_spins_) {
-        ++idle;
-        std::this_thread::sleep_for(std::chrono::microseconds(poll_us_));
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(idle_poll_us_));
-      }
+      IdleWait(&idle);
       continue;
     }
     idle = 0;

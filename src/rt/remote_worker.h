@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -626,18 +627,27 @@ class RemoteWorkerHost {
 void EncodeWorkerError(Encoder& enc, const Status& error);
 Status DecodeWorkerError(const std::vector<uint8_t>& payload);
 
+/// One idle step of a remote await loop — the engine's coordinator side
+/// and the in-thread worker hosts alike: 50 µs sleeps for the first 40
+/// empty polls, so a phase that is actively completing stays snappy, then
+/// 1 ms sleeps, so a compute-bound wait does not burn a core on polling.
+/// Callers zero *idle on every received frame.
+inline void IdleWait(uint32_t* idle) {
+  if (*idle < 40) {
+    ++*idle;
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  } else {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
 /// In-process worker threads for backends without endpoint processes
 /// (inproc): rank r's worker is a thread of the engine process speaking
 /// the exact same protocol over the transport. RAII: construction spawns
 /// (when `enable`), destruction stops and joins.
 class InThreadWorkers {
  public:
-  /// Poll cadence while hot / spins before backing off / cadence once
-  /// idle. Defaults match the engine's await loops (EngineTimingOptions in
-  /// core/engine.h); the engine passes its configured knobs through.
-  InThreadWorkers(Transport* world, uint32_t num_workers, bool enable,
-                  uint32_t poll_us = 50, uint32_t idle_spins = 40,
-                  uint32_t idle_poll_us = 1000);
+  InThreadWorkers(Transport* world, uint32_t num_workers, bool enable);
   ~InThreadWorkers();
 
   InThreadWorkers(const InThreadWorkers&) = delete;
@@ -647,9 +657,6 @@ class InThreadWorkers {
   void Loop(Transport* world, uint32_t rank);
 
   std::atomic<bool> stop_{false};
-  uint32_t poll_us_;
-  uint32_t idle_spins_;
-  uint32_t idle_poll_us_;
   std::vector<std::thread> threads_;
 };
 

@@ -186,7 +186,6 @@ testing::MessagePathObservation RunDistributedScenario(
   EngineOptions options;
   options.transport = world->get();
   options.remote_app = s.app;
-  options.load_mode = "distributed";
   testing::MessagePathObservation obs;
   const std::string app = s.app;
   if (app == "sssp") {
@@ -306,7 +305,6 @@ TEST(DistributedLoadTest, CoordinatorNeverMaterializesTheGraph) {
     EngineOptions options;
     options.transport = world->get();
     options.remote_app = "sssp";
-    options.load_mode = "distributed";
     GrapeEngine<SsspApp> engine(*meta, options);
     auto out = engine.Run(SsspQuery{3});
     ASSERT_TRUE(out.ok()) << transport << ": " << out.status();
@@ -386,7 +384,6 @@ TEST(DistributedLoadTest, ResidentLoadWithoutBuildIsNotFound) {
   EngineOptions options;
   options.transport = world->get();
   options.remote_app = "sssp";
-  options.load_mode = "distributed";
   GrapeEngine<SsspApp> engine(meta, options);
   auto out = engine.Run(SsspQuery{3});
   ASSERT_FALSE(out.ok());

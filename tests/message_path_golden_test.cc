@@ -5,7 +5,8 @@
 // socket, and tcp, each with local compute (PEval/IncEval inline in the
 // engine process) AND remote compute (the phases execute inside each
 // rank's worker host: endpoint processes on socket/tcp, in-thread workers
-// on inproc) — must reproduce them exactly: same message count, same byte
+// on inproc), AND session compute (a cold then a warm SessionRun on one
+// engine) — must reproduce them exactly: same message count, same byte
 // count (the wire format is byte-count preserving, the socket/tcp frame
 // envelope equals the counted 16-byte header, and the worker protocol's
 // control frames are invisible to the counters), same superstep count,
@@ -49,7 +50,8 @@ const GoldenRow kGolden[] = {
 };
 
 const std::vector<std::string>& ComputeModes() {
-  static const std::vector<std::string> kModes = {"local", "remote"};
+  static const std::vector<std::string> kModes = {"local", "remote",
+                                                  "session"};
   return kModes;
 }
 
@@ -84,17 +86,21 @@ TEST_P(MessagePathGoldenTest, MatchesSeedSemantics) {
   }
   ASSERT_NE(golden, nullptr) << "no golden row for scenario " << s.name;
 
-  testing::MessagePathObservation obs = testing::RunMessagePathScenario(
-      s.app, s.graph, s.strategy, s.workers, transport, compute);
-  EXPECT_EQ(obs.messages, golden->messages)
-      << s.name << " on " << transport << "/" << compute;
-  EXPECT_EQ(obs.bytes, golden->bytes)
-      << s.name << " on " << transport << "/" << compute;
-  EXPECT_EQ(obs.supersteps, golden->supersteps)
-      << s.name << " on " << transport << "/" << compute;
-  EXPECT_EQ(obs.output_hash, golden->output_hash)
-      << s.name << " on " << transport << "/" << compute
-      << ": output is not bit-identical to the seed path";
+  // Sessions answer twice (cold load, warm re-seed): both must hit the row.
+  const std::vector<testing::MessagePathObservation> runs =
+      testing::RunMessagePathScenarioRuns(s.app, s.graph, s.strategy,
+                                          s.workers, transport, compute);
+  ASSERT_EQ(runs.size(), compute == "session" ? 2u : 1u);
+  for (size_t k = 0; k < runs.size(); ++k) {
+    const testing::MessagePathObservation& obs = runs[k];
+    const std::string where = std::string(s.name) + " on " + transport + "/" +
+                              compute + " answer " + std::to_string(k + 1);
+    EXPECT_EQ(obs.messages, golden->messages) << where;
+    EXPECT_EQ(obs.bytes, golden->bytes) << where;
+    EXPECT_EQ(obs.supersteps, golden->supersteps) << where;
+    EXPECT_EQ(obs.output_hash, golden->output_hash)
+        << where << ": output is not bit-identical to the seed path";
+  }
 }
 
 // Determinism of the path itself: two runs of the same scenario must agree
@@ -171,10 +177,10 @@ struct StallingPEvalSssp : SsspApp {
   }
 };
 
-// A failed remote run must not poison the world: endpoints that already
-// loaded their worker keep it when the engine gives up (no shutdown is
-// sent on error paths), and the next run's kTagWkLoad must be honored as
-// an implicit reload — not rejected as a duplicate.
+// A failed remote run must not poison the world: when the engine gives up
+// it retires the workers (EndSession's shutdown frames) while they may
+// still be mid-phase, and the next run's kTagWkLoad must be honored as a
+// fresh load — not rejected as a duplicate.
 TEST(MessagePathGoldenTest, FailedRemoteRunDoesNotPoisonTheWorld) {
   RegisterBuiltinWorkerApps();
   RegisterRemoteWorker<StallingPEvalSssp>("stall_sssp");
@@ -215,7 +221,7 @@ TEST(MessagePathGoldenTest, FailedRemoteRunDoesNotPoisonTheWorld) {
 }
 
 // The full differential in one place: for every scenario, run all three
-// backends × both compute placements side by side and compare the full
+// backends × every compute placement side by side and compare the full
 // observation structs pairwise — output hash AND CommStats (messages,
 // bytes, supersteps). The matrix above already pins each cell to the seed
 // goldens; this test additionally proves the cells agree with EACH OTHER,
@@ -229,10 +235,12 @@ TEST(MessagePathGoldenTest, BackendsAndPlacementsAgreeBitForBit) {
     std::vector<std::pair<std::string, testing::MessagePathObservation>> runs;
     for (const std::string& transport : TransportNames()) {
       for (const std::string& compute : ComputeModes()) {
-        runs.emplace_back(transport + "/" + compute,
-                          testing::RunMessagePathScenario(
-                              s.app, s.graph, s.strategy, s.workers,
-                              transport, compute));
+        for (const testing::MessagePathObservation& obs :
+             testing::RunMessagePathScenarioRuns(s.app, s.graph, s.strategy,
+                                                 s.workers, transport,
+                                                 compute)) {
+          runs.emplace_back(transport + "/" + compute, obs);
+        }
       }
     }
     const auto& base = runs.front();

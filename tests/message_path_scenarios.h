@@ -84,21 +84,23 @@ inline Graph ScenarioGraph(const std::string& kind) {
 /// backend name ("inproc" reproduces the engine's historical private
 /// CommWorld; "socket" runs the same scenario over forked endpoint
 /// processes — observables must not change). compute is "local" (PEval /
-/// IncEval inline in this process, the historical mode) or "remote" (the
+/// IncEval inline in this process, the historical mode), "remote" (the
 /// phases execute inside each rank's worker host — endpoint processes on
 /// socket/tcp, in-thread workers on inproc — and only messages, acks and
-/// partials come back; observables must not change either).
-/// compute_threads > 1 selects the frontier-parallel PEval/IncEval
+/// partials come back; observables must not change either) or "session"
+/// (remote, answered twice through SessionRun on one engine: the cold
+/// load, then the warm kTagWkQuery re-seed). Returns one observation per
+/// answer. compute_threads > 1 selects the frontier-parallel PEval/IncEval
 /// variants (EngineOptions::compute_threads) — observables must not
 /// change at ANY thread count (tests/parallel_compute_test.cc).
-inline MessagePathObservation RunMessagePathScenario(
+inline std::vector<MessagePathObservation> RunMessagePathScenarioRuns(
     const std::string& app, const std::string& graph_kind,
     const std::string& strategy, FragmentId workers,
     const std::string& transport = "inproc",
     const std::string& compute = "local", uint32_t compute_threads = 0) {
   Graph g = ScenarioGraph(graph_kind);
   FragmentedGraph fg = ScenarioFragments(g, strategy, workers);
-  if (compute == "remote") {
+  if (compute != "local") {
     // Endpoint processes snapshot the worker registry when the transport
     // forks them — populate it first.
     RegisterBuiltinWorkerApps();
@@ -108,33 +110,49 @@ inline MessagePathObservation RunMessagePathScenario(
   EngineOptions options;
   options.transport = world->get();
   options.compute_threads = compute_threads;
-  if (compute == "remote") options.remote_app = app;
-  MessagePathObservation obs;
+  if (compute != "local") options.remote_app = app;
+  std::vector<MessagePathObservation> runs;
+  auto observe = [&](auto& engine, const auto& query, auto hash) {
+    const int answers = compute == "session" ? 2 : 1;
+    for (int k = 0; k < answers; ++k) {
+      auto out = compute == "session" ? engine.SessionRun(query)
+                                      : engine.Run(query);
+      GRAPE_CHECK(out.ok()) << out.status();
+      MessagePathObservation obs;
+      obs.output_hash = hash(*out);
+      obs.messages = engine.metrics().messages;
+      obs.bytes = engine.metrics().bytes;
+      obs.supersteps = engine.metrics().supersteps;
+      runs.push_back(obs);
+    }
+  };
   if (app == "sssp") {
     GrapeEngine<SsspApp> engine(fg, SsspApp{}, options);
-    auto out = engine.Run(SsspQuery{3});
-    obs.output_hash = HashVector(out->dist);
-    obs.messages = engine.metrics().messages;
-    obs.bytes = engine.metrics().bytes;
-    obs.supersteps = engine.metrics().supersteps;
+    observe(engine, SsspQuery{3},
+            [](const SsspOutput& o) { return HashVector(o.dist); });
   } else if (app == "cc") {
     GrapeEngine<CcApp> engine(fg, CcApp{}, options);
-    auto out = engine.Run(CcQuery{});
-    obs.output_hash = HashVector(out->label);
-    obs.messages = engine.metrics().messages;
-    obs.bytes = engine.metrics().bytes;
-    obs.supersteps = engine.metrics().supersteps;
+    observe(engine, CcQuery{},
+            [](const CcOutput& o) { return HashVector(o.label); });
   } else {
     GrapeEngine<PageRankApp> engine(fg, PageRankApp{}, options);
     PageRankQuery query;
     query.max_iterations = 30;
-    auto out = engine.Run(query);
-    obs.output_hash = HashVector(out->rank);
-    obs.messages = engine.metrics().messages;
-    obs.bytes = engine.metrics().bytes;
-    obs.supersteps = engine.metrics().supersteps;
+    observe(engine, query,
+            [](const PageRankOutput& o) { return HashVector(o.rank); });
   }
-  return obs;
+  return runs;
+}
+
+/// The single answer of a "local" or "remote" scenario run.
+inline MessagePathObservation RunMessagePathScenario(
+    const std::string& app, const std::string& graph_kind,
+    const std::string& strategy, FragmentId workers,
+    const std::string& transport = "inproc",
+    const std::string& compute = "local", uint32_t compute_threads = 0) {
+  return RunMessagePathScenarioRuns(app, graph_kind, strategy, workers,
+                                    transport, compute, compute_threads)
+      .front();
 }
 
 /// The frozen scenario matrix: SSSP/CC/PageRank across hash and METIS

@@ -13,6 +13,10 @@
 //     after EVERY batch, for {sssp, cc} x {inproc, socket, tcp} x
 //     {coordinator-loaded, distributed-loaded}, with a deletion batch
 //     that must trip the enforced fallback on every cell.
+//  5. Local vs remote deltas — the local warm start and the session delta
+//     run the same fixed point: same answer, counters and per-round
+//     updated_params/messages/global, with and without the incremental
+//     ablation.
 
 #include <unistd.h>
 
@@ -291,7 +295,6 @@ void RunRemoteGate(const RemoteGateCase& c, const Query& query, GetVec get) {
     opt.format.has_weight = true;
     opt.format.has_label = true;
     ASSERT_OK_AND_ASSIGN(meta, DistributedLoad(world->get(), opt));
-    eo.load_mode = "distributed";
     engine.emplace(meta, eo);
   } else {
     fg = MakeFragments(graph, "hash", 3);
@@ -352,6 +355,99 @@ TEST_P(MutationRemoteGateTest, IncrementalBitIdenticalToRecompute) {
 
 INSTANTIATE_TEST_SUITE_P(Matrix, MutationRemoteGateTest,
                          ::testing::ValuesIn(AllRemoteGateCases()), CaseName);
+
+// ------------------------------------------ local vs remote incremental
+
+struct IncrementalDiffCase {
+  std::string app;   // "sssp" | "cc"
+  bool incremental;  // EngineOptions::incremental (false: the ablation)
+};
+
+// SSSP reporting a constant non-zero global aggregate per fragment, so the
+// round-for-round comparison below also covers RoundMetrics::global.
+// (PageRank reports a real one but cannot warm-start locally: its IncEval
+// reads the rank vector only PEval initializes.)
+struct GlobalReportingSssp : SsspApp {
+  double GlobalValue() const { return 1.0; }
+};
+
+/// One insert batch answered twice: by the local oracle (warm start from
+/// an engine converged on G) and by a remote session on inproc (SessionRun
+/// on G, ApplyMutations, RunIncremental). Both must run the same fixed
+/// point round for round.
+template <typename App, typename Query, typename GetVec>
+void CompareLocalAndRemoteDelta(const char* remote_app, bool incremental,
+                                const Query& query, GetVec get) {
+  auto g = GenerateGridRoad(12, 12, 77);
+  ASSERT_TRUE(g.ok());
+  const MutationBatch m = GateBatches()[0];
+  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
+  FragmentedGraph fg_old = MakeFragments(*g, "hash", 3);
+  FragmentedGraph fg_new = MakeFragments(updated, "hash", 3);
+
+  EngineOptions lo;
+  lo.incremental = incremental;
+  GrapeEngine<App> before(fg_old, App{}, lo);
+  ASSERT_TRUE(before.Run(query).ok());
+  GrapeEngine<App> local(fg_new, App{}, lo);
+  auto lout = local.RunIncremental(query, before, m);
+  ASSERT_TRUE(lout.ok()) << lout.status();
+
+  auto world = MakeTransport("inproc", 4);
+  ASSERT_TRUE(world.ok()) << world.status();
+  EngineOptions ro = lo;
+  ro.transport = world->get();
+  ro.remote_app = remote_app;
+  GrapeEngine<App> remote(fg_old, App{}, ro);
+  ASSERT_TRUE(remote.SessionRun(query).ok());
+  ASSERT_OK(remote.ApplyMutations(m).status());
+  auto rout = remote.RunIncremental(query, m);
+  ASSERT_TRUE(rout.ok()) << rout.status();
+  remote.EndSession();
+
+  EXPECT_TRUE(BitEq(get(*lout), get(*rout)));
+  const EngineMetrics& lm = local.metrics();
+  const EngineMetrics& rm = remote.metrics();
+  EXPECT_FALSE(rm.incremental_fallback);
+  EXPECT_EQ(lm.supersteps, rm.supersteps);
+  EXPECT_EQ(lm.messages, rm.messages);
+  EXPECT_EQ(lm.bytes, rm.bytes);
+  ASSERT_EQ(lm.rounds.size(), rm.rounds.size());
+  for (size_t r = 0; r < lm.rounds.size(); ++r) {
+    EXPECT_EQ(lm.rounds[r].updated_params, rm.rounds[r].updated_params)
+        << "round " << r + 1;
+    EXPECT_EQ(lm.rounds[r].messages, rm.rounds[r].messages)
+        << "round " << r + 1;
+    EXPECT_EQ(lm.rounds[r].global, rm.rounds[r].global) << "round " << r + 1;
+  }
+}
+
+class LocalRemoteDeltaTest
+    : public ::testing::TestWithParam<IncrementalDiffCase> {};
+
+TEST_P(LocalRemoteDeltaTest, SameFixedPointRoundForRound) {
+  const IncrementalDiffCase& c = GetParam();
+  if (c.app == "sssp") {
+    CompareLocalAndRemoteDelta<GlobalReportingSssp>(
+        "global_sssp", c.incremental, SsspQuery{0},
+        [](const SsspOutput& o) { return o.dist; });
+  } else {
+    CompareLocalAndRemoteDelta<CcApp>(
+        "cc", c.incremental, CcQuery{},
+        [](const CcOutput& o) { return o.label; });
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, LocalRemoteDeltaTest,
+    ::testing::Values(IncrementalDiffCase{"sssp", true},
+                      IncrementalDiffCase{"sssp", false},
+                      IncrementalDiffCase{"cc", true},
+                      IncrementalDiffCase{"cc", false}),
+    [](const ::testing::TestParamInfo<IncrementalDiffCase>& info) {
+      return info.param.app +
+             (info.param.incremental ? "_incremental" : "_ablation");
+    });
 
 // Guard-rail: the mutation API stays session-scoped — using it without a
 // live session is an error, not a crash or a silent local mutation.
