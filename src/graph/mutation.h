@@ -36,9 +36,9 @@ inline bool EdgeConnects(const Edge& e, VertexId src, VertexId dst,
 }
 
 /// An ordered batch of edge mutations, the wire unit of the streaming
-/// update path (kTagSvMutate / kTagWkMutate). Semantics, identical on the
-/// coordinator and inside worker endpoints because both run
-/// ApplyMutationsToEdges:
+/// update path (kTagSvMutate / kTagWkMutate). Semantics, identical for a
+/// whole graph (ApplyMutations) and for fragments on the coordinator and
+/// inside worker endpoints (FragmentBuilder::MutateFragment):
 ///
 ///   - insert is an UPSERT: if an edge with the same endpoints exists
 ///     (either orientation when undirected) its weight/label are replaced
@@ -146,44 +146,33 @@ struct MutationBatch {
   }
 };
 
-/// Applies `batch` in order to a materialized edge list. `keep(edge)`
-/// filters *new* insertions only (a worker keeps just the edges incident
-/// to its fragment); upsert-replacement and deletion always apply to
-/// whatever is present. Linear scans per op: mutation batches are small
-/// relative to the graph, and correctness (identical results at every
-/// placement) beats micro-speed here.
-template <typename KeepFn>
-void ApplyMutationsToEdges(std::vector<Edge>* edges,
-                           const MutationBatch& batch, bool directed,
-                           const KeepFn& keep) {
+/// G ⊕ M over a whole graph: the oracle mutation path, and the reference
+/// every fragment patch must match. Applies `batch` in order to the edge
+/// list (linear scans per op: correctness beats speed here), then rebuilds
+/// the CSR, preserving directedness, the exact vertex count, and vertex
+/// labels.
+inline Result<Graph> ApplyMutations(const Graph& graph,
+                                    const MutationBatch& batch) {
+  GRAPE_RETURN_NOT_OK(batch.Validate(graph.num_vertices()));
+  const bool directed = graph.is_directed();
+  std::vector<Edge> edges = graph.ToEdgeList();
   for (const EdgeMutation& m : batch.ops) {
     if (m.op == MutationOp::kInsertEdge) {
       bool matched = false;
-      for (Edge& e : *edges) {
+      for (Edge& e : edges) {
         if (EdgeConnects(e, m.edge.src, m.edge.dst, directed)) {
           e.weight = m.edge.weight;
           e.label = m.edge.label;
           matched = true;
         }
       }
-      if (!matched && keep(m.edge)) edges->push_back(m.edge);
+      if (!matched) edges.push_back(m.edge);
     } else {
-      std::erase_if(*edges, [&](const Edge& e) {
+      std::erase_if(edges, [&](const Edge& e) {
         return EdgeConnects(e, m.edge.src, m.edge.dst, directed);
       });
     }
   }
-}
-
-/// G ⊕ M over a whole graph: the coordinator-side (and oracle) mutation
-/// path. Rebuilds the CSR from the mutated edge list, preserving
-/// directedness, the exact vertex count, and vertex labels.
-inline Result<Graph> ApplyMutations(const Graph& graph,
-                                    const MutationBatch& batch) {
-  GRAPE_RETURN_NOT_OK(batch.Validate(graph.num_vertices()));
-  std::vector<Edge> edges = graph.ToEdgeList();
-  ApplyMutationsToEdges(&edges, batch, graph.is_directed(),
-                        [](const Edge&) { return true; });
   GraphBuilder builder(graph.is_directed());
   builder.ReserveEdges(edges.size());
   for (const Edge& e : edges) builder.AddEdge(e);

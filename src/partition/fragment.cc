@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -97,6 +98,13 @@ Status ValidateCsr(const char* what, const std::vector<size_t>& offsets,
     }
   }
   return Status::OK();
+}
+
+/// The gid -> lid index of a local id layout (insertion order == lid).
+std::shared_ptr<const IdIndexer> IndexGids(const std::vector<VertexId>& gids) {
+  auto indexer = std::make_shared<IdIndexer>();
+  for (VertexId gid : gids) indexer->GetOrInsert(gid);
+  return indexer;
 }
 
 }  // namespace
@@ -269,8 +277,8 @@ Status Fragment::DecodeFrom(Decoder& dec, Fragment* out) {
   }
 
   // Rebuild the gid->lid indexer (insertion order == local id order).
-  for (VertexId gid : f.gids_) f.indexer_.GetOrInsert(gid);
-  if (f.indexer_.size() != f.gids_.size()) {
+  f.indexer_ = IndexGids(f.gids_);
+  if (f.indexer_->size() != f.gids_.size()) {
     return Status::Corruption("fragment lists a duplicate gid");
   }
 
@@ -358,7 +366,7 @@ Result<Fragment> FragmentBuilder::AssembleLocal(
   std::sort(outer_sorted.begin(), outer_sorted.end());
   frag.gids_.insert(frag.gids_.end(), outer_sorted.begin(),
                     outer_sorted.end());
-  for (VertexId gid : frag.gids_) frag.indexer_.GetOrInsert(gid);
+  frag.indexer_ = IndexGids(frag.gids_);
 
   const LocalId num_local = frag.num_local();
   const LocalId ni = frag.num_inner_;
@@ -374,7 +382,7 @@ Result<Fragment> FragmentBuilder::AssembleLocal(
   if (graph.is_directed()) {
     for (LocalId i = 0; i < ni; ++i) {
       for (const Neighbor& nb : graph.InNeighbors(frag.gids_[i])) {
-        LocalId src = frag.indexer_.Find(nb.vertex);
+        LocalId src = frag.indexer_->Find(nb.vertex);
         if (src != kInvalidLocal && src >= ni) frag.out_offsets_[src + 1]++;
       }
     }
@@ -382,7 +390,7 @@ Result<Fragment> FragmentBuilder::AssembleLocal(
     // Undirected: outer rows list neighbours inside the inner set.
     for (LocalId i = 0; i < ni; ++i) {
       for (const Neighbor& nb : graph.OutNeighbors(frag.gids_[i])) {
-        LocalId other = frag.indexer_.Find(nb.vertex);
+        LocalId other = frag.indexer_->Find(nb.vertex);
         if (other != kInvalidLocal && other >= ni) {
           frag.out_offsets_[other + 1]++;
         }
@@ -398,7 +406,7 @@ Result<Fragment> FragmentBuilder::AssembleLocal(
                                frag.out_offsets_.end() - 1);
     for (LocalId i = 0; i < ni; ++i) {
       for (const Neighbor& nb : graph.OutNeighbors(frag.gids_[i])) {
-        LocalId target = frag.indexer_.Find(nb.vertex);
+        LocalId target = frag.indexer_->Find(nb.vertex);
         frag.out_neighbors_[cursor[i]++] =
             FragNeighbor{target, nb.weight, nb.label};
       }
@@ -406,7 +414,7 @@ Result<Fragment> FragmentBuilder::AssembleLocal(
     if (graph.is_directed()) {
       for (LocalId i = 0; i < ni; ++i) {
         for (const Neighbor& nb : graph.InNeighbors(frag.gids_[i])) {
-          LocalId src = frag.indexer_.Find(nb.vertex);
+          LocalId src = frag.indexer_->Find(nb.vertex);
           if (src != kInvalidLocal && src >= ni) {
             frag.out_neighbors_[cursor[src]++] =
                 FragNeighbor{i, nb.weight, nb.label};
@@ -416,7 +424,7 @@ Result<Fragment> FragmentBuilder::AssembleLocal(
     } else {
       for (LocalId i = 0; i < ni; ++i) {
         for (const Neighbor& nb : graph.OutNeighbors(frag.gids_[i])) {
-          LocalId other = frag.indexer_.Find(nb.vertex);
+          LocalId other = frag.indexer_->Find(nb.vertex);
           if (other != kInvalidLocal && other >= ni) {
             frag.out_neighbors_[cursor[other]++] =
                 FragNeighbor{i, nb.weight, nb.label};
@@ -435,7 +443,7 @@ Result<Fragment> FragmentBuilder::AssembleLocal(
     }
     for (LocalId i = 0; i < ni; ++i) {
       for (const Neighbor& nb : graph.OutNeighbors(frag.gids_[i])) {
-        LocalId dst = frag.indexer_.Find(nb.vertex);
+        LocalId dst = frag.indexer_->Find(nb.vertex);
         if (dst != kInvalidLocal && dst >= ni) frag.in_offsets_[dst + 1]++;
       }
     }
@@ -447,14 +455,14 @@ Result<Fragment> FragmentBuilder::AssembleLocal(
                                frag.in_offsets_.end() - 1);
     for (LocalId i = 0; i < ni; ++i) {
       for (const Neighbor& nb : graph.InNeighbors(frag.gids_[i])) {
-        LocalId source = frag.indexer_.Find(nb.vertex);
+        LocalId source = frag.indexer_->Find(nb.vertex);
         frag.in_neighbors_[cursor[i]++] =
             FragNeighbor{source, nb.weight, nb.label};
       }
     }
     for (LocalId i = 0; i < ni; ++i) {
       for (const Neighbor& nb : graph.OutNeighbors(frag.gids_[i])) {
-        LocalId dst = frag.indexer_.Find(nb.vertex);
+        LocalId dst = frag.indexer_->Find(nb.vertex);
         if (dst != kInvalidLocal && dst >= ni) {
           frag.in_neighbors_[cursor[dst]++] =
               FragNeighbor{i, nb.weight, nb.label};
@@ -543,89 +551,308 @@ Status FragmentBuilder::CheckMirrorsResolved(const Fragment& frag) {
   return Status::OK();
 }
 
-std::vector<Edge> FragmentBuilder::MaterializeIncidentEdges(
-    const Fragment& frag) {
-  std::vector<Edge> edges;
-  edges.reserve(frag.num_edges());
-  const LocalId ni = frag.num_inner_;
-  if (frag.directed_) {
-    for (LocalId i = 0; i < ni; ++i) {
-      const VertexId g = frag.gids_[i];
-      // Inner out-rows are the full global out-adjacency; inner in-rows
-      // add the arcs arriving from outer sources (inner sources were
-      // already covered by their own out-rows).
-      for (const FragNeighbor& nb : frag.OutNeighbors(i)) {
-        edges.push_back(Edge{g, frag.gids_[nb.local], nb.weight, nb.label});
-      }
-      for (const FragNeighbor& nb : frag.InNeighbors(i)) {
-        if (nb.local >= ni) {
-          edges.push_back(Edge{frag.gids_[nb.local], g, nb.weight, nb.label});
-        }
-      }
-    }
-  } else {
-    for (LocalId i = 0; i < ni; ++i) {
-      const VertexId g = frag.gids_[i];
-      for (const FragNeighbor& nb : frag.OutNeighbors(i)) {
-        // Inner-inner edges appear in both endpoints' rows; emit from the
-        // lower gid only. Inner-outer edges have one inner endpoint.
-        if (nb.local < ni && frag.gids_[nb.local] < g) continue;
-        edges.push_back(Edge{g, frag.gids_[nb.local], nb.weight, nb.label});
-      }
+namespace {
+
+/// A fragment row entry addressed by global id, so a patched row does not
+/// depend on outer lids that may still shift.
+struct GidNeighbor {
+  VertexId gid;
+  EdgeWeight weight;
+  Label label;
+};
+
+/// The rows of one vertex an op touches, in gid space. Every fragment row
+/// is sorted by neighbour gid: inner rows by construction (the graph's CSR
+/// order), outer rows because they list inner lids, which ascend with gid.
+/// The patch keeps that order, so a patched row is exactly the row a fresh
+/// build would give it.
+struct PatchedRows {
+  std::vector<GidNeighbor> out;
+  std::vector<GidNeighbor> in;  // directed fragments only
+};
+
+/// Replaces the payload of every entry naming `gid`; false if none does.
+bool UpsertInRow(std::vector<GidNeighbor>& row, VertexId gid,
+                 const Edge& payload) {
+  bool matched = false;
+  for (GidNeighbor& nb : row) {
+    if (nb.gid != gid) continue;
+    nb.weight = payload.weight;
+    nb.label = payload.label;
+    matched = true;
+  }
+  return matched;
+}
+
+void InsertInRow(std::vector<GidNeighbor>& row, VertexId gid,
+                 const Edge& payload) {
+  auto at = std::upper_bound(
+      row.begin(), row.end(), gid,
+      [](VertexId g, const GidNeighbor& nb) { return g < nb.gid; });
+  row.insert(at, GidNeighbor{gid, payload.weight, payload.label});
+}
+
+void EraseFromRow(std::vector<GidNeighbor>& row, VertexId gid) {
+  std::erase_if(row, [gid](const GidNeighbor& nb) { return nb.gid == gid; });
+}
+
+/// Sorted unique owners of a row set's foreign neighbours: the fragments
+/// holding an outer copy of the row's (inner) vertex.
+std::vector<FragmentId> MirrorsOf(const PatchedRows& rows,
+                                  const std::vector<FragmentId>& owner,
+                                  FragmentId fid) {
+  std::vector<FragmentId> m;
+  for (const auto* row : {&rows.out, &rows.in}) {
+    for (const GidNeighbor& nb : *row) {
+      if (owner[nb.gid] != fid) m.push_back(owner[nb.gid]);
     }
   }
-  return edges;
+  std::sort(m.begin(), m.end());
+  m.erase(std::unique(m.begin(), m.end()), m.end());
+  return m;
 }
+
+/// Appends `count` rows of a CSR, starting at row `from`, as rows `to`
+/// onward of (out_offsets, out_values): one block copy of their values,
+/// offsets carried over row length by row length.
+template <typename T>
+void CopyRows(const std::vector<size_t>& offsets, const std::vector<T>& values,
+              size_t from, size_t to, size_t count,
+              std::vector<size_t>* out_offsets, std::vector<T>* out_values) {
+  out_values->insert(out_values->end(), values.begin() + offsets[from],
+                     values.begin() + offsets[from + count]);
+  for (size_t k = 0; k < count; ++k) {
+    (*out_offsets)[to + k + 1] =
+        (*out_offsets)[to + k] + (offsets[from + k + 1] - offsets[from + k]);
+  }
+}
+
+}  // namespace
 
 Result<Fragment> FragmentBuilder::MutateFragment(const Fragment& frag,
                                                  const MutationBatch& batch) {
   GRAPE_RETURN_NOT_OK(batch.Validate(frag.total_vertices_));
-  std::vector<Edge> edges = MaterializeIncidentEdges(frag);
   const FragmentId fid = frag.fid_;
   const std::vector<FragmentId>& owner = *frag.owner_;
-  ApplyMutationsToEdges(&edges, batch, frag.directed_, [&](const Edge& e) {
-    return owner[e.src] == fid || owner[e.dst] == fid;
-  });
+  const bool directed = frag.directed_;
+  const LocalId ni = frag.num_inner_;
 
-  GraphBuilder builder(frag.directed_);
-  builder.ReserveEdges(edges.size());
-  for (const Edge& e : edges) builder.AddEdge(e);
-  if (!frag.labels_.empty()) {
-    for (LocalId i = 0; i < frag.num_local(); ++i) {
-      builder.SetVertexLabel(frag.gids_[i], frag.labels_[i]);
+  // 1. Replay the batch over the rows of the ops' endpoints only, in gid
+  //    space. A directed arc s->d lives in out(s) and in(d); an undirected
+  //    edge in out(s) and out(d). An op with no inner endpoint is not
+  //    incident to this fragment and changes nothing.
+  std::map<VertexId, PatchedRows> touched;
+  auto rows_of = [&](VertexId gid) -> PatchedRows& {
+    auto [it, inserted] = touched.try_emplace(gid);
+    const LocalId lid = inserted ? frag.Lid(gid) : kInvalidLocal;
+    if (lid != kInvalidLocal) {
+      auto load = [&](std::span<const FragNeighbor> row,
+                      std::vector<GidNeighbor>* dst) {
+        dst->reserve(row.size() + 1);
+        for (const FragNeighbor& nb : row) {
+          dst->push_back(
+              GidNeighbor{frag.gids_[nb.local], nb.weight, nb.label});
+        }
+      };
+      load(frag.OutNeighbors(lid), &it->second.out);
+      if (directed) load(frag.InNeighbors(lid), &it->second.in);
+    }
+    return it->second;
+  };
+  for (const EdgeMutation& m : batch.ops) {
+    const VertexId s = m.edge.src;
+    const VertexId d = m.edge.dst;
+    if (owner[s] != fid && owner[d] != fid) continue;
+    std::vector<GidNeighbor>& fwd = rows_of(s).out;
+    std::vector<GidNeighbor>& back = directed ? rows_of(d).in : rows_of(d).out;
+    if (m.op == MutationOp::kDeleteEdge) {
+      EraseFromRow(fwd, d);
+      EraseFromRow(back, s);
+    } else if (UpsertInRow(fwd, d, m.edge)) {
+      UpsertInRow(back, s, m.edge);
+    } else {
+      InsertInRow(fwd, d, m.edge);
+      InsertInRow(back, s, m.edge);
     }
   }
-  if (frag.total_vertices_ > 0) builder.AddVertex(frag.total_vertices_ - 1);
-  auto local = std::move(builder).Build(frag.total_vertices_);
-  if (!local.ok()) return local.status();
-  return AssembleLocal(*local, frag.owner_, frag.owner_lid_, fid,
-                       frag.num_fragments_);
+
+  // 2. The outer set moves only at touched foreign vertices: one becomes
+  //    outer when it gains its first edge into the inner set and stops
+  //    being outer when it loses its last. Both lists ascend by gid.
+  std::vector<VertexId> gone;
+  std::vector<VertexId> added;
+  for (const auto& [gid, rows] : touched) {
+    if (owner[gid] == fid) continue;
+    const bool was = frag.HasVertex(gid);
+    const bool is = !rows.out.empty() || !rows.in.empty();
+    if (was && !is) gone.push_back(gid);
+    if (!was && is) added.push_back(gid);
+  }
+  const bool relabel = !gone.empty() || !added.empty();
+
+  Fragment next;
+  next.fid_ = fid;
+  next.num_fragments_ = frag.num_fragments_;
+  next.total_vertices_ = frag.total_vertices_;
+  next.directed_ = directed;
+  next.num_inner_ = ni;
+  next.owner_ = frag.owner_;
+  next.owner_lid_ = frag.owner_lid_;
+
+  // 3. Local ids. When the outer set moved, prev_outer[k] is the old lid
+  //    of new outer vertex ni + k (kInvalidLocal for a new one) and remap
+  //    the inverse, old outer lid to new lid.
+  std::vector<LocalId> prev_outer;
+  std::vector<LocalId> remap;
+  if (!relabel) {
+    next.gids_ = frag.gids_;
+    next.indexer_ = frag.indexer_;
+    next.labels_ = frag.labels_;
+    next.outer_owner_frag_ = frag.outer_owner_frag_;
+    next.outer_owner_lid_ = frag.outer_owner_lid_;
+  } else {
+    next.gids_.assign(frag.gids_.begin(), frag.gids_.begin() + ni);
+    remap.assign(frag.num_outer(), kInvalidLocal);
+    auto gone_it = gone.begin();
+    auto add_it = added.begin();
+    auto push = [&](VertexId gid, LocalId old_lid) {
+      if (old_lid != kInvalidLocal) remap[old_lid - ni] = next.num_local();
+      prev_outer.push_back(old_lid);
+      next.gids_.push_back(gid);
+    };
+    for (LocalId old = ni; old < frag.num_local(); ++old) {
+      const VertexId gid = frag.gids_[old];
+      while (add_it != added.end() && *add_it < gid) {
+        push(*add_it++, kInvalidLocal);
+      }
+      if (gone_it != gone.end() && *gone_it == gid) {
+        ++gone_it;
+        continue;
+      }
+      push(gid, old);
+    }
+    while (add_it != added.end()) push(*add_it++, kInvalidLocal);
+    next.indexer_ = IndexGids(next.gids_);
+    if (!frag.labels_.empty()) {
+      // A vertex that first becomes outer here gets label 0: the owner
+      // knows the true label, but no engine app reads outer labels.
+      next.labels_.assign(frag.labels_.begin(), frag.labels_.begin() + ni);
+      for (LocalId p : prev_outer) {
+        next.labels_.push_back(p == kInvalidLocal ? 0 : frag.labels_[p]);
+      }
+    }
+    next.outer_owner_frag_.resize(next.num_outer());
+    next.outer_owner_lid_.resize(next.num_outer());
+    for (LocalId i = ni; i < next.num_local(); ++i) {
+      next.outer_owner_frag_[i - ni] = owner[next.gids_[i]];
+      next.outer_owner_lid_[i - ni] = (*frag.owner_lid_)[next.gids_[i]];
+    }
+  }
+  const LocalId num_local = next.num_local();
+
+  // 4. The CSRs: touched rows come from the patch, every other row is
+  //    copied. Untouched inner rows are relabelled in the same pass when
+  //    outer lids moved (untouched outer rows list inner lids only).
+  std::vector<std::pair<LocalId, const PatchedRows*>> patched;
+  patched.reserve(touched.size());
+  for (const auto& [gid, rows] : touched) {
+    const LocalId lid = next.Lid(gid);
+    if (lid != kInvalidLocal) patched.emplace_back(lid, &rows);
+  }
+  std::sort(patched.begin(), patched.end());
+  auto patch_csr = [&](const std::vector<size_t>& offsets,
+                       const std::vector<FragNeighbor>& nbrs,
+                       std::vector<GidNeighbor> PatchedRows::*which,
+                       std::vector<size_t>* out_offsets,
+                       std::vector<FragNeighbor>* out_nbrs) {
+    out_offsets->assign(num_local + 1, 0);
+    out_nbrs->reserve(nbrs.size() + 2 * batch.size());
+    auto cursor = patched.begin();
+    for (LocalId lid = 0; lid < num_local;) {
+      if (cursor != patched.end() && cursor->first == lid) {
+        for (const GidNeighbor& nb : cursor->second->*which) {
+          out_nbrs->push_back(
+              FragNeighbor{next.Lid(nb.gid), nb.weight, nb.label});
+        }
+        (*out_offsets)[lid + 1] = out_nbrs->size();
+        ++cursor;
+        ++lid;
+      } else if (!relabel) {
+        const LocalId end = cursor != patched.end() ? cursor->first : num_local;
+        CopyRows(offsets, nbrs, lid, lid, end - lid, out_offsets, out_nbrs);
+        lid = end;
+      } else {
+        const LocalId prev = lid < ni ? lid : prev_outer[lid - ni];
+        CopyRows(offsets, nbrs, prev, lid, 1, out_offsets, out_nbrs);
+        if (lid < ni) {
+          for (size_t k = (*out_offsets)[lid]; k < (*out_offsets)[lid + 1];
+               ++k) {
+            LocalId& l = (*out_nbrs)[k].local;
+            if (l >= ni) l = remap[l - ni];
+          }
+        }
+        ++lid;
+      }
+    }
+  };
+  patch_csr(frag.out_offsets_, frag.out_neighbors_, &PatchedRows::out,
+            &next.out_offsets_, &next.out_neighbors_);
+  if (directed) {
+    patch_csr(frag.in_offsets_, frag.in_neighbors_, &PatchedRows::in,
+              &next.in_offsets_, &next.in_neighbors_);
+  }
+
+  // 5. Border flags and mirror lists change only at touched inner
+  //    vertices. mirror_dst_lids stay unresolved until the peer exchange.
+  next.border_ = frag.border_;
+  next.num_border_ = frag.num_border_;
+  next.mirror_offsets_.assign(ni + 1, 0);
+  next.mirror_frags_.reserve(frag.mirror_frags_.size() + batch.size());
+  auto cursor = patched.begin();
+  for (LocalId i = 0; i < ni;) {
+    const LocalId t =
+        cursor != patched.end() && cursor->first < ni ? cursor->first : ni;
+    CopyRows(frag.mirror_offsets_, frag.mirror_frags_, i, i, t - i,
+             &next.mirror_offsets_, &next.mirror_frags_);
+    if (t == ni) break;
+    const std::vector<FragmentId> m = MirrorsOf(*cursor->second, owner, fid);
+    next.mirror_frags_.insert(next.mirror_frags_.end(), m.begin(), m.end());
+    next.mirror_offsets_[t + 1] = next.mirror_frags_.size();
+    const uint8_t border = m.empty() ? 0 : 1;
+    if (border > next.border_[t]) ++next.num_border_;
+    if (border < next.border_[t]) --next.num_border_;
+    next.border_[t] = border;
+    ++cursor;
+    i = t + 1;
+  }
+  next.mirror_dst_lids_.assign(next.mirror_frags_.size(), kInvalidLocal);
+  return next;
 }
 
 Status FragmentBuilder::MutateFragmentedGraph(FragmentedGraph* fg,
                                               const MutationBatch& batch) {
   const FragmentId n = fg->num_fragments();
-  std::vector<Fragment> rebuilt;
-  rebuilt.reserve(n);
+  std::vector<Fragment> patched;
+  patched.reserve(n);
   for (const Fragment& frag : fg->fragments) {
     auto f = MutateFragment(frag, batch);
     if (!f.ok()) return f.status();
-    rebuilt.push_back(std::move(f).value());
+    patched.push_back(std::move(f).value());
   }
   for (FragmentId m = 0; m < n; ++m) {
-    auto answers = MirrorAnswers(rebuilt[m]);
+    auto answers = MirrorAnswers(patched[m]);
     for (FragmentId f = 0; f < n; ++f) {
       if (f == m) continue;
-      GRAPE_RETURN_NOT_OK(ApplyMirrorAnswers(&rebuilt[f], m, answers[f]));
+      GRAPE_RETURN_NOT_OK(ApplyMirrorAnswers(&patched[f], m, answers[f]));
     }
   }
-  for (const Fragment& frag : rebuilt) {
+  for (const Fragment& frag : patched) {
     GRAPE_RETURN_NOT_OK(CheckMirrorsResolved(frag));
   }
   // Element-wise: the vector's buffer (and thus each Fragment's address)
   // must survive — engines hold `const Fragment*` into it across queries.
   for (FragmentId f = 0; f < n; ++f) {
-    fg->fragments[f] = std::move(rebuilt[f]);
+    fg->fragments[f] = std::move(patched[f]);
   }
   return Status::OK();
 }

@@ -59,8 +59,8 @@ class Fragment {
   VertexId Gid(LocalId lid) const { return gids_[lid]; }
   /// Local id of a global vertex, or kInvalidLocal if this fragment has
   /// neither an inner nor an outer copy of it.
-  LocalId Lid(VertexId gid) const { return indexer_.Find(gid); }
-  bool HasVertex(VertexId gid) const { return indexer_.Contains(gid); }
+  LocalId Lid(VertexId gid) const { return indexer_->Find(gid); }
+  bool HasVertex(VertexId gid) const { return indexer_->Contains(gid); }
 
   /// Out-edges of a local vertex. Inner vertices carry their full global
   /// out-adjacency; outer vertices carry only their edges *into this
@@ -158,7 +158,9 @@ class Fragment {
   LocalId num_border_ = 0;
 
   std::vector<VertexId> gids_;  // local -> global
-  IdIndexer indexer_;           // global -> local
+  /// global -> local. Immutable once built, so a mutation that leaves the
+  /// outer set alone shares it with the fragment it patched.
+  std::shared_ptr<const IdIndexer> indexer_ = std::make_shared<IdIndexer>();
 
   std::vector<size_t> out_offsets_;
   std::vector<FragNeighbor> out_neighbors_;
@@ -272,33 +274,36 @@ class FragmentBuilder {
   // -- Streaming mutation path (G ⊕ M over fragments) -----------------------
   //
   // Mirrors the build protocol's two halves: MutateFragment is the local
-  // half (rebuild one fragment from its mutated incident edge set, routing
-  // plan complete except mirror_dst_lids), and the mirror-answer exchange
-  // finishes the plan. MutateFragmentedGraph runs both in-process — the
-  // worker-protocol path (kTagWkMutate / kTagWkMutMirror) runs the same
-  // halves across endpoints, so the two placements produce bit-identical
-  // fragments by construction.
+  // half (patch one fragment, routing plan complete except
+  // mirror_dst_lids), and the mirror-answer exchange finishes the plan.
+  // MutateFragmentedGraph runs both in-process — the worker-protocol path
+  // (kTagWkMutate / kTagWkMutMirror) runs the same halves across
+  // endpoints, so the two placements produce bit-identical fragments by
+  // construction.
 
-  /// Reconstructs, in gid space, every edge incident to `frag`'s inner
-  /// vertices — exactly the view AssembleLocal needs to rebuild it.
-  /// Undirected inner-inner edges are emitted once (lower-gid endpoint
-  /// first, matching Graph::ToEdgeList).
-  static std::vector<Edge> MaterializeIncidentEdges(const Fragment& frag);
-
-  /// Local mutation half: applies `batch` to frag's incident edge view and
-  /// reassembles the fragment against the unchanged shared owner tables
-  /// (the vertex set is fixed; only topology moves). Inserted edges not
-  /// incident to this fragment are ignored; deletions apply to whatever is
-  /// present. The result's mirror_dst_lids are unresolved
-  /// (kInvalidLocal) until the peer exchange. A vertex that first becomes
-  /// outer through `batch` gets label 0 here — the owner knows the true
-  /// label but no engine app reads labels, so answers cannot diverge.
+  /// Local mutation half: applies `batch` to `frag` against the unchanged
+  /// shared owner tables (the vertex set is fixed; only topology moves).
+  /// The result is byte-identical to AssembleLocal over G ⊕ M with the
+  /// same owner tables: insert is an upsert, deletion removes every match,
+  /// ops with no inner endpoint change nothing. Its mirror_dst_lids are
+  /// unresolved (kInvalidLocal) until the peer exchange. A vertex that
+  /// first becomes outer through `batch` gets label 0 here — the owner
+  /// knows the true label but no engine app reads labels, so answers
+  /// cannot diverge.
+  ///
+  /// Cost is a copy of `frag` (which stays untouched, so a fragment shared
+  /// through ResidentFragmentStore is safe) plus work on the touched rows
+  /// only: the rows of each op's local endpoints, their border flags and
+  /// mirror lists. Only when the outer set changes — a new foreign
+  /// neighbour, or an outer vertex losing its last edge — does one linear
+  /// pass renumber the shifted outer lids, the gid index and the outer
+  /// owner routes.
   static Result<Fragment> MutateFragment(const Fragment& frag,
                                          const MutationBatch& batch);
 
-  /// Whole-world mutation: every fragment rebuilt via MutateFragment, then
+  /// Whole-world mutation: every fragment patched via MutateFragment, then
   /// the in-process mirror exchange. All-or-nothing — `fg` is untouched
-  /// unless every fragment rebuilds and resolves.
+  /// unless every fragment patches and resolves.
   static Status MutateFragmentedGraph(FragmentedGraph* fg,
                                       const MutationBatch& batch);
 };

@@ -109,7 +109,7 @@ struct ServeServer::Impl {
     }
     port_ = ntohs(bound.sin_port);
 
-    accept_thread_ = std::thread([this] { AcceptLoop(); });
+    accept_thread_ = std::thread([this, fd = listen_fd_] { AcceptLoop(fd); });
     dispatcher_thread_ = std::thread([this] { DispatcherLoop(); });
     started_ = true;
     if (options_.verbose) {
@@ -127,11 +127,9 @@ struct ServeServer::Impl {
       std::lock_guard<std::mutex> lk(qu_mu_);
     }
     qu_cv_.notify_all();
-    if (listen_fd_ >= 0) {
-      ::shutdown(listen_fd_, SHUT_RDWR);
-      close(listen_fd_);
-      listen_fd_ = -1;
-    }
+    // Only wake the accept thread here: it still reads the fd, so the
+    // close (and the reset) wait until it has joined.
+    if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
     {
       std::lock_guard<std::mutex> lk(conns_mu_);
       for (auto& conn : conns_) {
@@ -139,6 +137,10 @@ struct ServeServer::Impl {
       }
     }
     if (accept_thread_.joinable()) accept_thread_.join();
+    if (listen_fd_ >= 0) {
+      close(listen_fd_);
+      listen_fd_ = -1;
+    }
     // No new readers can be spawned once the accept thread is gone.
     for (auto& t : reader_threads_) {
       if (t.joinable()) t.join();
@@ -267,11 +269,11 @@ struct ServeServer::Impl {
 
   // ------------------------------------------------------------ listener
 
-  void AcceptLoop() {
+  void AcceptLoop(int listen_fd) {
     for (;;) {
       sockaddr_in addr{};
       socklen_t alen = sizeof(addr);
-      int fd = accept(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &alen);
+      int fd = accept(listen_fd, reinterpret_cast<sockaddr*>(&addr), &alen);
       if (fd < 0) {
         if (errno == EINTR && !stop_.load()) continue;
         break;

@@ -81,6 +81,7 @@ class Encoder {
 
  private:
   void AppendRaw(const void* data, size_t n) {
+    if (n == 0) return;  // `data` may be an empty vector's null data()
     const auto* p = static_cast<const uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
   }
@@ -164,13 +165,11 @@ class Decoder {
     static_assert(std::is_trivially_copyable_v<T>);
     uint64_t n = 0;
     GRAPE_RETURN_NOT_OK(ReadVarint(&n));
-    if (n * sizeof(T) > Remaining()) {
+    if (n > Remaining() / sizeof(T)) {
       return Status::Corruption("vector extends past end of buffer");
     }
     out->resize(n);
-    std::memcpy(out->data(), data_ + pos_, n * sizeof(T));
-    pos_ += n * sizeof(T);
-    return Status::OK();
+    return ReadRaw(out->data(), n * sizeof(T));
   }
 
   size_t Remaining() const { return size_ - pos_; }
@@ -182,6 +181,9 @@ class Decoder {
     if (n > Remaining()) {
       return Status::Corruption("read past end of buffer");
     }
+    // An empty vector's data() may be null, and memcpy's pointers must
+    // not be, even for a zero-byte copy.
+    if (n == 0) return Status::OK();
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();

@@ -2,9 +2,10 @@
 //
 //  1. Mutation semantics at the Graph level — RemoveEdge, upsert inserts,
 //     delete-all-matches, validation, wire round-trip.
-//  2. Fragment-level rebuilds — MutateFragmentedGraph produces fragments
+//  2. Fragment-level patches — MutateFragmentedGraph produces fragments
 //     byte-identical to a from-scratch FragmentBuilder::Build over the
-//     mutated graph, routing plan included.
+//     mutated graph, routing plan included, over a graph x partitioner x
+//     fragment-count matrix and three stacked batches.
 //  3. The local differential oracle — the MutationBatch overload of
 //     RunIncremental matches a full run, and the enforced monotonicity
 //     contract routes deletion batches through the full-run fallback.
@@ -23,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -35,6 +37,7 @@
 #include "graph/mutation.h"
 #include "gtest/gtest.h"
 #include "partition/fragment.h"
+#include "partition/partitioner.h"
 #include "rt/distributed_load.h"
 #include "rt/remote_worker.h"
 #include "tests/test_util.h"
@@ -150,30 +153,256 @@ TEST(MutationTest, BatchWireRoundTrip) {
   }
 }
 
-// ------------------------------------------------------- fragment rebuilds
+// ------------------------------------------------------- fragment patches
 
-// The in-place fragment rebuild must be indistinguishable — topology,
-// labels, border flags, the complete routing plan — from partitioning the
-// mutated graph from scratch with the same assignment.
-TEST(MutationTest, MutatedFragmentsBitIdenticalToRebuild) {
-  auto g = GenerateGridRoad(10, 10, 4242);
-  ASSERT_TRUE(g.ok());
-  FragmentedGraph fg = MakeFragments(*g, "hash", 3);
+// The in-place fragment patch must be indistinguishable — topology,
+// labels, border flags, gid index, the complete routing plan — from
+// partitioning the mutated graph from scratch with the same assignment,
+// over three stacked batches that hit every branch of the patch.
 
-  MutationBatch m;
-  m.InsertEdge(4, 87, 0.5);
-  m.InsertEdge(87, 4, 0.5);
-  m.DeleteEdge(0, 1);  // an existing grid segment's forward arc
-  ASSERT_OK(FragmentBuilder::MutateFragmentedGraph(&fg, m));
+struct PatchCase {
+  std::string graph;     // "grid" (undirected) | "rmat" | "labeled"
+  std::string strategy;  // partitioner name
+  FragmentId fragments;
+};
 
-  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
-  FragmentedGraph ref = MakeFragments(updated, "hash", 3);
-  ASSERT_EQ(fg.num_fragments(), ref.num_fragments());
-  for (FragmentId i = 0; i < fg.num_fragments(); ++i) {
-    EXPECT_EQ(FragmentBytes(fg.fragments[i]), FragmentBytes(ref.fragments[i]))
-        << "fragment " << i;
+/// `g` with one edge per endpoint pair (per unordered pair when
+/// `directed` is false, which also turns a two-arc road grid into an
+/// undirected one). GraphBuilder sorts each row with an unstable sort, so
+/// parallel edges have no reproducible order to compare bytes against.
+Graph Simplified(const Graph& g, bool directed) {
+  std::set<std::pair<VertexId, VertexId>> seen;
+  GraphBuilder b(directed);
+  for (const Edge& e : g.ToEdgeList()) {
+    const VertexId s = directed ? e.src : std::min(e.src, e.dst);
+    const VertexId d = directed ? e.dst : std::max(e.src, e.dst);
+    if (seen.emplace(s, d).second) b.AddEdge(Edge{s, d, e.weight, e.label});
+  }
+  if (g.has_vertex_labels()) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      b.SetVertexLabel(v, g.vertex_label(v));
+    }
+  }
+  b.AddVertex(g.num_vertices() - 1);
+  auto out = std::move(b).Build(g.num_vertices());
+  EXPECT_TRUE(out.ok()) << out.status();
+  return std::move(out).value();
+}
+
+Graph PatchCaseGraph(const std::string& kind) {
+  Result<Graph> g = Status::InvalidArgument("unknown graph kind " + kind);
+  if (kind == "grid") g = GenerateGridRoad(12, 12, 4242);
+  if (kind == "rmat") {
+    RMatOptions o;
+    o.scale = 9;
+    o.edge_factor = 4;
+    o.seed = 31;
+    g = GenerateRMat(o);
+  }
+  if (kind == "labeled") {
+    LabeledGraphOptions o;
+    o.scale = 8;
+    o.edge_factor = 4;
+    g = GenerateLabeledGraph(o);
+  }
+  EXPECT_TRUE(g.ok()) << g.status();
+  return Simplified(*g, /*directed=*/kind != "grid");
+}
+
+bool HasEdge(const Graph& g, VertexId s, VertexId d) {
+  for (const Neighbor& nb : g.OutNeighbors(s)) {
+    if (nb.vertex == d) return true;
+  }
+  return false;
+}
+
+/// The distinct foreign neighbours of inner vertex `lid`, in either
+/// direction.
+std::vector<VertexId> ForeignNeighbors(const Fragment& f, LocalId lid) {
+  std::set<VertexId> out;
+  for (const FragNeighbor& nb : f.OutNeighbors(lid)) {
+    if (f.IsOuter(nb.local)) out.insert(f.Gid(nb.local));
+  }
+  for (const FragNeighbor& nb : f.InNeighbors(lid)) {
+    if (f.IsOuter(nb.local)) out.insert(f.Gid(nb.local));
+  }
+  return {out.begin(), out.end()};
+}
+
+/// G ⊕ M as fragment `before` can know it: a vertex it did not hold gets
+/// label 0, which is what MutateFragment gives a vertex that first becomes
+/// outer. Unlabelled graphs are returned unchanged.
+Graph LabelsAsSeenBy(const Graph& g, const Fragment& before) {
+  if (!g.has_vertex_labels()) return Simplified(g, g.is_directed());
+  std::vector<Label> seen(g.num_vertices(), 0);
+  for (LocalId l = 0; l < before.num_local(); ++l) {
+    seen[before.Gid(l)] = before.vertex_label(l);
+  }
+  GraphBuilder b(g.is_directed());
+  for (const Edge& e : g.ToEdgeList()) b.AddEdge(e);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) b.SetVertexLabel(v, seen[v]);
+  auto out = std::move(b).Build(g.num_vertices());
+  EXPECT_TRUE(out.ok()) << out.status();
+  return std::move(out).value();
+}
+
+class MutationPatchTest : public ::testing::TestWithParam<PatchCase> {};
+
+TEST_P(MutationPatchTest, MutatedFragmentsBitIdenticalToRebuild) {
+  const PatchCase& c = GetParam();
+  Graph current = PatchCaseGraph(c.graph);
+  const bool directed = current.is_directed();
+  auto partitioner = MakePartitioner(c.strategy);
+  ASSERT_TRUE(partitioner.ok()) << partitioner.status();
+  ASSERT_OK_AND_ASSIGN(std::vector<FragmentId> owner,
+                       (*partitioner)->Partition(current, c.fragments));
+  ASSERT_OK_AND_ASSIGN(FragmentedGraph fg,
+                       FragmentBuilder::Build(current, owner, c.fragments));
+
+  // Batch 0 targets fragment 0. u: an inner vertex with the fewest
+  // foreign neighbours. mid: a foreign vertex fragment 0 does not hold
+  // whose gid falls inside its outer range, so linking u to it inserts an
+  // outer vertex mid-range and shifts the outer lids after it.
+  const Fragment& f0 = fg.fragments[0];
+  ASSERT_GT(f0.num_inner(), 2u);
+  ASSERT_GT(f0.num_outer(), 2u);
+  LocalId lu = 0;
+  for (LocalId i = 1; i < f0.num_inner(); ++i) {
+    if (ForeignNeighbors(f0, i).size() < ForeignNeighbors(f0, lu).size()) {
+      lu = i;
+    }
+  }
+  const VertexId u = f0.Gid(lu);
+  VertexId mid = kInvalidVertex;
+  for (VertexId g = f0.Gid(f0.num_inner() + f0.num_outer() / 2) + 1;
+       g < f0.Gid(f0.num_local() - 1); ++g) {
+    if (!f0.HasVertex(g)) {
+      mid = g;
+      break;
+    }
+  }
+  ASSERT_NE(mid, kInvalidVertex) << "no gap in fragment 0's outer range";
+
+  // a -> o: an existing inner-outer edge with a != u, to upsert.
+  VertexId a = kInvalidVertex, o = kInvalidVertex;
+  for (LocalId i = 0; i < f0.num_inner() && a == kInvalidVertex; ++i) {
+    if (i == lu) continue;
+    for (const FragNeighbor& nb : f0.OutNeighbors(i)) {
+      if (f0.IsOuter(nb.local)) {
+        a = f0.Gid(i);
+        o = f0.Gid(nb.local);
+        break;
+      }
+    }
+  }
+  ASSERT_NE(a, kInvalidVertex) << "fragment 0 has no inner-outer edge";
+
+  // p -- q inside fragment 0, and r -- t inside fragment 1 (foreign to
+  // fragment 0): absent edges to insert.
+  auto absent_pair = [&](FragmentId f, VertexId* x, VertexId* y) {
+    std::vector<VertexId> inner;
+    for (VertexId v = 0; v < current.num_vertices(); ++v) {
+      if (owner[v] == f) inner.push_back(v);
+    }
+    for (VertexId s : inner) {
+      for (VertexId d : inner) {
+        if (s != d && !HasEdge(current, s, d) && !HasEdge(current, d, s)) {
+          *x = s;
+          *y = d;
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+  VertexId p = 0, q = 0, r = 0, t = 0;
+  ASSERT_TRUE(absent_pair(0, &p, &q));
+  ASSERT_TRUE(absent_pair(1, &r, &t));
+
+  for (int bi = 0; bi < 3; ++bi) {
+    const Fragment& before0 = fg.fragments[0];
+    MutationBatch m;
+    if (bi == 0) {
+      m.InsertEdge(u, mid, 2.0, 3);  // new outer vertex, mid-range
+      if (directed) {
+        m.InsertEdge(a, o, 7.0, 5);  // upsert in place
+      } else {
+        m.InsertEdge(o, a, 7.0, 5);  // upsert, matched in either orientation
+      }
+      m.InsertEdge(p, q, 4.0, 1);  // inner-inner in fragment 0
+      m.InsertEdge(r, t, 6.0, 2);  // both endpoints foreign to fragment 0
+    } else if (bi == 1) {
+      // Cut every edge between u and the outside: mid loses its last
+      // edge into fragment 0 (the outer vertex vanishes), u stops being a
+      // border vertex.
+      for (VertexId y : ForeignNeighbors(before0, before0.Lid(u))) {
+        m.DeleteEdge(u, y);
+        m.DeleteEdge(y, u);
+      }
+      m.InsertEdge(a, o, 8.0, 6);  // upsert again
+    } else {
+      m.InsertEdge(mid, u, 3.0, 4);  // mid returns, in the other direction
+      m.DeleteEdge(p, q);            // inner-inner deletion
+      m.DeleteEdge(r, t);
+      m.DeleteEdge(q, p);  // absent (directed) or already gone: a no-op
+    }
+
+    std::vector<std::vector<uint8_t>> input_bytes;
+    for (const Fragment& f : fg.fragments) {
+      input_bytes.push_back(FragmentBytes(f));
+      ASSERT_TRUE(FragmentBuilder::MutateFragment(f, m).ok());
+      EXPECT_EQ(FragmentBytes(f), input_bytes.back())
+          << "batch " << bi << ": MutateFragment changed its input";
+    }
+    std::vector<Graph> seen_by;
+    for (const Fragment& f : fg.fragments) {
+      seen_by.push_back(LabelsAsSeenBy(current, f));
+    }
+    ASSERT_OK(FragmentBuilder::MutateFragmentedGraph(&fg, m));
+    ASSERT_OK_AND_ASSIGN(current, ApplyMutations(current, m));
+
+    for (FragmentId f = 0; f < fg.num_fragments(); ++f) {
+      ASSERT_OK_AND_ASSIGN(Graph seen_next, ApplyMutations(seen_by[f], m));
+      ASSERT_OK_AND_ASSIGN(
+          FragmentedGraph ref,
+          FragmentBuilder::Build(seen_next, owner, c.fragments));
+      const Fragment& got = fg.fragments[f];
+      const Fragment& want = ref.fragments[f];
+      EXPECT_EQ(FragmentBytes(got), FragmentBytes(want))
+          << "batch " << bi << ", fragment " << f;
+      for (VertexId v = 0; v < current.num_vertices(); ++v) {
+        ASSERT_EQ(got.Lid(v), want.Lid(v))
+            << "batch " << bi << ", fragment " << f << ", gid " << v;
+      }
+    }
+
+    const Fragment& f0_now = fg.fragments[0];
+    if (bi == 0) {
+      EXPECT_TRUE(f0_now.HasVertex(mid));
+      EXPECT_TRUE(f0_now.IsBorder(f0_now.Lid(u)));
+    } else if (bi == 1) {
+      EXPECT_FALSE(f0_now.HasVertex(mid));
+      EXPECT_FALSE(f0_now.IsBorder(f0_now.Lid(u)));
+    } else {
+      EXPECT_TRUE(f0_now.HasVertex(mid));
+    }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, MutationPatchTest,
+    ::testing::Values(PatchCase{"grid", "metis", 2},
+                      PatchCase{"grid", "metis", 4},
+                      PatchCase{"grid", "hash", 2},
+                      PatchCase{"grid", "hash", 4},
+                      PatchCase{"rmat", "hash", 2},
+                      PatchCase{"rmat", "hash", 4},
+                      PatchCase{"labeled", "metis", 2},
+                      PatchCase{"labeled", "metis", 4}),
+    [](const ::testing::TestParamInfo<PatchCase>& info) {
+      return info.param.graph + "_" + info.param.strategy + "_" +
+             std::to_string(info.param.fragments);
+    });
 
 // ---------------------------------------------------- local oracle (batch)
 
@@ -298,8 +527,14 @@ void RunRemoteGate(const RemoteGateCase& c, const Query& query, GetVec get) {
     engine.emplace(meta, eo);
   } else {
     fg = MakeFragments(graph, "hash", 3);
+    // Inproc endpoints share this process's ResidentFragmentStore: stash
+    // the shipped fragments so the check below can read what each worker
+    // patched.
+    if (c.transport == "inproc") eo.resident_stash_token = 0x6d75746174650001;
     engine.emplace(fg, App{}, eo);
   }
+  const uint64_t token =
+      c.distributed ? meta.token : eo.resident_stash_token;
 
   auto base = engine->SessionRun(query);
   ASSERT_TRUE(base.ok()) << base.status();
@@ -331,12 +566,25 @@ void RunRemoteGate(const RemoteGateCase& c, const Query& query, GetVec get) {
     auto full = ref.Run(query);
     ASSERT_TRUE(full.ok()) << full.status();
     EXPECT_TRUE(BitEq(get(*inc), get(*full))) << "batch " << bi;
+
+    // Worker side: each endpoint's patched fragment equals a fresh build
+    // of G ⊕ M under the same owner table.
+    if (c.transport != "inproc") continue;
+    for (uint32_t rank = 1; rank <= 3; ++rank) {
+      std::shared_ptr<const Fragment> held =
+          ResidentFragmentStore::Global().Get(token, rank);
+      ASSERT_NE(held, nullptr) << "batch " << bi << ", rank " << rank;
+      std::vector<FragmentId> owner(current.num_vertices());
+      for (VertexId v = 0; v < owner.size(); ++v) owner[v] = held->OwnerOf(v);
+      ASSERT_OK_AND_ASSIGN(FragmentedGraph fresh,
+                           FragmentBuilder::Build(current, owner, 3));
+      EXPECT_EQ(FragmentBytes(*held), FragmentBytes(fresh.fragments[rank - 1]))
+          << "batch " << bi << ", rank " << rank;
+    }
   }
   engine->EndSession();
-  if (!path.empty()) {
-    ResidentFragmentStore::Global().Erase(meta.token);
-    std::remove(path.c_str());
-  }
+  if (token != 0) ResidentFragmentStore::Global().Erase(token);
+  if (!path.empty()) std::remove(path.c_str());
 }
 
 class MutationRemoteGateTest

@@ -91,12 +91,32 @@ TEST(SerializerTest, StringRoundTrip) {
 
 TEST(SerializerTest, PodVectorRoundTrip) {
   std::vector<uint32_t> in = {1, 2, 3, 0xffffffff};
+  // Empty vectors have a null data(); neither side may pass it to memcpy.
+  std::vector<uint32_t> empty;
   Encoder enc;
   enc.WritePodVector(in);
+  enc.WritePodVector(empty);
+  enc.WritePodSpan(empty.data(), 0);
   Decoder dec(enc.buffer());
   std::vector<uint32_t> out;
   ASSERT_TRUE(dec.ReadPodVector(&out).ok());
   EXPECT_EQ(out, in);
+  std::vector<uint32_t> out_empty = {7};
+  ASSERT_TRUE(dec.ReadPodVector(&out_empty).ok());
+  EXPECT_TRUE(out_empty.empty());
+  ASSERT_TRUE(dec.ReadPodSpan(out_empty.data(), 0).ok());
+  EXPECT_TRUE(dec.AtEnd());
+}
+
+TEST(SerializerTest, PodVectorCountPastBufferFails) {
+  // 2^62 four-byte elements: the byte count wraps to 0 in 64 bits, so the
+  // bounds check must divide, not multiply.
+  Encoder enc;
+  enc.WriteVarint(uint64_t{1} << 62);
+  Decoder dec(enc.buffer());
+  std::vector<uint32_t> out;
+  EXPECT_TRUE(dec.ReadPodVector(&out).IsCorruption());
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(SerializerTest, TruncatedReadsFail) {
