@@ -156,8 +156,19 @@ bool RunSelfTest(grape::ServeServer& server, uint32_t num_clients,
                  v1.status().ToString().c_str());
     return false;
   }
-  auto warm = ref->Sssp(0);
-  if (!warm.ok() || (*warm)[far_corner] != 0.0625) {
+  // A CC read in between ends the SSSP session, so the shortcut check
+  // below runs on a cold SSSP session that must see the mutation through
+  // the resident fragments, not through a re-shipped graph. An insert
+  // cannot split a component, so the labels must not move either.
+  auto cc_after = ref->ComponentLabels();
+  if (!cc_after.ok() || *cc_after != *ref_cc) {
+    std::fprintf(stderr,
+                 "selftest FAILED: CC labels after an insert diverged: %s\n",
+                 cc_after.status().ToString().c_str());
+    return false;
+  }
+  auto cold = ref->Sssp(0);
+  if (!cold.ok() || (*cold)[far_corner] != 0.0625) {
     std::fprintf(stderr,
                  "selftest FAILED: inserted shortcut not visible to SSSP\n");
     return false;

@@ -114,11 +114,15 @@ struct EngineOptions {
   /// when non-zero, the session's first load ships each fragment together
   /// with this token and the worker deposits it in its process-local
   /// ResidentFragmentStore (kWkLoadStashResident) before loading from the
-  /// deposited copy. Other engines — grape_serve's other query classes —
-  /// can then attach to the very same resident fragments by constructing
-  /// from a DistributedGraphMeta carrying this token, without the graph
-  /// ever being serialized again. Ignored by Run() and by
-  /// distributed-load engines (whose fragments are already resident).
+  /// deposited copy. Other engines can then attach to the very same
+  /// resident fragments by constructing from a DistributedGraphMeta
+  /// carrying this token, without the graph being serialized again. The
+  /// stashing engine itself does not attach: EVERY cold load it makes
+  /// (after EndSession or a failed query) re-encodes and re-ships the
+  /// whole graph, overwriting the deposit. grape_serve therefore uses it
+  /// for one deposit wave per epoch and serves from attached engines
+  /// only. Ignored by Run() and by distributed-load engines (whose
+  /// fragments are already resident).
   uint64_t resident_stash_token = 0;
   /// Superstep checkpointing + automatic recovery (remote compute only;
   /// drivers resolve --ckpt-every / --ckpt-dir here).
@@ -344,9 +348,11 @@ class GrapeEngine {
   ///
   /// Soundness: for monotonic apps this supports change that moves
   /// parameters down the partial order (e.g. edge insertions for SSSP/CC).
-  /// Updates that could move values against the order (deletions under min)
-  /// require a dedicated IncEval; the MutationBatch overloads below enforce
-  /// that contract and fall back to a full run.
+  /// A non-monotonic aggregator has no such order to warm-start along, so
+  /// it takes a full run instead, flagged by metrics().incremental_fallback
+  /// (in both placements). Updates that could move values against the
+  /// order (deletions under min) require a dedicated IncEval; the
+  /// MutationBatch overloads below detect those and fall back too.
   ///
   /// Placement follows the engine: remote engines run the delta inside
   /// their endpoint processes against the state already resident there
@@ -357,6 +363,7 @@ class GrapeEngine {
   Result<Output> RunIncremental(const Query& query,
                                 const GrapeEngine& previous,
                                 const std::vector<VertexId>& touched) {
+    if (!Agg::kMonotonic) return FullRunFallback(query);
     if (!options_.remote_app.empty()) {
       if constexpr (RemoteCompatibleApp<App>) {
         (void)previous;  // the endpoints hold the warm state, not `previous`
@@ -393,9 +400,11 @@ class GrapeEngine {
   /// survives the topology change. Returns each fragment's rebuilt shape.
   /// This engine's routing slots are refreshed here; any OTHER engine
   /// attached to the same resident fragments must be handed the shapes via
-  /// RefreshShapes(). Coordinator-loaded engines: the caller owns keeping
-  /// its FragmentedGraph consistent (FragmentBuilder::MutateFragmentedGraph)
-  /// — the workers rebuild from their own resident state, never from fg_.
+  /// RefreshShapes(). The workers patch their own resident state, never
+  /// fg_. A non-serving caller that keeps a coordinator-loaded engine's
+  /// FragmentedGraph and will cold-load from it again owns keeping it
+  /// consistent (FragmentBuilder::MutateFragmentedGraph); grape_serve keeps
+  /// no rank-0 copy, so the endpoints' fragments are the only one.
   Result<std::vector<WkBuildAck>> ApplyMutations(const MutationBatch& batch) {
     if constexpr (RemoteCompatibleApp<App>) {
       if (options_.remote_app.empty()) {
@@ -441,9 +450,7 @@ class GrapeEngine {
             "engines pass (query, previous, batch)");
       }
       if (!Agg::kMonotonic || batch.has_deletions()) {
-        Result<Output> out = SessionRun(query);
-        metrics_.incremental_fallback = true;
-        return out;
+        return FullRunFallback(query);
       }
       return RunOnSession(query, Opening::kIncStart, batch.TouchedVertices());
     } else {
@@ -458,11 +465,7 @@ class GrapeEngine {
   Result<Output> RunIncremental(const Query& query,
                                 const GrapeEngine& previous,
                                 const MutationBatch& batch) {
-    if (!Agg::kMonotonic || batch.has_deletions()) {
-      Result<Output> out = Run(query);
-      metrics_.incremental_fallback = true;
-      return out;
-    }
+    if (batch.has_deletions()) return FullRunFallback(query);
     return RunIncremental(query, previous, batch.TouchedVertices());
   }
 
@@ -548,6 +551,16 @@ class GrapeEngine {
  private:
   /// Rank of worker i in the comm world (rank 0 is the coordinator).
   static uint32_t RankOf(FragmentId i) { return i + 1; }
+
+  /// The enforced contract's answer when a warm start would be unsound: a
+  /// full run of `query` in this engine's placement (over the live session
+  /// when remote), flagged by metrics().incremental_fallback.
+  Result<Output> FullRunFallback(const Query& query) {
+    Result<Output> out =
+        options_.remote_app.empty() ? Run(query) : SessionRun(query);
+    metrics_.incremental_fallback = true;
+    return out;
+  }
 
   Status CheckPhase() {
     for (Status& s : phase_status_) {

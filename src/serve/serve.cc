@@ -178,41 +178,43 @@ struct ServeServer::Impl {
     if (options_.load_coordinator) {
       auto fg = options_.load_coordinator();
       GRAPE_RETURN_NOT_OK(fg.status());
-      fg_ = std::move(fg).value();
       epoch_.fetch_add(1);
       token_ = kSvResidentTokenBase + epoch_.load();
-
       meta_ = DistributedGraphMeta{};
       meta_.token = token_;
-      meta_.num_fragments = fg_.num_fragments();
-      meta_.total_vertices = fg_.total_vertices;
-      meta_.directed = fg_.directed;
-      for (const Fragment& f : fg_.fragments) {
+      meta_.num_fragments = fg->num_fragments();
+      meta_.total_vertices = fg->total_vertices;
+      meta_.directed = fg->directed;
+      for (const Fragment& f : fg->fragments) {
         meta_.shapes.push_back(
             FragmentShape{f.num_inner(), f.num_local(), f.num_edges()});
       }
-
-      // The SSSP engine is the epoch's stasher: its first load ships each
-      // fragment with the epoch token and the worker deposits it in its
-      // ResidentFragmentStore. Every other class attaches by token only.
+      // The one time this epoch's graph crosses the world: a zero-lane
+      // wave on a scoped stashing engine ships each fragment with the
+      // epoch token and the worker deposits it in its
+      // ResidentFragmentStore. The loader's graph dies with this scope;
+      // from here on rank 0 holds only meta_, exactly as under
+      // distributed loading.
       EngineOptions eo = base;
       eo.remote_app = "ms_sssp";
       eo.resident_stash_token = token_;
-      sssp_ = std::make_unique<GrapeEngine<MsSsspApp>>(fg_, MsSsspApp{}, eo);
+      GrapeEngine<MsSsspApp> stasher(*fg, MsSsspApp{}, eo);
+      GRAPE_RETURN_NOT_OK(stasher.SessionRun(MsSsspQuery{}).status());
+      stasher.EndSession();
     } else {
       auto meta = options_.load_distributed(options_.transport);
       GRAPE_RETURN_NOT_OK(meta.status());
       meta_ = std::move(meta).value();
-      fg_ = FragmentedGraph{};
       epoch_.fetch_add(1);
       token_ = meta_.token;
-
-      EngineOptions eo = base;
-      eo.remote_app = "ms_sssp";
-      sssp_ = std::make_unique<GrapeEngine<MsSsspApp>>(meta_, eo);
     }
 
+    // Every engine attaches to the resident fragments by token; every
+    // later cold session of any class (after a class switch, a mutation,
+    // a failed wave) loads that way, never by re-shipping the graph.
     EngineOptions eo = base;
+    eo.remote_app = "ms_sssp";
+    sssp_ = std::make_unique<GrapeEngine<MsSsspApp>>(meta_, eo);
     eo.remote_app = "ms_bfs";
     bfs_ = std::make_unique<GrapeEngine<MsBfsApp>>(meta_, eo);
     eo.remote_app = "cc";
@@ -220,11 +222,8 @@ struct ServeServer::Impl {
     eo.remote_app = "pagerank";
     pr_ = std::make_unique<GrapeEngine<PageRankApp>>(meta_, eo);
 
-    // Prime: a zero-lane wave through the stashing engine makes the
-    // fragments resident before any attach-by-token class can load, and
-    // leaves the SSSP session warm for the first real query. (Under
-    // distributed loading the build already deposited the fragments, so
-    // this only warms the session.)
+    // Prime: a zero-lane attach leaves the SSSP session warm for the
+    // first real query.
     auto primed = sssp_->SessionRun(MsSsspQuery{});
     GRAPE_RETURN_NOT_OK(primed.status());
     active_ = kSssp;
@@ -530,10 +529,10 @@ struct ServeServer::Impl {
     }
   }
 
-  /// One mutation batch, end to end: rank 0's copy first (coordinator
-  /// mode), then the resident fragments inside the endpoints through the
-  /// active class's live session, then routing-slot refresh of every
-  /// engine and standing-answer maintenance. Returns the new version,
+  /// One mutation batch, end to end: the resident fragments inside the
+  /// endpoints (the only copy of the graph) through the active class's
+  /// live session, then routing-slot refresh of every engine and
+  /// standing-answer maintenance. Returns the new version,
   /// (epoch << 32) | intra-epoch sequence.
   Result<uint64_t> ApplyOneMutation(const MutationBatch& m) {
     if (!sssp_) {
@@ -541,13 +540,6 @@ struct ServeServer::Impl {
           "no loaded graph (did the last reload fail?)");
     }
     GRAPE_RETURN_NOT_OK(m.Validate(meta_.total_vertices));
-
-    // Coordinator mode keeps rank 0's FragmentedGraph in lockstep: a
-    // later cold load re-ships fg_ under the epoch token, and shipping
-    // the pre-mutation graph would silently roll the endpoints back.
-    if (options_.load_coordinator) {
-      GRAPE_RETURN_NOT_OK(FragmentBuilder::MutateFragmentedGraph(&fg_, m));
-    }
 
     // The mutation frames ride the one live session (the active
     // class's). When CC itself carries the batch its standing answer can
@@ -695,7 +687,6 @@ struct ServeServer::Impl {
   ServeOptions options_;
 
   // Graph epoch state (dispatcher-owned after Start).
-  FragmentedGraph fg_;
   DistributedGraphMeta meta_;
   uint64_t token_ = 0;
   std::atomic<uint64_t> epoch_{0};

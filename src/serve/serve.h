@@ -25,11 +25,14 @@ struct ServeOptions {
   /// Exactly one loader must be set; it runs once at Start() and again on
   /// every kTagSvReload, defining a new graph epoch each time.
   ///
-  /// Coordinator loading: rank 0 materializes the whole FragmentedGraph;
-  /// the first superstep wave of the epoch ships each fragment to its
-  /// worker together with a stash token (kWkLoadStashResident), after
-  /// which every query class attaches to the resident copies by token —
-  /// the graph crosses the world exactly once per epoch.
+  /// Coordinator loading: rank 0 materializes the whole FragmentedGraph
+  /// only inside the load. One zero-lane deposit wave ships each fragment
+  /// to its worker together with the epoch token (kWkLoadStashResident),
+  /// then rank 0 drops the graph and keeps only its DistributedGraphMeta.
+  /// Every session of every query class, including cold ones after a
+  /// class switch or a mutation, attaches to the resident copies by
+  /// token: the graph crosses the world exactly once per epoch, and
+  /// mutations patch the endpoints' copies, which are the only ones.
   std::function<Result<FragmentedGraph>()> load_coordinator;
   /// Distributed loading: the workers build their fragments themselves
   /// (rt/distributed_load.h) and rank 0 only ever holds the returned

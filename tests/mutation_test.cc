@@ -8,7 +8,8 @@
 //     fragment-count matrix and three stacked batches.
 //  3. The local differential oracle — the MutationBatch overload of
 //     RunIncremental matches a full run, and the enforced monotonicity
-//     contract routes deletion batches through the full-run fallback.
+//     contract routes deletion batches, and non-monotonic aggregators on
+//     the touched-vertex overload, through the full-run fallback.
 //  4. The remote differential gate — SessionRun + ApplyMutations +
 //     RunIncremental answers bit-identical to a from-scratch recompute
 //     after EVERY batch, for {sssp, cc} x {inproc, socket, tcp} x
@@ -29,6 +30,7 @@
 #include <vector>
 
 #include "apps/cc.h"
+#include "apps/pagerank.h"
 #include "apps/register_apps.h"
 #include "apps/sssp.h"
 #include "core/engine.h"
@@ -458,6 +460,34 @@ TEST(MutationTest, LocalDeletionBatchTakesEnforcedFallback) {
   EXPECT_TRUE(BitEq(inc->dist, full->dist));
 }
 
+// A non-monotonic aggregator has no order to warm-start along. The
+// touched-vertex overload must take the enforced full-run fallback too,
+// rather than run PageRank's IncEval over a rank vector PEval never sized.
+TEST(MutationTest, LocalNonMonotonicWarmStartTakesEnforcedFallback) {
+  auto g = GenerateGridRoad(10, 10, 913);
+  ASSERT_TRUE(g.ok());
+  FragmentedGraph fg_old = MakeFragments(*g, "hash", 3);
+  GrapeEngine<PageRankApp> before(fg_old, PageRankApp{});
+  ASSERT_TRUE(before.Run(PageRankQuery{}).ok());
+
+  MutationBatch m;
+  m.InsertEdge(5, 90, 1.0);
+  m.InsertEdge(90, 5, 1.0);
+  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
+  FragmentedGraph fg_new = MakeFragments(updated, "hash", 3);
+
+  GrapeEngine<PageRankApp> after(fg_new, PageRankApp{});
+  auto inc = after.RunIncremental(PageRankQuery{}, before, m.TouchedVertices());
+  ASSERT_TRUE(inc.ok()) << inc.status();
+  EXPECT_TRUE(after.metrics().incremental_fallback)
+      << "a non-monotonic aggregator warm-started anyway";
+
+  GrapeEngine<PageRankApp> ref(fg_new, PageRankApp{});
+  auto full = ref.Run(PageRankQuery{});
+  ASSERT_TRUE(full.ok());
+  EXPECT_TRUE(BitEq(inc->rank, full->rank));
+}
+
 // ------------------------------------------------- remote differential gate
 
 struct RemoteGateCase {
@@ -547,9 +577,9 @@ void RunRemoteGate(const RemoteGateCase& c, const Query& query, GetVec get) {
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     const MutationBatch& m = batches[bi];
     if (!c.distributed) {
-      // Coordinator placement keeps rank 0's fragments in lockstep, the
-      // way the serving layer does, so a later cold load cannot roll the
-      // endpoints back.
+      // This engine stashes, so a later cold load would re-ship fg: keep
+      // rank 0's fragments in lockstep so it cannot roll the endpoints
+      // back (a non-serving caller's duty, see ApplyMutations).
       ASSERT_OK(FragmentBuilder::MutateFragmentedGraph(&fg, m));
     }
     ASSERT_OK(engine->ApplyMutations(m).status());
@@ -613,8 +643,8 @@ struct IncrementalDiffCase {
 
 // SSSP reporting a constant non-zero global aggregate per fragment, so the
 // round-for-round comparison below also covers RoundMetrics::global.
-// (PageRank reports a real one but cannot warm-start locally: its IncEval
-// reads the rank vector only PEval initializes.)
+// (PageRank reports a real one but never warm-starts: it is non-monotonic,
+// so RunIncremental takes the full-run fallback.)
 struct GlobalReportingSssp : SsspApp {
   double GlobalValue() const { return 1.0; }
 };

@@ -1,8 +1,8 @@
 // Serving-layer tests (src/serve): the golden guarantee — batched answers
 // are bit-identical to one-at-a-time answers, on every transport — plus
 // concurrent clients, per-epoch cache invalidation across reloads, the
-// bounded client decoder's rejection path, and shared-secret rank
-// admission on the tcp rendezvous.
+// graph crossing the world once per epoch, the bounded client decoder's
+// rejection path, and shared-secret rank admission on the tcp rendezvous.
 
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -10,6 +10,9 @@
 
 #include <atomic>
 #include <cstring>
+#include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "gtest/gtest.h"
 #include "rt/tcp_transport.h"
 #include "rt/transport.h"
+#include "rt/worker_protocol.h"
 #include "serve/client.h"
 #include "serve/serve.h"
 #include "tests/test_util.h"
@@ -357,6 +361,143 @@ TEST(ServingTest, MutateStreamsIntoResidentGraph) {
     ASSERT_OK(client.Ping());
   }
   EXPECT_EQ(server.stats().mutations, 2u);
+  server.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Residency: under coordinator loading the graph crosses the world once per
+// epoch. Cold sessions after a class switch or a mutation attach to the
+// resident fragments by token instead of re-shipping them, and still see
+// every mutation the endpoints applied.
+
+/// Forwards everything to an inner transport and counts the kTagWkLoad
+/// frames that ship a fragment for deposit (kWkLoadStashResident).
+class StashCountingTransport final : public Transport {
+ public:
+  explicit StashCountingTransport(std::unique_ptr<Transport> inner)
+      : inner_(std::move(inner)) {}
+
+  uint64_t stash_loads() const { return stash_loads_.load(); }
+
+  uint32_t size() const override { return inner_->size(); }
+  std::string name() const override { return "counting+" + inner_->name(); }
+  Status Send(uint32_t from, uint32_t to, uint32_t tag,
+              std::vector<uint8_t> payload) override {
+    if (tag == kTagWkLoad) {
+      Decoder dec(payload);
+      std::string app;
+      uint8_t flags = 0;
+      if (dec.ReadString(&app).ok() && dec.ReadU8(&flags).ok() &&
+          (flags & kWkLoadStashResident) != 0) {
+        stash_loads_.fetch_add(1);
+      }
+    }
+    return inner_->Send(from, to, tag, std::move(payload));
+  }
+  std::optional<RtMessage> TryRecv(uint32_t rank) override {
+    return inner_->TryRecv(rank);
+  }
+  std::optional<RtMessage> TryRecv(uint32_t rank, uint32_t tag) override {
+    return inner_->TryRecv(rank, tag);
+  }
+  Result<RtMessage> Recv(uint32_t rank) override { return inner_->Recv(rank); }
+  std::vector<RtMessage> DrainAll(uint32_t rank) override {
+    return inner_->DrainAll(rank);
+  }
+  size_t PendingCount(uint32_t rank) const override {
+    return inner_->PendingCount(rank);
+  }
+  Status Flush() override { return inner_->Flush(); }
+  void Close() override { inner_->Close(); }
+  bool healthy() const override { return inner_->healthy(); }
+  bool has_remote_endpoints() const override {
+    return inner_->has_remote_endpoints();
+  }
+  CommStats stats() const override { return inner_->stats(); }
+  void ResetStats() override { inner_->ResetStats(); }
+  BufferPool& buffer_pool() override { return inner_->buffer_pool(); }
+
+ private:
+  std::unique_ptr<Transport> inner_;
+  std::atomic<uint64_t> stash_loads_{0};
+};
+
+constexpr uint32_t kFrags = 3;
+
+TEST(ServingTest, GraphShipsOncePerEpoch) {
+  RegisterBuiltinWorkerApps();
+  Graph graph = ServingGraph();
+  auto inner = MakeTransport("inproc", 4);
+  ASSERT_TRUE(inner.ok()) << inner.status();
+  StashCountingTransport world(std::move(inner).value());
+
+  ServeOptions opts;
+  opts.transport = &world;
+  opts.num_fragments = kFrags;
+  opts.batch_window_ms = 0;
+  opts.load_coordinator = [&graph]() -> Result<FragmentedGraph> {
+    auto partitioner = MakePartitioner("hash");
+    GRAPE_RETURN_NOT_OK(partitioner.status());
+    GRAPE_ASSIGN_OR_RETURN(auto assignment,
+                           (*partitioner)->Partition(graph, kFrags));
+    return FragmentBuilder::Build(graph, assignment, kFrags);
+  };
+
+  MutationBatch m;
+  m.InsertEdge(3, 140, 0.25);
+  m.InsertEdge(140, 3, 0.25);
+  ASSERT_OK_AND_ASSIGN(Graph mutated, ApplyMutations(graph, m));
+  auto oracle_sssp = [](const Graph& g) {
+    FragmentedGraph fg = MakeFragments(g, "hash", kFrags);
+    GrapeEngine<SsspApp> ref(fg, SsspApp{});
+    auto full = ref.Run(SsspQuery{0});
+    EXPECT_TRUE(full.ok()) << full.status();
+    return full.ok() ? full->dist : std::vector<double>{};
+  };
+  auto oracle_cc = [](const Graph& g) {
+    FragmentedGraph fg = MakeFragments(g, "hash", kFrags);
+    GrapeEngine<CcApp> ref(fg, CcApp{});
+    auto full = ref.Run(CcQuery{});
+    EXPECT_TRUE(full.ok()) << full.status();
+    return full.ok() ? full->label : std::vector<VertexId>{};
+  };
+  const std::vector<double> sssp_g = oracle_sssp(graph);
+  const std::vector<double> sssp_gm = oracle_sssp(mutated);
+  const std::vector<VertexId> cc_g = oracle_cc(graph);
+  const std::vector<VertexId> cc_gm = oracle_cc(mutated);
+  ASSERT_FALSE(BitEq(sssp_g, sssp_gm)) << "the shortcut must move SSSP(0)";
+
+  ServeServer server(opts);
+  ASSERT_OK(server.Start());
+  EXPECT_EQ(world.stash_loads(), kFrags) << "Start deposits each fragment";
+  ASSERT_OK_AND_ASSIGN(ServeClient client, ServeClient::Connect(server.port()));
+
+  ASSERT_OK_AND_ASSIGN(auto d1, client.Sssp(0));
+  EXPECT_TRUE(BitEq(d1, sssp_g));
+  ASSERT_OK_AND_ASSIGN(auto c1, client.ComponentLabels());
+  EXPECT_TRUE(BitEq(c1, cc_g));
+  // Cold SSSP session after a class switch: attach, not re-ship.
+  ASSERT_OK_AND_ASSIGN(auto d2, client.Sssp(0));
+  EXPECT_TRUE(BitEq(d2, sssp_g));
+  ASSERT_OK(client.Mutate(m).status());
+  ASSERT_OK_AND_ASSIGN(auto c2, client.ComponentLabels());
+  EXPECT_TRUE(BitEq(c2, cc_gm));
+  // Cold SSSP session after a mutation and a class switch: the mutation
+  // must reach it through the resident fragments, not through a re-ship.
+  ASSERT_OK_AND_ASSIGN(auto d3, client.Sssp(0));
+  EXPECT_TRUE(BitEq(d3, sssp_gm));
+  EXPECT_EQ(world.stash_loads(), kFrags)
+      << "a cold session re-shipped the graph within the epoch";
+
+  // A reload is a new epoch: exactly one more deposit wave, of the
+  // loader's (unmutated) graph.
+  ASSERT_OK_AND_ASSIGN(uint64_t epoch, client.Reload());
+  EXPECT_EQ(epoch, 2u);
+  EXPECT_EQ(world.stash_loads(), 2 * kFrags);
+  ASSERT_OK_AND_ASSIGN(auto d4, client.Sssp(0));
+  EXPECT_TRUE(BitEq(d4, sssp_g));
+  EXPECT_EQ(world.stash_loads(), 2 * kFrags);
+  EXPECT_EQ(server.stats().errors, 0u);
   server.Shutdown();
 }
 
