@@ -417,9 +417,10 @@ BENCHMARK(BM_ApplyDenseShape);
 
 // Transport substrate pair: one superstep-shaped exchange — a batch of
 // Sends, the Flush delivery barrier, then a drain — on each backend. The
-// inproc row is the mailbox-move floor; the socket row adds two process
-// hops (sender -> endpoint child -> receiver thread) per message, so the
-// pair prices the multi-process substrate per superstep.
+// inproc row is the mailbox-move floor; the tcp row adds the process
+// hops (sender -> its endpoint -> loopback mesh -> receiver's endpoint ->
+// receiver thread) per message, so the pair prices the multi-process
+// substrate per superstep.
 void BM_TransportSendRecv(benchmark::State& state,
                           const std::string& backend) {
   auto t = MakeTransport(backend, 2);
@@ -448,9 +449,6 @@ void BM_TransportSendRecv(benchmark::State& state,
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kBatch);
 }
 BENCHMARK_CAPTURE(BM_TransportSendRecv, inproc, "inproc")
-    ->Arg(256)
-    ->Arg(65536);
-BENCHMARK_CAPTURE(BM_TransportSendRecv, socket, "socket")
     ->Arg(256)
     ->Arg(65536);
 BENCHMARK_CAPTURE(BM_TransportSendRecv, tcp, "tcp")

@@ -14,7 +14,7 @@
 // orders of magnitude below per-vertex messaging.
 //
 // Flags: --rows --cols (grid size), --workers, --source,
-//        --transport inproc|socket|tcp (substrate for the GRAPE rows),
+//        --transport inproc|tcp (substrate for the GRAPE rows),
 //        --compute local|remote (where PEval/IncEval execute),
 //        --compute-threads N (frontier-parallel PEval/IncEval inside each
 //          fragment; answers and comm counters are bit-identical to N=1),
@@ -25,7 +25,7 @@
 //        --json <path> (machine-readable report, rows in table order).
 //
 // Besides the four-system table, the bench always appends a GRAPE row per
-// transport backend (inproc, socket, tcp) on the same partition, a
+// transport backend (inproc, tcp) on the same partition, a
 // local-vs-remote compute pair on the chosen transport (comm must be
 // identical; only time may move), and three load-phase rows measuring
 // time-to-fragments-resident per (load mode, placement):

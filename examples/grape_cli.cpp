@@ -293,7 +293,7 @@ int Run(int argc, char** argv) {
 
   if (flags.positional().empty()) {
     std::fprintf(stderr, "usage: grape_cli --graph=<kind> [--workers=N] "
-                         "[--transport=inproc|socket|tcp] "
+                         "[--transport=inproc|tcp] "
                          "[--load=coordinator|distributed] "
                          "[--ckpt-every=N --ckpt-dir=DIR] "
                          "[--compute-threads=N] "

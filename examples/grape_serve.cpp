@@ -3,7 +3,7 @@
 // client queries (serve/protocol.h over loopback TCP) until killed —
 // the "load once, query forever" complement to the one-shot examples.
 //
-//   ./build/grape_serve [--transport=inproc|socket|tcp]
+//   ./build/grape_serve [--transport=inproc|tcp]
 //                       [--load=coordinator|distributed]
 //                       [--workers=N] [--rows=R] [--cols=C]
 //                       [--port=P] [--batch-window-ms=W]

@@ -90,7 +90,6 @@ class WidestPathApp {
   }
 
   double GlobalValue() const { return 0.0; }
-  bool ShouldTerminate(uint32_t, double) const { return false; }
 
  private:
   static void Grow(const Fragment& frag, ParamStore<double>& params,

@@ -7,21 +7,20 @@
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/quickstart [--transport=inproc|socket|tcp]
+//   ./build/quickstart [--transport=inproc|tcp]
 //                      [--compute=local|remote]
 //                      [--load=coordinator|distributed]
 //                      [--ckpt-every=N] [--ckpt-dir=DIR]
 //
 // --transport picks the message-passing substrate: "inproc" (default)
-// keeps every rank in this process; "socket" forks one endpoint process
-// per rank and ships the same payloads over local sockets; "tcp" meshes
-// endpoint processes over TCP — same answer, same communication
-// counters, real process boundaries.
+// keeps every rank in this process; "tcp" forks one endpoint process per
+// rank and meshes them over loopback TCP (or joins a --hosts cluster) —
+// same answer, same communication counters, real process boundaries.
 //
 // --compute picks where PEval/IncEval execute: "local" (default) runs
 // them inline in this (rank-0) process; "remote" serializes each
 // fragment to its rank's worker host — the endpoint process on
-// socket/tcp, an in-process worker thread on inproc — which computes and
+// tcp, an in-process worker thread on inproc — which computes and
 // ships back messages and a final partial. Same answer, same counters,
 // real compute placement.
 //
@@ -122,7 +121,7 @@ int main(int argc, char** argv) {
       (ckpt_every <= 0 || transport == "inproc")) {
     std::fprintf(stderr,
                  "--chaos-kill-rank kills an endpoint process, so it needs "
-                 "--ckpt-every=N and a forking transport (socket or tcp)\n");
+                 "--ckpt-every=N and the forking tcp transport\n");
     return 2;
   }
   auto cluster = ClusterSpec::FromFlags(flags);

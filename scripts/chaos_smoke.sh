@@ -8,8 +8,8 @@
 #
 # Two phases:
 #
-# 1. Deterministic differential — quickstart's 4-process tcp world (and
-#    socket) with --chaos-kill-rank: the run SIGKILLs a worker endpoint
+# 1. Deterministic differential — quickstart's 4-process tcp world with
+#    --chaos-kill-rank: the run SIGKILLs a worker endpoint
 #    from a superstep boundary (the whole query takes milliseconds, so
 #    only an in-process kill lands mid-superstep reliably), recovers,
 #    and every printed distance must be identical to an unharmed run.
@@ -46,35 +46,33 @@ recoveries_in() {
 }
 
 echo "== phase 1: quickstart chaos differential =="
-for backend in socket tcp; do
-  "$BIN_DIR/quickstart" --transport=$backend --compute=remote \
-    --ckpt-every=1 > "$WORK_DIR/qs_golden.out" 2>&1 || {
-      echo "FAIL: fault-free quickstart ($backend) failed" >&2
-      cat "$WORK_DIR/qs_golden.out" >&2
-      exit 1
-    }
-  if ! "$BIN_DIR/quickstart" --transport=$backend --compute=remote \
-      --ckpt-every=1 --chaos-kill-rank=2 > "$WORK_DIR/qs_chaos.out" 2>&1
-  then
-    echo "FAIL: quickstart ($backend) did not survive the worker kill" >&2
-    cat "$WORK_DIR/qs_chaos.out" >&2
+"$BIN_DIR/quickstart" --transport=tcp --compute=remote \
+  --ckpt-every=1 > "$WORK_DIR/qs_golden.out" 2>&1 || {
+    echo "FAIL: fault-free quickstart (tcp) failed" >&2
+    cat "$WORK_DIR/qs_golden.out" >&2
     exit 1
-  fi
-  rec=$(recoveries_in "$WORK_DIR/qs_chaos.out")
-  if [[ "$rec" -lt 1 ]]; then
-    echo "FAIL: quickstart ($backend) reported no recovery" >&2
-    cat "$WORK_DIR/qs_chaos.out" >&2
-    exit 1
-  fi
-  if ! diff <(grep ' -> ' "$WORK_DIR/qs_golden.out") \
-            <(grep ' -> ' "$WORK_DIR/qs_chaos.out"); then
-    echo "FAIL: quickstart ($backend) distances diverged after recovery" >&2
-    exit 1
-  fi
-  total_recoveries=$((total_recoveries + rec))
-  echo "quickstart $backend OK: rank-2 endpoint killed, recovered" \
-       "(${rec}x), distances identical"
-done
+  }
+if ! "$BIN_DIR/quickstart" --transport=tcp --compute=remote \
+    --ckpt-every=1 --chaos-kill-rank=2 > "$WORK_DIR/qs_chaos.out" 2>&1
+then
+  echo "FAIL: quickstart (tcp) did not survive the worker kill" >&2
+  cat "$WORK_DIR/qs_chaos.out" >&2
+  exit 1
+fi
+rec=$(recoveries_in "$WORK_DIR/qs_chaos.out")
+if [[ "$rec" -lt 1 ]]; then
+  echo "FAIL: quickstart (tcp) reported no recovery" >&2
+  cat "$WORK_DIR/qs_chaos.out" >&2
+  exit 1
+fi
+if ! diff <(grep ' -> ' "$WORK_DIR/qs_golden.out") \
+          <(grep ' -> ' "$WORK_DIR/qs_chaos.out"); then
+  echo "FAIL: quickstart (tcp) distances diverged after recovery" >&2
+  exit 1
+fi
+total_recoveries=$((total_recoveries + rec))
+echo "quickstart tcp OK: rank-2 endpoint killed, recovered" \
+     "(${rec}x), distances identical"
 
 echo "== phase 2: external SIGKILL on a live tcp run =="
 ARGS=(--graph=grid --rows=200 --cols=200 --workers=3 --transport=tcp

@@ -66,11 +66,6 @@ class CfApp {
                              std::vector<PartialType>&& partials);
 
   double GlobalValue() const { return last_epoch_sse_; }
-  bool ShouldTerminate(uint32_t round, double global) const {
-    (void)round;
-    (void)global;
-    return false;
-  }
 
  private:
   void RunEpoch(const QueryType& query, const Fragment& frag,

@@ -45,11 +45,6 @@ class DualSimApp {
                              std::vector<PartialType>&& partials);
 
   double GlobalValue() const { return 0.0; }
-  bool ShouldTerminate(uint32_t round, double global) const {
-    (void)round;
-    (void)global;
-    return false;
-  }
 };
 
 /// Sequential reference: dual simulation over the whole graph.

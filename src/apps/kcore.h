@@ -51,11 +51,6 @@ class KCoreApp {
                              std::vector<PartialType>&& partials);
 
   double GlobalValue() const { return 0.0; }
-  bool ShouldTerminate(uint32_t round, double global) const {
-    (void)round;
-    (void)global;
-    return false;
-  }
 };
 
 /// Sequential reference: exact coreness by the classic peeling algorithm

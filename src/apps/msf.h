@@ -78,11 +78,6 @@ class MwoePhaseApp {
                              std::vector<PartialType>&& partials);
 
   double GlobalValue() const { return 0.0; }
-  bool ShouldTerminate(uint32_t round, double global) const {
-    (void)round;
-    (void)global;
-    return false;
-  }
 };
 
 struct MsfOutput {

@@ -7,7 +7,7 @@ namespace grape {
 
 void PageRankApp::PEval(const QueryType& query, const Fragment& frag,
                         ParamStore<double>& params) {
-  query_ = query;
+  (void)query;  // damping first applies in IncEval
   const double n = static_cast<double>(frag.total_num_vertices());
   rank_.assign(frag.num_inner(), 1.0 / n);
   delta_ = 1.0;  // force at least one iteration
@@ -49,7 +49,7 @@ void PageRankApp::IncEval(const QueryType& query, const Fragment& frag,
 void PageRankApp::ParallelPEval(const QueryType& query, const Fragment& frag,
                                 ParamStore<double>& params,
                                 const ParallelContext& par) {
-  query_ = query;
+  (void)query;
   const double n = static_cast<double>(frag.total_num_vertices());
   rank_.assign(frag.num_inner(), 1.0 / n);
   delta_ = 1.0;  // force at least one iteration

@@ -18,7 +18,7 @@ struct PageRankQuery {
   double epsilon = 1e-9;
 
   // Wire codec: lets the query ship to remote worker hosts (whose
-  // ShouldTerminate hook reads max_iterations/epsilon).
+  // IncEval reads damping).
   void EncodeTo(Encoder& enc) const {
     enc.WriteDouble(damping);
     enc.WriteU32(max_iterations);
@@ -83,27 +83,25 @@ class PageRankApp {
                              std::vector<PartialType>&& partials);
 
   double GlobalValue() const { return delta_; }
-  bool ShouldTerminate(uint32_t round, double global) const {
+  static bool ShouldTerminate(const QueryType& query, uint32_t round,
+                              double global) {
     if (round < 2) return false;  // at least one rank update
-    return global < query_.epsilon || round >= query_.max_iterations + 1;
+    return global < query.epsilon || round >= query.max_iterations + 1;
   }
 
   // Checkpoint hooks (CheckpointableApp): PageRank keeps the rank vector
   // and residual outside the ParamStore, so fault-tolerant recovery must
   // capture them or a resumed run would restart the power iteration.
   void EncodeState(Encoder& enc) const {
-    query_.EncodeTo(enc);
     enc.WritePodVector(rank_);
     enc.WriteDouble(delta_);
   }
   Status DecodeState(Decoder& dec) {
-    GRAPE_RETURN_NOT_OK(PageRankQuery::DecodeFrom(dec, &query_));
     GRAPE_RETURN_NOT_OK(dec.ReadPodVector(&rank_));
     return dec.ReadDouble(&delta_);
   }
 
  private:
-  QueryType query_;
   std::vector<double> rank_;  // by inner lid
   double delta_ = 0.0;
   // Frontier-parallel scratch (not state: rebuilt every round, never

@@ -51,11 +51,6 @@ class TriangleApp {
                              std::vector<PartialType>&& partials);
 
   double GlobalValue() const { return 0.0; }
-  bool ShouldTerminate(uint32_t round, double global) const {
-    (void)round;
-    (void)global;
-    return false;
-  }
 
  private:
   uint64_t local_count_ = 0;

@@ -120,10 +120,10 @@ Status DecodeValue(Decoder& dec, T* out) {
 
 // ---------------------------------------------------------------------------
 // Frame header: the envelope that carries one message payload across a
-// process boundary (the socket transport's length-prefixed frames). Exactly
+// process boundary (the tcp transport's length-prefixed frames). Exactly
 // 16 bytes on the wire — four little-endian u32 fields: from, to, tag,
 // payload length — matching the 16-byte envelope CommStats has always
-// charged per message, so socket wire bytes equal the counted bytes.
+// charged per message, so tcp wire bytes equal the counted bytes.
 // ---------------------------------------------------------------------------
 
 struct FrameHeader {

@@ -84,8 +84,7 @@ struct EngineOptions {
   bool verbose = false;
   /// Message-passing substrate. When null the engine owns a private
   /// in-process CommWorld (the historical behaviour); otherwise it runs
-  /// over the supplied backend — a SocketTransport from
-  /// MakeTransport("socket", n+1), a TcpTransport from
+  /// over the supplied backend — a TcpTransport from
   /// MakeTransport("tcp", n+1) (auto-spawned loopback endpoints), or a
   /// multi-machine tcp world from rt/cluster.h's MakeClusterTransport —
   /// which must be sized num_fragments()+1 and outlive the engine. Not
@@ -96,8 +95,8 @@ struct EngineOptions {
   Transport* transport = nullptr;
   /// Remote compute: when non-empty, PEval/IncEval/GetPartial do NOT run
   /// inline in this (rank-0) process. Each fragment is serialized and
-  /// shipped to its rank's worker host — the endpoint process on
-  /// socket/tcp backends, an in-process worker thread on inproc — which
+  /// shipped to its rank's worker host — the endpoint process on the
+  /// tcp backend, an in-process worker thread on inproc — which
   /// executes the phases against its own store and ships back messages,
   /// per-phase counters, and a final remote partial (rt/worker_protocol.h).
   /// The value names the PIE program in WorkerAppRegistry ("sssp", ...);
@@ -170,7 +169,7 @@ struct EngineMetrics {
   /// Remote-compute observability (empty after a local-compute run): the
   /// OS process id each worker's phases executed in, and how many
   /// PEval/IncEval invocations each worker acknowledged. The pids are the
-  /// proof of placement — on socket/tcp backends they are endpoint
+  /// proof of placement — on the tcp backend they are endpoint
   /// processes, not the engine's pid (asserted by tests/cluster_test.cc).
   std::vector<uint64_t> remote_worker_pids;
   std::vector<uint32_t> remote_peval_runs;
@@ -223,7 +222,7 @@ struct EngineMetrics {
 ///    (PEval, or warm start + IncEval) and share RunLocal's loop.
 ///  * remote compute (EngineOptions::remote_app): each worker is the same
 ///    WorkerCore, but executing inside its rank's worker host — the
-///    endpoint OS process on socket/tcp, an in-process thread on inproc —
+///    endpoint OS process on tcp, an in-process thread on inproc —
 ///    driven through the control frames of rt/worker_protocol.h. The
 ///    engine keeps only the coordinator role: route, aggregate, decide
 ///    termination, assemble. Run, SessionRun and the incremental delta
@@ -680,7 +679,7 @@ class GrapeEngine {
       double global = 0;
       for (FragmentId i = 0; i < n; ++i) global += cores_[i].GlobalValue();
       metrics_.rounds.back().global = global;
-      if (cores_[0].ShouldTerminate(metrics_.supersteps, global)) break;
+      if (AppShouldTerminate<App>(query, metrics_.supersteps, global)) break;
 
       uint64_t routed = 0;
       {
@@ -759,7 +758,7 @@ class GrapeEngine {
   /// number of directly-sent updates (coordinator-bound updates are counted
   /// when routed). A failed Send surfaces as a Status like every other
   /// engine phase rather than aborting the process. The trailing Flush is
-  /// the BSP delivery barrier: on asynchronous backends (socket) it blocks
+  /// the BSP delivery barrier: on asynchronous backends (tcp) it blocks
   /// until every frame is visible at its destination, so the next phase
   /// observes exactly what an in-process mailbox would.
   Result<uint64_t> DispatchSends() {
@@ -1028,7 +1027,7 @@ class GrapeEngine {
 
   /// The one remote superstep driver. `opening` brings the workers to a
   /// completed superstep 1 — or, for kRestore, back to the last checkpoint
-  /// barrier. Every later superstep is the same: termination vote, route,
+  /// barrier. Every later superstep is the same: termination check, route,
   /// IncEval command, RecordRound, checkpoint, on_superstep. GetPartial +
   /// Assemble close the query. Cold loads ship `stash_token` with each
   /// fragment when non-zero (kWkLoadStashResident). Worker retirement is
@@ -1091,12 +1090,7 @@ class GrapeEngine {
     while (metrics_.supersteps < options_.max_supersteps) {
       const double global = round.GlobalSum();
       metrics_.rounds.back().global = global;
-      // The termination hook lives in worker rank 1; one control
-      // round-trip evaluates it against the summed global.
-      bool terminate = false;
-      GRAPE_ASSIGN_OR_RETURN(
-          terminate, RemoteCheckTerminate(metrics_.supersteps, global));
-      if (terminate) break;
+      if (AppShouldTerminate<App>(query, metrics_.supersteps, global)) break;
 
       uint64_t routed = 0;
       std::vector<uint32_t> apply_counts;
@@ -1177,7 +1171,7 @@ class GrapeEngine {
     }
     // Cover the in-thread host path even when nobody pre-registered this
     // app; endpoint processes snapshot the registry at fork, so for
-    // socket/tcp the registration must already have happened there.
+    // tcp the registration must already have happened there.
     if (!WorkerAppRegistry::Global().Has(options_.remote_app)) {
       RegisterRemoteWorker<App>(options_.remote_app);
     }
@@ -1469,39 +1463,13 @@ class GrapeEngine {
         });
   }
 
-  Result<bool> RemoteCheckTerminate(uint32_t round, double global) {
-    Encoder enc(world_->buffer_pool().Acquire());
-    enc.WriteU32(round);
-    enc.WriteDouble(global);
-    GRAPE_RETURN_NOT_OK(world_->Send(kCoordinatorRank, RankOf(0),
-                                     kTagWkCheckTerm, enc.TakeBuffer()));
-    bool vote = false;
-    GRAPE_RETURN_NOT_OK(AwaitWorkers(
-        "termination vote", 1,
-        [&](FragmentId, bool, RtMessage& msg) -> Result<bool> {
-          if (msg.tag == kTagWkData) {
-            remote_inbox_.push_back(std::move(msg));
-            return false;
-          }
-          if (msg.tag != kTagWkVote) return false;
-          Decoder dec(msg.payload);
-          uint32_t vote_round = 0;
-          GRAPE_RETURN_NOT_OK(dec.ReadU32(&vote_round));
-          GRAPE_RETURN_NOT_OK(dec.ReadBool(&vote));
-          // A duplicated CheckTerm (flaky substrate) leaves a stale vote
-          // for an earlier round behind; only this round's verdict counts.
-          return vote_round == round;
-        }));
-    return vote;
-  }
-
   /// The await skeleton behind every remote wait: pulls rank-0 frames
   /// until `replies` workers have answered. `on_frame(frag, replied, msg)`
   /// sees each frame from a worker rank — `replied` tells whether that
   /// worker already answered this wait — claims what it wants by moving
   /// it out, and returns true when the frame is the worker's answer.
   /// The skeleton owns everything else. A kTagWkError fails the wait.
-  /// Unclaimed frames — stale acks, votes, partials or pongs left behind
+  /// Unclaimed frames — stale acks, partials or pongs left behind
   /// by duplicated control frames — go back to the pool. Any frame is
   /// proof of life for the lease monitor. Never blocks in Recv: while
   /// idle it fails fast on a dead transport, fails with Unavailable past

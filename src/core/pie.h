@@ -62,11 +62,15 @@ struct ParamUpdate {
 //   static OutputType Assemble(const QueryType&,
 //                              std::vector<PartialType>&& partials);
 //
-//   // Optional extras for non-monotonic computations: a per-worker scalar
-//   // contribution summed by the coordinator each round, and a termination
-//   // override evaluated on the sum (e.g. PageRank's L1 delta).
+//   // A per-worker scalar contribution summed by the coordinator each
+//   // round (0 for apps that need none).
 //   double GlobalValue() const;
-//   bool ShouldTerminate(uint32_t round, double global) const;
+//
+//   // Optional, for non-monotonic computations: a termination override
+//   // evaluated by the coordinator P0 on the query and the summed global
+//   // (e.g. PageRank's L1 delta). An app without it never stops early.
+//   static bool ShouldTerminate(const QueryType&, uint32_t round,
+//                               double global);
 //
 // The engine (core/engine.h) evaluates the simultaneous fixed point
 //   R_i^0     = PEval(Q, F_i),
@@ -95,9 +99,22 @@ concept PIEProgram = requires(App app, const App capp,
   { capp.GetPartial(q, frag, params) } ->
       std::convertible_to<typename App::PartialType>;
   { capp.GlobalValue() } -> std::convertible_to<double>;
-  { capp.ShouldTerminate(uint32_t{}, double{}) } ->
-      std::convertible_to<bool>;
 };
+
+/// The coordinator's early-termination check (Sec. 2.2(3)): the app's
+/// static ShouldTerminate hook when it has one, otherwise never.
+template <typename App>
+bool AppShouldTerminate(const typename App::QueryType& query, uint32_t round,
+                        double global) {
+  if constexpr (requires {
+                  { App::ShouldTerminate(query, round, global) } ->
+                      std::convertible_to<bool>;
+                }) {
+    return App::ShouldTerminate(query, round, global);
+  } else {
+    return false;
+  }
+}
 
 }  // namespace grape
 

@@ -246,9 +246,6 @@ class WorkerCore {
   }
 
   double GlobalValue() const { return app_.GlobalValue(); }
-  bool ShouldTerminate(uint32_t round, double global) const {
-    return app_.ShouldTerminate(round, global);
-  }
 
   /// Serializes the cross-superstep state a recovered worker resumes
   /// with: the full parameter store, monotonicity tracking, and any

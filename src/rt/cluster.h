@@ -86,7 +86,7 @@ bool RanAsClusterEndpoint(const ClusterSpec& spec,
                           const std::string& transport, int* exit_code);
 
 /// Builds the transport the rank-0 (engine) process should use: plain
-/// MakeTransport for inproc/socket, and for tcp either auto-spawned
+/// MakeTransport for inproc, and for tcp either auto-spawned
 /// loopback endpoints (spec.single_host()) or the rendezvous for
 /// `spec.hosts`, which must list exactly `size` ranks.
 Result<std::unique_ptr<Transport>> MakeClusterTransport(

@@ -2,7 +2,7 @@
 #define GRAPE_RT_FD_REGISTRY_H_
 
 // Process-wide registry of parent-side transport fds, shared by every
-// multi-process backend (socket, tcp). A forked endpoint child must close
+// tcp transport in the process. A forked endpoint child must close
 // ALL registered fds — not just its own transport's — or a child of
 // transport B keeps an inherited dup of transport A's channel write ends
 // alive, A's children never see EOF, and A's destructor blocks forever on

@@ -26,7 +26,7 @@ struct FlakyOptions {
   uint64_t fail_send_after = 0;
   /// When non-zero, Flush starts failing with Unavailable after this many
   /// successful barriers — models an endpoint dying between supersteps
-  /// (what a killed tcp/socket endpoint process looks like from the
+  /// (what a killed tcp endpoint process looks like from the
   /// engine), so the barrier propagation path gets its own coverage.
   uint64_t fail_flush_after = 0;
   /// Deterministic crash knob (ISSUE 7): after this many accepted sends

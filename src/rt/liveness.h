@@ -14,7 +14,7 @@ namespace grape {
 ///
 /// Two signals feed it:
 ///  - `Heard(rank)` from the engine's await loops whenever any frame arrives
-///    from a worker (data, ack, vote, pong — all count as proof of life);
+///    from a worker (data, ack, partial, pong — all count as proof of life);
 ///  - an optional pid probe (waitpid(WNOHANG) over the transport's endpoint
 ///    pids) so a SIGKILLed local endpoint is detected within one poll
 ///    interval instead of only when the next Send hits a dead socket.

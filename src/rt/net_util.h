@@ -1,12 +1,12 @@
 #ifndef GRAPE_RT_NET_UTIL_H_
 #define GRAPE_RT_NET_UTIL_H_
 
-// Raw-fd I/O helpers shared by the multi-process transport backends
-// (rt/socket_transport.cc, rt/tcp_transport.cc). Everything here is
-// async-signal-safe — plain syscalls over caller-provided memory, no
-// malloc, no stdio, no locks — because the socket/tcp endpoint children
-// are forked from a multi-threaded parent and may only run code of this
-// kind. EINTR is always retried; a dead peer surfaces as a return code
+// Raw-fd I/O helpers shared by the multi-process transport backend
+// (rt/tcp_transport.cc) and the serve listener and client (serve/).
+// Everything here is async-signal-safe — plain syscalls over
+// caller-provided memory, no malloc, no stdio, no locks — because the tcp
+// endpoint children are forked from a multi-threaded parent and may only
+// run code of this kind. EINTR is always retried; a dead peer surfaces as a return code
 // (via MSG_NOSIGNAL), never as SIGPIPE.
 
 #include <poll.h>

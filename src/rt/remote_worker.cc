@@ -888,26 +888,6 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
       inc_pending_ = true;
       return MaybeRunIncEval();
     }
-    case kTagWkCheckTerm: {
-      Decoder dec(payload);
-      uint32_t round = 0;
-      double global = 0;
-      Status s = dec.ReadU32(&round);
-      if (s.ok()) s = dec.ReadDouble(&global);
-      pool_->Release(std::move(payload));
-      if (!s.ok()) return EmitError(s);
-      if (server_ == nullptr) {
-        return EmitError(Status::FailedPrecondition(
-            "CheckTerm before a successful load"));
-      }
-      Encoder enc(pool_->Acquire());
-      // Echo the round: a duplicated CheckTerm leaves a second vote in
-      // the engine's mailbox, and an untagged stale vote would answer
-      // the NEXT round's check with the previous round's verdict.
-      enc.WriteU32(round);
-      enc.WriteBool(server_->ShouldTerminate(round, global));
-      return emit_(kCoordinatorRank, kTagWkVote, enc.TakeBuffer());
-    }
     case kTagWkGetPartial: {
       pool_->Release(std::move(payload));
       if (server_ == nullptr) {

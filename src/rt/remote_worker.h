@@ -96,7 +96,6 @@ class WorkerAppServerBase {
   virtual Status IncEval(bool incremental, BufferPool& pool,
                          WorkerPhaseOutput* out) = 0;
   virtual Status EncodePartial(Encoder& enc) const = 0;
-  virtual bool ShouldTerminate(uint32_t round, double global) const = 0;
   virtual uint32_t num_fragments() const = 0;
 
   /// Serializes everything a respawned worker needs to resume this one's
@@ -241,10 +240,6 @@ class WorkerServer final : public WorkerAppServerBase {
   Status EncodePartial(Encoder& enc) const override {
     EncodeValue(enc, core_->GetPartial(query_));
     return Status::OK();
-  }
-
-  bool ShouldTerminate(uint32_t round, double global) const override {
-    return core_->ShouldTerminate(round, global);
   }
 
   uint32_t num_fragments() const override {
@@ -487,8 +482,8 @@ void RegisterRemoteWorker(const std::string& name) {
 /// through `emit`. Deliberately non-blocking — a frame either completes a
 /// step or is buffered against the explicit per-sender delivery
 /// expectations of the next kTagWkRunIncEval — so the same host runs
-/// single-threaded inside a socket child's relay loop, a tcp endpoint's
-/// poll loop, or an in-process worker thread.
+/// single-threaded inside a tcp endpoint's poll loop or an in-process
+/// worker thread.
 ///
 /// Protocol violations (unknown app, corrupt frame, command out of order
 /// — e.g. a duplicated control frame injected by a flaky substrate) are

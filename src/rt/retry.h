@@ -12,8 +12,8 @@ namespace grape {
 /// re-admission, and post-failure world respawn. Centralizing the schedule
 /// means one knob set instead of scattered magic sleeps (ISSUE 7 satellite).
 ///
-/// Deliberately allocation-free and async-signal-safe: the tcp/socket
-/// backends call into this from freshly forked endpoint processes where only
+/// Deliberately allocation-free and async-signal-safe: the tcp backend
+/// calls into this from freshly forked endpoint processes where only
 /// AS-safe operations are allowed (integer math + nanosleep, no malloc, no
 /// <random>). Jitter therefore comes from a tiny inline LCG seeded by the
 /// caller, not from util/random.h.

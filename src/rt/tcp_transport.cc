@@ -843,8 +843,7 @@ Status TcpTransport::Init(const TcpOptions& options) {
   // the process. The one consequence: a transport forked between our
   // accept phase and registration inherits dups of our link fds
   // unregistered — harmless for TCP, whose EOFs travel via shutdown()
-  // and the child's own close, neither of which a stray dup can block
-  // (unlike the socket backend's close()-signalled AF_UNIX pipes).
+  // and the child's own close, neither of which a stray dup can block.
   {
     std::lock_guard<std::mutex> registry_lock(rt_internal::FdRegistryMutex());
     const uint32_t forks = cluster ? 1 : n;
@@ -1003,10 +1002,10 @@ Status TcpTransport::Send(uint32_t from, uint32_t to, uint32_t tag,
   {
     std::lock_guard<std::mutex> lock(link.mu);
     if (link.fd < 0 || link.shut) return Status::Cancelled("transport closed");
-    // Count the frame as sent BEFORE it hits the wire (same invariant as
-    // the socket backend): Flush must never observe delivered >= sent
-    // while a Send that already returned is still in flight. A failed
-    // write leaves sent permanently ahead, which broken_ short-circuits.
+    // Count the frame as sent BEFORE it hits the wire: Flush must never
+    // observe delivered >= sent while a Send that already returned is
+    // still in flight. A failed write leaves sent permanently ahead,
+    // which broken_ short-circuits.
     // Worker-protocol frames are excluded: they terminate inside an
     // endpoint's worker host and can never balance the barrier.
     if (!IsWorkerTag(tag)) {

@@ -44,12 +44,12 @@ struct TcpOptions {
   std::string cluster_token;
 };
 
-/// Multi-process Transport backend over TCP: the distributed twin of
-/// SocketTransport. Every rank's endpoint is its own OS process holding a
-/// full-mesh of TCP connections, and every message crosses the mesh as
-/// the same 16-byte FrameHeader frame (core/codec.h), so CommStats
-/// counted bytes remain wire bytes and a fixed workload reports
-/// bit-identical counters on inproc, socket, and tcp.
+/// Multi-process Transport backend over TCP. Every rank's endpoint is its
+/// own OS process holding a full-mesh of TCP connections, whether forked
+/// on this machine (loopback) or launched across a cluster roster, and
+/// every message crosses the mesh as a 16-byte FrameHeader frame
+/// (core/codec.h), so CommStats counted bytes remain wire bytes and a
+/// fixed workload reports bit-identical counters on inproc and tcp.
 ///
 /// Topology, for a world of n ranks:
 ///
@@ -157,7 +157,7 @@ class TcpTransport final : public MailboxTransport {
   bool cluster_ = false;  // non-empty roster: endpoints launched remotely
 
   // Flush barrier: frames accepted by Send vs. frames parsed into
-  // mailboxes by receiver threads (socket_transport's scheme).
+  // mailboxes by receiver threads.
   std::mutex flush_mu_;
   std::condition_variable flush_cv_;
   std::atomic<uint64_t> frames_sent_{0};

@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "rt/comm_world.h"
-#include "rt/socket_transport.h"
 #include "rt/tcp_transport.h"
 #include "rt/worker_protocol.h"
 #include "util/string_util.h"
@@ -130,22 +129,17 @@ Result<std::unique_ptr<Transport>> MakeTransport(const std::string& name,
   if (name == "inproc") {
     return std::unique_ptr<Transport>(std::make_unique<CommWorld>(size));
   }
-  if (name == "socket") {
-    auto t = SocketTransport::Create(size);
-    GRAPE_RETURN_NOT_OK(t.status());
-    return std::unique_ptr<Transport>(std::move(t).value());
-  }
   if (name == "tcp") {
     auto t = TcpTransport::Create(size);
     GRAPE_RETURN_NOT_OK(t.status());
     return std::unique_ptr<Transport>(std::move(t).value());
   }
   return Status::InvalidArgument("unknown transport '" + name +
-                                 "' (expected inproc|socket|tcp)");
+                                 "' (expected inproc|tcp)");
 }
 
 const std::vector<std::string>& TransportNames() {
-  static const std::vector<std::string> kNames = {"inproc", "socket", "tcp"};
+  static const std::vector<std::string> kNames = {"inproc", "tcp"};
   return kNames;
 }
 

@@ -60,7 +60,7 @@ class Transport {
 
   virtual uint32_t size() const = 0;
 
-  /// Backend identifier ("inproc", "socket", ...) for logs and reports.
+  /// Backend identifier ("inproc", "tcp") for logs and reports.
   virtual std::string name() const = 0;
 
   /// Queues `payload` for delivery to `to`. Thread-safe.
@@ -97,7 +97,7 @@ class Transport {
   virtual bool healthy() const { return true; }
 
   /// True when ranks are backed by endpoint OS processes that host
-  /// remote-compute workers themselves (socket/tcp). False for in-process
+  /// remote-compute workers themselves (tcp). False for in-process
   /// backends, where the engine spawns in-thread workers instead.
   virtual bool has_remote_endpoints() const { return false; }
 
@@ -159,7 +159,7 @@ class MailboxTransport : public Transport {
 
   /// Enqueues a message into its destination mailbox and wakes blocked
   /// receivers. Thread-safe; called by Send (inproc) or by receiver
-  /// threads (socket).
+  /// threads (tcp).
   void Deliver(RtMessage msg);
 
   /// Stats attribution at Send time, identical across backends.
@@ -206,11 +206,10 @@ class MailboxTransport : public Transport {
 };
 
 /// Builds a transport backend by name: "inproc" (CommWorld, the default
-/// single-process world), "socket" (forked relay processes exchanging
-/// length-prefixed frames over local sockets), or "tcp" (auto-spawned
-/// endpoint processes meshed over loopback TCP; for a multi-machine
-/// roster use rt/cluster.h's MakeClusterTransport). This is what
-/// `--transport=inproc|socket|tcp` on the benches and examples resolves
+/// single-process world) or "tcp" (auto-spawned endpoint processes
+/// meshed over loopback TCP; for a multi-machine roster use
+/// rt/cluster.h's MakeClusterTransport). This is what
+/// `--transport=inproc|tcp` on the benches and examples resolves
 /// through.
 Result<std::unique_ptr<Transport>> MakeTransport(const std::string& name,
                                                  uint32_t size);

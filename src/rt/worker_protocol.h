@@ -16,7 +16,7 @@ namespace grape {
 // ---------------------------------------------------------------------------
 // The remote-worker protocol: the control plane that moves PEval/IncEval
 // execution out of the rank-0 engine process and into the rank's endpoint
-// process (socket/tcp backends; the inproc backend hosts the same protocol
+// process (tcp backend; the inproc backend hosts the same protocol
 // on in-process worker threads). All frames are ordinary transport
 // messages — the 16-byte FrameHeader envelope of core/codec.h — so the
 // protocol rides every conformant backend unchanged.
@@ -33,8 +33,6 @@ namespace grape {
 //                        ◀─ kTagWkData (param updates for rank 0)
 //                        ◀─ kTagWkDirect (owner→mirror refreshes, to peers)
 //                        ◀─ kTagWkAck (phase=peval: dirty/global/sent...)
-//   kTagWkCheckTerm {round, global} ───▶ apps_[0]'s ShouldTerminate hook
-//                        ◀─ kTagWkVote
 //   kTagWkApply {consolidated batch} ──▶ buffered until the matching run
 //   kTagWkRunIncEval {round, expect} ──▶ apply buffered batches, IncEval,
 //                                        flush (as above)
@@ -68,7 +66,7 @@ enum WorkerProtocolTag : uint32_t {
   kTagWkRunIncEval = 0x103,
   kTagWkGetPartial = 0x104,
   kTagWkShutdown = 0x105,
-  kTagWkCheckTerm = 0x106,
+  // 0x106 and 0x10b are unused: the remaining tags keep their wire values.
   // engine -> worker, the coordinator's consolidated parameter batch.
   // Stats-counted: it replaces the kTagParamUpdate frame of local mode.
   kTagWkApply = 0x107,
@@ -76,7 +74,6 @@ enum WorkerProtocolTag : uint32_t {
   kTagWkAck = 0x108,      // phase completion + per-phase counters
   kTagWkData = 0x109,     // owner-bound updates for the coordinator
   kTagWkDirect = 0x10a,   // owner-to-mirror refresh, worker to worker
-  kTagWkVote = 0x10b,     // ShouldTerminate verdict
   kTagWkPartial = 0x10c,  // encoded partial answer
   kTagWkError = 0x10d,    // worker-side failure, payload = message
 

@@ -173,7 +173,6 @@ struct ServeServer::Impl {
 
     EngineOptions base;
     base.transport = options_.transport;
-    base.compute_threads = options_.compute_threads;
 
     if (options_.load_coordinator) {
       auto fg = options_.load_coordinator();

@@ -51,8 +51,6 @@ struct ServeOptions {
   uint16_t listen_port = 0;
   /// Per-frame payload bound for client connections (serve/protocol.h).
   uint32_t max_client_frame_bytes = kSvDefaultMaxClientFrameBytes;
-  /// Frontier-parallel lanes inside each worker (EngineOptions).
-  uint32_t compute_threads = 0;
   bool verbose = false;
 };
 

@@ -113,8 +113,14 @@ TEST(ClusterTest, MakeClusterTransportGuardsItsInputs) {
   ClusterSpec with_hosts;
   with_hosts.hosts = {{"a", 1}, {"b", 2}};
   EXPECT_TRUE(
-      MakeClusterTransport("socket", 2, with_hosts).status()
+      MakeClusterTransport("inproc", 2, with_hosts).status()
           .IsInvalidArgument());
+  // Only inproc and tcp are backends; "socket" is an unknown name.
+  auto socket_backend = MakeTransport("socket", 2);
+  EXPECT_TRUE(socket_backend.status().IsInvalidArgument());
+  EXPECT_NE(socket_backend.status().message().find("inproc|tcp"),
+            std::string::npos)
+      << socket_backend.status();
   // Roster size must match the world (workers + coordinator).
   EXPECT_TRUE(
       MakeClusterTransport("tcp", 5, with_hosts).status()
@@ -326,12 +332,12 @@ TEST(ClusterTest, RemoteComputeRunsInsideEndpointProcesses) {
 TEST(ClusterTest, RemoteComputeRejectsUnknownApp) {
   // An endpoint whose registry does not know the requested app must
   // reject the load with a clean NotFound that reaches the Run caller —
-  // not crash, not hang. The socket backend forks its endpoints at
-  // Create time, before the engine's own-app auto-registration, so the
-  // children genuinely lack the name.
+  // not crash, not hang. The tcp backend forks its endpoints at Create
+  // time, before the engine's own-app auto-registration, so the children
+  // genuinely lack the name.
   Graph g = testing::ScenarioGraph("grid");
   FragmentedGraph fg = testing::ScenarioFragments(g, "hash", 3);
-  auto world = MakeTransport("socket", 4);
+  auto world = MakeTransport("tcp", 4);
   ASSERT_TRUE(world.ok()) << world.status();
   EngineOptions options;
   options.transport = world->get();

@@ -1,7 +1,7 @@
 // Round-trip fuzzing for the wire codec under the transport: random
 // (dst_lid, value) record blocks encode → frame → decode bit-identically,
 // across the POD fast path (two memcpy spans) and the generic per-record
-// path, including the zero-record and maximum-size blocks the socket
+// path, including the zero-record and maximum-size blocks the tcp
 // transport can legally carry. Also drives the corruption paths: truncated
 // frames and oversized counts must surface as Status, never as UB.
 
@@ -18,7 +18,7 @@ namespace grape {
 namespace {
 
 /// Encodes a staged block the way FlushWorker does, wraps it in a frame the
-/// way SocketTransport does, then parses both layers back.
+/// way TcpTransport does, then parses both layers back.
 template <typename V>
 void RoundTripThroughFrame(const std::vector<uint32_t>& lids,
                            const std::vector<V>& values, uint32_t from,
@@ -31,7 +31,7 @@ void RoundTripThroughFrame(const std::vector<uint32_t>& lids,
   EncodeRecordBlock(enc, block);
   std::vector<uint8_t> payload = enc.TakeBuffer();
 
-  // Frame layer: header + payload, the socket transport's wire unit.
+  // Frame layer: header + payload, the tcp transport's wire unit.
   std::vector<uint8_t> wire(kFrameHeaderBytes + payload.size());
   FrameHeader h{from, to, tag, static_cast<uint32_t>(payload.size())};
   EncodeFrameHeader(h, wire.data());
@@ -131,7 +131,7 @@ TEST(CodecFuzzTest, ZeroRecordBlockRoundTrips) {
 
 TEST(CodecFuzzTest, MaxSizeBlockRoundTrips) {
   // The largest batch a real superstep could plausibly stage: every lid of
-  // a large fragment. 1M records = 12 MB encoded, above the socket
+  // a large fragment. 1M records = 12 MB encoded, above the tcp
   // relay's chunk size, so this also sizes the conformance large-payload
   // case honestly.
   const size_t n = 1u << 20;
@@ -198,7 +198,7 @@ TEST(CodecFuzzTest, FrameHeaderRejectsTruncationAndAbsurdLengths) {
 
 TEST(CodecFuzzTest, FrameHeaderIsExactlySixteenLittleEndianBytes) {
   // The 16-byte envelope is load-bearing: CommStats charges it per
-  // message, and the golden test equates counted bytes with socket wire
+  // message, and the golden test equates counted bytes with tcp wire
   // bytes. Freeze the layout.
   uint8_t header[kFrameHeaderBytes];
   EncodeFrameHeader(FrameHeader{0x04030201u, 0x08070605u, 0x0c0b0a09u,

@@ -276,50 +276,45 @@ INSTANTIATE_TEST_SUITE_P(Matrix, DistributedLoadGoldenTest,
 
 // ----------------------------------------------------- coordinator purity
 
-// On endpoint backends the fragments must be resident in the endpoint
+// On the tcp backend the fragments must be resident in the endpoint
 // processes and ONLY there: the coordinator process's store stays empty
 // for the build token, rank 0 receives no edge/mirror frame, and the
 // engine runs the query end to end from shard metadata alone.
 TEST(DistributedLoadTest, CoordinatorNeverMaterializesTheGraph) {
   Graph g0 = testing::ScenarioGraph("grid");
   std::string path = WriteScenarioFile(g0, "purity");
-  EdgeListFormat format = SavedFormat(g0.is_directed());
-  for (const std::string& transport : {std::string("socket"),
-                                       std::string("tcp")}) {
-    DistributedLoadOptions opt;
-    opt.path = path;
-    opt.format = format;
-    RegisterBuiltinWorkerApps();
-    auto world = MakeTransport(transport, 5);
-    ASSERT_TRUE(world.ok()) << world.status();
-    auto meta = DistributedLoad(world->get(), opt);
-    ASSERT_TRUE(meta.ok()) << transport << ": " << meta.status();
-    EXPECT_EQ(meta->coordinator_data_frames, 0u) << transport;
-    for (uint32_t rank = 0; rank <= 4; ++rank) {
-      EXPECT_EQ(ResidentFragmentStore::Global().Get(meta->token, rank),
-                nullptr)
-          << transport << ": a fragment of the distributed build is "
-          << "resident in the coordinator process (rank " << rank << ")";
-    }
-
-    EngineOptions options;
-    options.transport = world->get();
-    options.remote_app = "sssp";
-    GrapeEngine<SsspApp> engine(*meta, options);
-    auto out = engine.Run(SsspQuery{3});
-    ASSERT_TRUE(out.ok()) << transport << ": " << out.status();
-    for (uint32_t rank = 0; rank <= 4; ++rank) {
-      EXPECT_EQ(ResidentFragmentStore::Global().Get(meta->token, rank),
-                nullptr)
-          << transport << ": running the query materialized a fragment "
-          << "at the coordinator";
-    }
-
-    // Worlds stay multi-query with resident fragments too.
-    auto again = engine.Run(SsspQuery{3});
-    ASSERT_TRUE(again.ok()) << transport << ": " << again.status();
-    EXPECT_EQ(out->dist, again->dist) << transport;
+  DistributedLoadOptions opt;
+  opt.path = path;
+  opt.format = SavedFormat(g0.is_directed());
+  RegisterBuiltinWorkerApps();
+  auto world = MakeTransport("tcp", 5);
+  ASSERT_TRUE(world.ok()) << world.status();
+  auto meta = DistributedLoad(world->get(), opt);
+  ASSERT_TRUE(meta.ok()) << meta.status();
+  EXPECT_EQ(meta->coordinator_data_frames, 0u);
+  for (uint32_t rank = 0; rank <= 4; ++rank) {
+    EXPECT_EQ(ResidentFragmentStore::Global().Get(meta->token, rank),
+              nullptr)
+        << "a fragment of the distributed build is resident in the "
+        << "coordinator process (rank " << rank << ")";
   }
+
+  EngineOptions options;
+  options.transport = world->get();
+  options.remote_app = "sssp";
+  GrapeEngine<SsspApp> engine(*meta, options);
+  auto out = engine.Run(SsspQuery{3});
+  ASSERT_TRUE(out.ok()) << out.status();
+  for (uint32_t rank = 0; rank <= 4; ++rank) {
+    EXPECT_EQ(ResidentFragmentStore::Global().Get(meta->token, rank),
+              nullptr)
+        << "running the query materialized a fragment at the coordinator";
+  }
+
+  // Worlds stay multi-query with resident fragments too.
+  auto again = engine.Run(SsspQuery{3});
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(out->dist, again->dist);
   std::remove(path.c_str());
 }
 

@@ -1,14 +1,14 @@
 // Differential guard for the engine's message path: the golden rows below
 // were captured from the seed (hash-map) flush/route/apply at commit
 // ec95ff1, running the scenarios in tests/message_path_scenarios.h. Every
-// (scenario, transport backend, compute placement) combination — inproc,
-// socket, and tcp, each with local compute (PEval/IncEval inline in the
-// engine process) AND remote compute (the phases execute inside each
-// rank's worker host: endpoint processes on socket/tcp, in-thread workers
-// on inproc), AND session compute (a cold then a warm SessionRun on one
-// engine) — must reproduce them exactly: same message count, same byte
-// count (the wire format is byte-count preserving, the socket/tcp frame
-// envelope equals the counted 16-byte header, and the worker protocol's
+// (scenario, transport backend, compute placement) combination — inproc
+// and tcp, each with local compute (PEval/IncEval inline in the engine
+// process) AND remote compute (the phases execute inside each rank's
+// worker host: endpoint processes on tcp, in-thread workers on inproc),
+// AND session compute (a cold then a warm SessionRun on one engine) —
+// must reproduce them exactly: same message count, same byte count (the
+// wire format is byte-count preserving, the tcp frame envelope equals
+// the counted 16-byte header, and the worker protocol's
 // control frames are invisible to the counters), same superstep count,
 // and bit-identical outputs. A mismatch means routing semantics changed —
 // or the substrate/placement leaked into the computation — which is a
@@ -105,8 +105,8 @@ TEST_P(MessagePathGoldenTest, MatchesSeedSemantics) {
 
 // Determinism of the path itself: two runs of the same scenario must agree
 // on every observable (the golden rows above are only meaningful if so).
-// Runs once per backend, so socket-transport scheduling nondeterminism
-// (poll order across senders) is shown not to leak into observables.
+// Runs once per backend, so tcp scheduling nondeterminism (poll order
+// across senders) is shown not to leak into observables.
 TEST(MessagePathGoldenTest, RunsAreDeterministic) {
   for (const std::string& transport : TransportNames()) {
     for (const auto& s : testing::AllMessagePathScenarios()) {
@@ -220,7 +220,7 @@ TEST(MessagePathGoldenTest, FailedRemoteRunDoesNotPoisonTheWorld) {
   }
 }
 
-// The full differential in one place: for every scenario, run all three
+// The full differential in one place: for every scenario, run both
 // backends × every compute placement side by side and compare the full
 // observation structs pairwise — output hash AND CommStats (messages,
 // bytes, supersteps). The matrix above already pins each cell to the seed
@@ -230,7 +230,7 @@ TEST(MessagePathGoldenTest, FailedRemoteRunDoesNotPoisonTheWorld) {
 // may change how bytes travel, and the placement may change where
 // PEval/IncEval execute — never what is computed or counted.
 TEST(MessagePathGoldenTest, BackendsAndPlacementsAgreeBitForBit) {
-  ASSERT_GE(TransportNames().size(), 3u);
+  ASSERT_GE(TransportNames().size(), 2u);
   for (const auto& s : testing::AllMessagePathScenarios()) {
     std::vector<std::pair<std::string, testing::MessagePathObservation>> runs;
     for (const std::string& transport : TransportNames()) {

@@ -82,11 +82,11 @@ inline Graph ScenarioGraph(const std::string& kind) {
 
 /// app is one of "sssp", "cc", "pagerank"; transport is a MakeTransport
 /// backend name ("inproc" reproduces the engine's historical private
-/// CommWorld; "socket" runs the same scenario over forked endpoint
+/// CommWorld; "tcp" runs the same scenario over forked endpoint
 /// processes — observables must not change). compute is "local" (PEval /
 /// IncEval inline in this process, the historical mode), "remote" (the
 /// phases execute inside each rank's worker host — endpoint processes on
-/// socket/tcp, in-thread workers on inproc — and only messages, acks and
+/// tcp, in-thread workers on inproc — and only messages, acks and
 /// partials come back; observables must not change either) or "session"
 /// (remote, answered twice through SessionRun on one engine: the cold
 /// load, then the warm kTagWkQuery re-seed). Returns one observation per

@@ -12,7 +12,7 @@
 //     the touched-vertex overload, through the full-run fallback.
 //  4. The remote differential gate — SessionRun + ApplyMutations +
 //     RunIncremental answers bit-identical to a from-scratch recompute
-//     after EVERY batch, for {sssp, cc} x {inproc, socket, tcp} x
+//     after EVERY batch, for {sssp, cc} x {inproc, tcp} x
 //     {coordinator-loaded, distributed-loaded}, with a deletion batch
 //     that must trip the enforced fallback on every cell.
 //  5. Local vs remote deltas — the local warm start and the session delta
@@ -503,7 +503,7 @@ std::string CaseName(const ::testing::TestParamInfo<RemoteGateCase>& info) {
 
 std::vector<RemoteGateCase> AllRemoteGateCases() {
   std::vector<RemoteGateCase> cases;
-  for (const char* t : {"inproc", "socket", "tcp"}) {
+  for (const char* t : {"inproc", "tcp"}) {
     for (const char* a : {"sssp", "cc"}) {
       for (bool d : {false, true}) {
         cases.push_back(RemoteGateCase{t, a, d});

@@ -3,6 +3,7 @@
 
 #include "apps/pagerank.h"
 #include "apps/seq/seq_algorithms.h"
+#include "apps/sssp.h"
 #include "core/engine.h"
 #include "graph/generators.h"
 #include "gtest/gtest.h"
@@ -74,6 +75,21 @@ TEST(PageRankTest, EpsilonTerminationMatchesSequential) {
     // compare loosely.
     EXPECT_NEAR(out->rank[v], expected[v], 1e-6);
   }
+}
+
+// Early termination is decided at the coordinator (core/pie.h): PageRank's
+// static hook reads only the query and the summed delta, and an app
+// without the hook (SSSP) never stops early.
+TEST(PageRankTest, TerminationHookReadsOnlyTheQuery) {
+  PageRankQuery q;
+  q.max_iterations = 5;
+  q.epsilon = 1e-3;
+  EXPECT_FALSE(AppShouldTerminate<PageRankApp>(q, 1, 0.0));  // PEval only
+  EXPECT_TRUE(AppShouldTerminate<PageRankApp>(q, 2, 1e-4));
+  EXPECT_FALSE(AppShouldTerminate<PageRankApp>(q, 2, 1.0));
+  EXPECT_FALSE(AppShouldTerminate<PageRankApp>(q, 5, 1.0));
+  EXPECT_TRUE(AppShouldTerminate<PageRankApp>(q, 6, 1.0));
+  EXPECT_FALSE(AppShouldTerminate<SsspApp>(SsspQuery{0}, 1000, 0.0));
 }
 
 TEST(PageRankTest, SingleFragmentIteratesWithoutMessages) {

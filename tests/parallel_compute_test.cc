@@ -101,15 +101,15 @@ TEST(ParallelComputeTest, LocalAndRemoteAgreeWhenParallel) {
 }
 
 // One forked-process spot check: compute_threads rides the wire inside
-// the load frame, so a socket worker must decode it and still reproduce
+// the load frame, so a tcp worker must decode it and still reproduce
 // the sequential observables.
-TEST(ParallelComputeTest, SocketRemoteSpotCheck) {
+TEST(ParallelComputeTest, TcpRemoteSpotCheck) {
   MessagePathObservation oracle = RunMessagePathScenario(
-      "sssp", "grid", "hash", 4, "socket", "remote", 0);
+      "sssp", "grid", "hash", 4, "tcp", "remote", 0);
   ExpectIdentical(
       oracle,
-      RunMessagePathScenario("sssp", "grid", "hash", 4, "socket", "remote", 4),
-      "sssp socket remote threads=4");
+      RunMessagePathScenario("sssp", "grid", "hash", 4, "tcp", "remote", 4),
+      "sssp tcp remote threads=4");
 }
 
 }  // namespace

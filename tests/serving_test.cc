@@ -191,7 +191,7 @@ TEST_P(ServingGoldenTest, BatchedEqualsSequential) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Transports, ServingGoldenTest,
-                         ::testing::Values("inproc", "socket", "tcp"));
+                         ::testing::Values("inproc", "tcp"));
 
 // ---------------------------------------------------------------------------
 // Reload: a new epoch re-runs the loader, invalidates the CC/PageRank

@@ -1,7 +1,6 @@
 // Differential conformance suite for Transport backends: every test runs
-// against all three — "inproc" (CommWorld), "socket" (SocketTransport,
-// forked endpoint processes + AF_UNIX frames), and "tcp" (TcpTransport,
-// endpoint processes full-meshed over TCP). The suite IS the Transport
+// against both — "inproc" (CommWorld) and "tcp" (TcpTransport, endpoint
+// processes full-meshed over TCP). The suite IS the Transport
 // contract — FIFO per channel, tag filtering, concurrent senders, large
 // and empty payloads, drain semantics, the Flush delivery barrier
 // (including barriers interleaved across ranks and racing Close),
@@ -263,7 +262,7 @@ TEST_P(TransportConformanceTest, BufferPoolRecyclesAcrossSendAndRecv) {
     pool.Release(std::move(msg->payload));
   }
   // After a full cycle at least one buffer must be parked in the pool
-  // (sender-side release for socket, receiver-side release everywhere).
+  // (sender-side release for tcp, receiver-side release everywhere).
   EXPECT_GT(pool.pooled(), 0u);
 }
 
@@ -476,16 +475,16 @@ INSTANTIATE_TEST_SUITE_P(Backends, TransportConformanceTest,
                          ::testing::ValuesIn(TransportNames()),
                          [](const auto& info) { return info.param; });
 
-// Socket-specific: a later-created transport's endpoint children inherit
-// the parent's fd table at fork time. If they kept an earlier transport's
-// channel write ends open, that transport's children would never see EOF
-// and its destructor would hang on the receiver join — so coexisting
+// Forking-backend interop: a later-created transport's endpoint children
+// inherit the parent's fd table at fork time. If they kept an earlier
+// transport's link fds open, that transport's children would never see
+// EOF and its destructor would hang on the receiver join — so coexisting
 // transports must be destroyable in any order.
-TEST(SocketTransportInteropTest, OutOfOrderDestructionDoesNotHang) {
-  auto ra = MakeTransport("socket", 2);
+TEST(TcpTransportInteropTest, OutOfOrderDestructionDoesNotHang) {
+  auto ra = MakeTransport("tcp", 2);
   ASSERT_TRUE(ra.ok()) << ra.status();
   std::unique_ptr<Transport> a = std::move(ra).value();
-  auto rb = MakeTransport("socket", 2);
+  auto rb = MakeTransport("tcp", 2);
   ASSERT_TRUE(rb.ok()) << rb.status();
   std::unique_ptr<Transport> b = std::move(rb).value();
 

@@ -1,7 +1,7 @@
 // Fault injection against the engine's message path: a FlakyTransport
 // decorator drops, duplicates, delays, or hard-fails traffic between the
-// engine and its substrate (wrapping any backend — inproc, socket, tcp),
-// and real endpoint processes of the multi-process backends get SIGKILLed
+// engine and its substrate (wrapping any backend — inproc or tcp), and
+// real endpoint processes of the multi-process tcp backend get SIGKILLed
 // under a live world. The engine's contract under faults: hard failures
 // surface as Status through DispatchSends/CoordinatorRoute/the Flush
 // barrier (PR 2's error propagation) to the Run() caller within a bounded
@@ -29,7 +29,6 @@
 #include "rt/distributed_load.h"
 #include "rt/flaky_transport.h"
 #include "rt/remote_worker.h"
-#include "rt/socket_transport.h"
 #include "rt/tcp_transport.h"
 #include "tests/message_path_scenarios.h"
 #include "tests/test_util.h"
@@ -160,18 +159,6 @@ TEST(TransportFaultTest, DelayedDeliveryNeverHangsAndOnlyOverEstimates) {
   }
 }
 
-TEST(TransportFaultTest, FlakyOverSocketBackendPropagatesToo) {
-  SsspFixture f = SsspFixture::Make();
-  auto inner = MakeTransport("socket", 5);
-  ASSERT_TRUE(inner.ok()) << inner.status();
-  FlakyOptions fo;
-  fo.fail_send_after = 10;
-  FlakyTransport flaky(inner->get(), fo);
-  auto out = f.Run(&flaky);
-  ASSERT_FALSE(out.ok());
-  EXPECT_TRUE(out.status().IsUnavailable()) << out.status();
-}
-
 TEST(TransportFaultTest, FlakyOverTcpBackendPropagatesToo) {
   SsspFixture f = SsspFixture::Make();
   auto inner = MakeTransport("tcp", 5);
@@ -200,6 +187,12 @@ TEST(TransportFaultTest, FlushFailureSurfacesThroughDispatchSends) {
   EXPECT_TRUE(out.status().IsUnavailable()) << out.status();
 }
 
+/// The endpoint pids of a forking backend; empty for inproc.
+std::vector<pid_t> EndpointPids(Transport* transport) {
+  auto* tt = dynamic_cast<TcpTransport*>(transport);
+  return tt == nullptr ? std::vector<pid_t>{} : tt->endpoint_pids();
+}
+
 /// Kills one real endpoint process of `backend`, runs the engine over the
 /// half-dead substrate, and requires a Status (through DispatchSends /
 /// CoordinatorRoute / the Flush barrier) within a bounded time — never a
@@ -211,12 +204,7 @@ void RunKilledEndpointScenario(const std::string& backend) {
   ASSERT_TRUE(made.ok()) << made.status();
   Transport* transport = made->get();
 
-  std::vector<pid_t> pids;
-  if (auto* st = dynamic_cast<SocketTransport*>(transport)) {
-    pids = st->endpoint_pids();
-  } else if (auto* tt = dynamic_cast<TcpTransport*>(transport)) {
-    pids = tt->endpoint_pids();
-  }
+  std::vector<pid_t> pids = EndpointPids(transport);
   ASSERT_EQ(pids.size(), 5u) << backend << " did not fork real endpoints";
 
   // A healthy barrier first, so the kill verifiably lands mid-world, then
@@ -254,10 +242,6 @@ void RunKilledEndpointScenario(const std::string& backend) {
       << backend << ": engine computed a result over a dead endpoint";
   const Status& st = result.status();
   EXPECT_TRUE(st.IsUnavailable() || st.IsCancelled() || st.IsIOError()) << st;
-}
-
-TEST(TransportFaultTest, KilledSocketEndpointSurfacesStatusWithinDeadline) {
-  RunKilledEndpointScenario("socket");
 }
 
 TEST(TransportFaultTest, KilledTcpEndpointSurfacesStatusWithinDeadline) {
@@ -308,12 +292,7 @@ void KillRemoteWorkerMidPhase(const std::string& backend,
   auto made = MakeTransport(backend, 5);
   ASSERT_TRUE(made.ok()) << made.status();
   Transport* transport = made->get();
-  std::vector<pid_t> pids;
-  if (auto* st = dynamic_cast<SocketTransport*>(transport)) {
-    pids = st->endpoint_pids();
-  } else if (auto* tt = dynamic_cast<TcpTransport*>(transport)) {
-    pids = tt->endpoint_pids();
-  }
+  std::vector<pid_t> pids = EndpointPids(transport);
   ASSERT_EQ(pids.size(), 5u) << backend << " did not fork real endpoints";
 
   EngineOptions options;
@@ -343,27 +322,17 @@ void KillRemoteWorkerMidPhase(const std::string& backend,
   EXPECT_TRUE(st.IsUnavailable() || st.IsCancelled() || st.IsIOError()) << st;
 }
 
-TEST(TransportFaultTest, KilledRemoteWorkerMidIncEvalSocket) {
+TEST(TransportFaultTest, KilledRemoteWorkerMidIncEvalTcp) {
   // ~31 supersteps x 100ms sleeping IncEval >> the 600ms kill delay (the
   // first rounds alone take seconds), so the kill lands mid-IncEval.
-  KillRemoteWorkerMidPhase<SlowIncEvalSssp>("socket", "slow_inc_sssp", 600,
-                                            "IncEval");
-}
-
-TEST(TransportFaultTest, KilledRemoteWorkerMidIncEvalTcp) {
   KillRemoteWorkerMidPhase<SlowIncEvalSssp>("tcp", "slow_inc_sssp", 600,
                                             "IncEval");
 }
 
-TEST(TransportFaultTest, KilledRemoteWorkerMidAssembleSocket) {
+TEST(TransportFaultTest, KilledRemoteWorkerMidAssembleTcp) {
   // The fixpoint itself converges in well under a second; GetPartial then
   // sleeps 5s in every worker, so a 1.5s kill lands mid-Assemble and no
   // partial Assemble may be accepted.
-  KillRemoteWorkerMidPhase<SlowPartialSssp>("socket", "slow_partial_sssp",
-                                            1500, "Assemble");
-}
-
-TEST(TransportFaultTest, KilledRemoteWorkerMidAssembleTcp) {
   KillRemoteWorkerMidPhase<SlowPartialSssp>("tcp", "slow_partial_sssp", 1500,
                                             "Assemble");
 }
@@ -457,12 +426,7 @@ void KillEndpointMidDistributedLoad(const std::string& backend) {
   auto made = MakeTransport(backend, 5);
   ASSERT_TRUE(made.ok()) << made.status();
   Transport* transport = made->get();
-  std::vector<pid_t> pids;
-  if (auto* st = dynamic_cast<SocketTransport*>(transport)) {
-    pids = st->endpoint_pids();
-  } else if (auto* tt = dynamic_cast<TcpTransport*>(transport)) {
-    pids = tt->endpoint_pids();
-  }
+  std::vector<pid_t> pids = EndpointPids(transport);
   ASSERT_EQ(pids.size(), 5u) << backend << " did not fork real endpoints";
   ASSERT_EQ(kill(pids[2], SIGKILL), 0);
   ASSERT_EQ(waitpid(pids[2], nullptr, 0), pids[2]);
@@ -489,10 +453,6 @@ void KillEndpointMidDistributedLoad(const std::string& backend) {
   const Status& st = meta.status();
   EXPECT_TRUE(st.IsUnavailable() || st.IsCancelled() || st.IsIOError()) << st;
   std::remove(path.c_str());
-}
-
-TEST(TransportFaultTest, KilledSocketEndpointMidDistributedLoad) {
-  KillEndpointMidDistributedLoad("socket");
 }
 
 TEST(TransportFaultTest, KilledTcpEndpointMidDistributedLoad) {
@@ -632,20 +592,18 @@ TEST(TransportFaultTest, SigkilledWorkerRecoversBitIdenticalSssp) {
   auto hash = [](const SsspOutput& o) { return testing::HashVector(o.dist); };
   RecoveryGolden golden = RemoteGolden<SsspApp>("sssp", fg, SsspQuery{3},
                                                 hash);
-  for (const char* backend : {"socket", "tcp"}) {
-    for (uint32_t k : {1u, 3u, 7u}) {
-      RunSigkillRecoveryScenario<SsspApp>(backend, "sssp", fg, SsspQuery{3},
-                                          k, hash, golden);
-    }
+  for (uint32_t k : {1u, 3u, 7u}) {
+    RunSigkillRecoveryScenario<SsspApp>("tcp", "sssp", fg, SsspQuery{3}, k,
+                                        hash, golden);
   }
 }
 
-TEST(TransportFaultTest, SigkilledWorkerRecoversBitIdenticalCcSocket) {
+TEST(TransportFaultTest, SigkilledWorkerRecoversBitIdenticalCcTcp) {
   Graph g = testing::ScenarioGraph("er");
   FragmentedGraph fg = testing::ScenarioFragments(g, "hash", 6);
   auto hash = [](const CcOutput& o) { return testing::HashVector(o.label); };
   RecoveryGolden golden = RemoteGolden<CcApp>("cc", fg, CcQuery{}, hash);
-  RunSigkillRecoveryScenario<CcApp>("socket", "cc", fg, CcQuery{}, 2, hash,
+  RunSigkillRecoveryScenario<CcApp>("tcp", "cc", fg, CcQuery{}, 2, hash,
                                     golden);
 }
 

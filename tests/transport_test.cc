@@ -20,7 +20,7 @@ namespace {
 // Transport backend (the bus only talks to the interface). After
 // bus.Flush() serializes and Sends, world->Flush() is the delivery barrier
 // that makes the batches visible — a no-op in-process, a real wait over
-// sockets.
+// tcp.
 class TransportTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
