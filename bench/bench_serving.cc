@@ -119,8 +119,8 @@ int Run(int argc, char** argv) {
   GRAPE_CHECK(graph.ok()) << graph.status();
   const VertexId num_vertices = graph->num_vertices();
 
-  // No InThreadWorkers here: each engine session spawns its own set for
-  // inproc worlds; a second set would race it for the same mailboxes.
+  // No InThreadWorkers here: the engine sessions share the world's one
+  // set (InThreadWorkers::Share) for inproc worlds.
   auto world = MakeTransport("inproc", workers + 1);
   GRAPE_CHECK(world.ok()) << world.status();
 

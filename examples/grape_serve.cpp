@@ -17,7 +17,8 @@
 //
 // Queries arriving within --batch-window-ms of each other fuse: compatible
 // same-class queries become one multi-source superstep wave (one lane per
-// query), and CC/PageRank reads are answered from a per-epoch cache.
+// query), and CC/PageRank reads are answered from a standing answer that
+// mutations refresh (CC, insert-only) or invalidate.
 // Answers are bit-identical to one-at-a-time execution either way
 // (tests/serving_test.cc pins this).
 //
@@ -25,7 +26,8 @@
 // the same queries from concurrent clients, then streams a mutation
 // batch (insert a shortcut, watch the answers move, delete it, watch the
 // original bits come back) — and exits 0 only if every check agrees
-// bit-for-bit. This is what CI's serve smoke job runs.
+// bit-for-bit and the CC read after the insert was a delta-refreshed
+// cache hit. This is what CI's serve smoke job runs.
 //
 // Daemon mode prints "serving on 127.0.0.1:<port>" and blocks until
 // SIGINT/SIGTERM. Cluster flags (--rank/--hosts/--cluster-token) work as
@@ -140,7 +142,7 @@ bool RunSelfTest(grape::ServeServer& server, uint32_t num_clients,
   if (stats.cache_hits == 0) {
     std::fprintf(stderr,
                  "selftest FAILED: repeated CC/PageRank reads never hit the "
-                 "epoch cache\n");
+                 "standing answer\n");
     return false;
   }
 
@@ -150,16 +152,17 @@ bool RunSelfTest(grape::ServeServer& server, uint32_t num_clients,
   MutationBatch add;
   add.InsertEdge(0, far_corner, 0.0625);
   add.InsertEdge(far_corner, 0, 0.0625);
+  const ServeStats before_write = server.stats();
   auto v1 = ref->Mutate(add);
   if (!v1.ok()) {
     std::fprintf(stderr, "selftest mutate(insert) failed: %s\n",
                  v1.status().ToString().c_str());
     return false;
   }
-  // A CC read in between ends the SSSP session, so the shortcut check
-  // below runs on a cold SSSP session that must see the mutation through
-  // the resident fragments, not through a re-shipped graph. An insert
-  // cannot split a component, so the labels must not move either.
+  // The standing CC answer survives the write: the insert-only batch
+  // refreshes it by a bounded delta over CC's own warm slot, and the read
+  // after it is a cache hit. An insert cannot split a component, so the
+  // labels must not move either.
   auto cc_after = ref->ComponentLabels();
   if (!cc_after.ok() || *cc_after != *ref_cc) {
     std::fprintf(stderr,
@@ -167,6 +170,21 @@ bool RunSelfTest(grape::ServeServer& server, uint32_t num_clients,
                  cc_after.status().ToString().c_str());
     return false;
   }
+  const ServeStats after_write = server.stats();
+  if (after_write.delta_refreshes <= before_write.delta_refreshes ||
+      after_write.cache_hits <= before_write.cache_hits) {
+    std::fprintf(stderr,
+                 "selftest FAILED: the CC read after an insert-only mutate "
+                 "was not a delta-refreshed cache hit (delta refreshes "
+                 "%llu -> %llu, cache hits %llu -> %llu)\n",
+                 (unsigned long long)before_write.delta_refreshes,
+                 (unsigned long long)after_write.delta_refreshes,
+                 (unsigned long long)before_write.cache_hits,
+                 (unsigned long long)after_write.cache_hits);
+    return false;
+  }
+  // SSSP kept its own warm slot through the write; it must see the
+  // shortcut through the patched resident fragments.
   auto cold = ref->Sssp(0);
   if (!cold.ok() || (*cold)[far_corner] != 0.0625) {
     std::fprintf(stderr,

@@ -118,7 +118,8 @@ struct EngineOptions {
   /// carrying this token, without the graph being serialized again. The
   /// stashing engine itself does not attach: EVERY cold load it makes
   /// (after EndSession or a failed query) re-encodes and re-ships the
-  /// whole graph, overwriting the deposit. grape_serve therefore uses it
+  /// whole graph, overwriting the deposit and retiring every other app
+  /// slot seated on the old copy. grape_serve therefore uses it
   /// for one deposit wave per epoch and serves from attached engines
   /// only. Ignored by Run() and by distributed-load engines (whose
   /// fragments are already resident).
@@ -229,9 +230,10 @@ struct EngineMetrics {
 ///    all go through one driver, DriveRemote, that differs only in its
 ///    opening: a cold load, a warm query re-seed, or a warm IncEval start
 ///    (plus Run's checkpoint restore). Every remote wait goes through one
-///    await skeleton, AwaitWorkers. Worker hosts live from the cold load
-///    until EndSession(), the only place that retires them; Run calls it
-///    after every attempt, sessions keep their workers until it is called.
+///    await skeleton, AwaitWorkers. The engine's app slot in the worker
+///    hosts lives from the cold load until EndSession(), the only place
+///    that retires it; Run calls it after every attempt, sessions keep
+///    their slot until it is called.
 template <PIEProgram App>
 class GrapeEngine {
  public:
@@ -391,19 +393,26 @@ class GrapeEngine {
     return RunLocal(query, &previous, touched);
   }
 
-  /// Streams one edge-mutation batch into the live session: every endpoint
-  /// rebuilds its fragment in place around the batch (graph/mutation.h
-  /// semantics — upsert inserts, delete-all-matches deletions), re-resolves
-  /// its routing plan peer-to-peer, and adopts warm parameter values for
-  /// its rebuilt outer set from the owners, so the converged answer state
-  /// survives the topology change. Returns each fragment's rebuilt shape.
-  /// This engine's routing slots are refreshed here; any OTHER engine
-  /// attached to the same resident fragments must be handed the shapes via
-  /// RefreshShapes(). The workers patch their own resident state, never
-  /// fg_. A non-serving caller that keeps a coordinator-loaded engine's
-  /// FragmentedGraph and will cold-load from it again owns keeping it
-  /// consistent (FragmentBuilder::MutateFragmentedGraph); grape_serve keeps
-  /// no rank-0 copy, so the endpoints' fragments are the only one.
+  /// Streams one edge-mutation batch into the world's resident fragments:
+  /// every endpoint rebuilds its fragment in place around the batch
+  /// (graph/mutation.h semantics — upsert inserts, delete-all-matches
+  /// deletions), re-resolves its routing plan peer-to-peer, and re-seats
+  /// EVERY live app slot on the rebuilt fragment with warm parameter
+  /// values for its outer set pulled from the owners — so the converged
+  /// answer state of each live session on the world (this engine's and
+  /// any other's) survives the topology change, and each can re-answer
+  /// with RunIncremental. Returns each fragment's rebuilt shape. This
+  /// engine's routing slots are refreshed here; any OTHER engine attached
+  /// to the same resident fragments must be handed the shapes via
+  /// RefreshShapes(). Engines attached by token (distributed-load or
+  /// stashing engines) need no live session of their own: the batch names
+  /// the token, and the endpoints patch the fragment resident under it.
+  /// Plain coordinator-loaded engines patch their live session's fragment.
+  /// The workers patch their own resident state, never fg_. A non-serving
+  /// caller that keeps a coordinator-loaded engine's FragmentedGraph and
+  /// will cold-load from it again owns keeping it consistent
+  /// (FragmentBuilder::MutateFragmentedGraph); grape_serve keeps no rank-0
+  /// copy, so the endpoints' fragments are the only one.
   Result<std::vector<WkBuildAck>> ApplyMutations(const MutationBatch& batch) {
     if constexpr (RemoteCompatibleApp<App>) {
       if (options_.remote_app.empty()) {
@@ -412,12 +421,18 @@ class GrapeEngine {
             "engines mutate their graph directly "
             "(FragmentBuilder::MutateFragmentedGraph)");
       }
-      if (!session_live_) {
+      const uint64_t token = ResidentToken();
+      if (!session_live_ && token == 0) {
         return Status::FailedPrecondition(
             "ApplyMutations requires a live session (SessionRun first): "
             "the batch applies to the state resident in the endpoints");
       }
-      Result<std::vector<WkBuildAck>> shapes = ApplyMutationsImpl(batch);
+      // Keep the world's in-thread hosts up for the call even without a
+      // live session of our own.
+      std::shared_ptr<InThreadWorkers> hosts =
+          session_live_ ? hosts_ : InThreadWorkers::Share(world_, n_frags_);
+      Result<std::vector<WkBuildAck>> shapes =
+          ApplyMutationsImpl(batch, token);
       // A half-applied mutation leaves the endpoints inconsistent with
       // each other; the session is unusable and must cold-start.
       if (!shapes.ok()) EndSession();
@@ -489,17 +504,26 @@ class GrapeEngine {
   /// Query-session entry point (the serving layer's hot path): like
   /// Run(), but the remote workers stay loaded between calls. The first
   /// SessionRun performs the full load (shipping fragments or attaching to
-  /// resident ones); every later call re-seeds the already-resident
-  /// workers with just the next query over kTagWkQuery — no app name, no
+  /// resident ones) into this engine's app slot — keyed by remote_app —
+  /// in every endpoint; every later call re-seeds that slot with just the
+  /// next query over kTagWkQuery — the slot name and the query, no
   /// fragment bytes — then runs the identical PEval → IncEval* → Assemble
   /// superstep loop. Answers are bit-identical to Run(): the per-query
   /// state (parameter store, update sets, message expectations) is rebuilt
   /// from scratch on both paths; only the fragment survives between
   /// queries. Sessions reject CheckpointPolicy (a session's unit of retry
   /// is the query — the caller just re-runs it; on failure the session is
-  /// torn down and the next call cold-starts with a full load). Only one
-  /// engine's session may be live on a shared transport at a time; call
-  /// EndSession() before running another engine over the same world.
+  /// torn down and the next call cold-starts with a full load).
+  ///
+  /// Sessions of engines with different remote_app names may be live on
+  /// one world at once, each warm in its own slot over the endpoints' one
+  /// resident fragment; grape_serve keeps one per query class. Their
+  /// queries must not overlap in time (one coordinator drives the world
+  /// at a time), and they must share the fragment: a cold load that
+  /// brings a different fragment (a plain ship, another token) retires
+  /// every other slot, whose next call then fails and cold-starts. Two
+  /// engines with the same remote_app share a slot, so the later load
+  /// replaces the earlier engine's session.
   Result<Output> SessionRun(const Query& query) {
     if constexpr (RemoteCompatibleApp<App>) {
       if (options_.remote_app.empty()) {
@@ -519,18 +543,20 @@ class GrapeEngine {
     }
   }
 
-  /// Retires the remote workers: best-effort shutdown frames to the
-  /// resident workers, then the in-thread hosts (inproc) are joined. The
-  /// one retirement path — Run calls it after every attempt, sessions
-  /// keep their workers until it runs. Idempotent; also runs on
-  /// destruction and before any Run() on this engine.
+  /// Retires this engine's app slot: best-effort shutdown frames naming
+  /// the slot, then this engine's hold on the world's in-thread hosts
+  /// (inproc) is released — the last holder stops and joins them. Every
+  /// other engine's slot on the world stays warm. The one retirement path
+  /// — Run calls it after every attempt, sessions keep their slot until
+  /// it runs. Idempotent; also runs on destruction and before any Run()
+  /// on this engine.
   void EndSession() {
     if (session_live_) {
-      for (FragmentId i = 0; i < n_frags_; ++i) {
-        (void)world_->Send(kCoordinatorRank, RankOf(i), kTagWkShutdown, {});
-      }
+      (void)SendToWorkers(kTagWkShutdown, [&](FragmentId, Encoder& enc) {
+        enc.WriteString(options_.remote_app);
+      });
     }
-    session_workers_.reset();
+    hosts_.reset();
     session_live_ = false;
   }
 
@@ -550,6 +576,13 @@ class GrapeEngine {
  private:
   /// Rank of worker i in the comm world (rank 0 is the coordinator).
   static uint32_t RankOf(FragmentId i) { return i + 1; }
+
+  /// ResidentFragmentStore token the endpoints hold this engine's graph
+  /// under: the distributed build's, a stashing engine's, or 0 for plain
+  /// fragment ships.
+  uint64_t ResidentToken() const {
+    return fg_ == nullptr ? resident_token_ : options_.resident_stash_token;
+  }
 
   /// The enforced contract's answer when a warm start would be unsound: a
   /// full run of `query` in this engine's placement (over the live session
@@ -1058,6 +1091,7 @@ class GrapeEngine {
         ScopedTimer t(&metrics_.inceval_seconds);
         GRAPE_RETURN_NOT_OK(
             SendToWorkers(kTagWkIncStart, [&](FragmentId, Encoder& enc) {
+              enc.WriteString(options_.remote_app);
               enc.WritePodVector(touched);
             }));
         GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseIncEval, 1, &round));
@@ -1073,6 +1107,7 @@ class GrapeEngine {
                 if (cold) {
                   EncodeLoadFrame(i, query, stash_token, enc);
                 } else {
+                  enc.WriteString(options_.remote_app);
                   EncodeValue(enc, query);
                 }
               }));
@@ -1147,10 +1182,11 @@ class GrapeEngine {
     return output;
   }
 
-  /// Brings up fresh worker hosts for a cold load or a restore: arms the
+  /// Readies the worker hosts for a cold load or a restore: arms the
   /// failure detector (CheckpointPolicy only), makes sure the app is
-  /// registered, drains stale worker frames, and spawns in-thread hosts
-  /// on backends without endpoint processes.
+  /// registered, drains stale worker frames addressed to the coordinator,
+  /// and joins the world's in-thread hosts on backends without endpoint
+  /// processes.
   void StartWorkers()
     requires RemoteCompatibleApp<App>
   {
@@ -1175,19 +1211,12 @@ class GrapeEngine {
     if (!WorkerAppRegistry::Global().Has(options_.remote_app)) {
       RegisterRemoteWorker<App>(options_.remote_app);
     }
-    // An abandoned query, or another engine's session on this shared
-    // world, may have left worker-protocol frames behind: drain them
-    // before any worker host can see them, so they cannot masquerade as
-    // this run's traffic. Only worker tags are touched.
-    for (uint32_t tag = kTagWkLoad; tag < kTagWkEnd_; ++tag) {
-      for (uint32_t rank = 0; rank <= n_frags_; ++rank) {
-        while (auto stale = world_->TryRecv(rank, tag)) {
-          world_->buffer_pool().Release(std::move(stale->payload));
-        }
-      }
-    }
-    session_workers_ = std::make_unique<InThreadWorkers>(
-        world_, n_frags_, !world_->has_remote_endpoints());
+    // An abandoned query may have left worker-protocol replies behind:
+    // drain them so they cannot masquerade as this run's traffic. The
+    // workers' own mailboxes belong to hosts that may be serving other
+    // live slots; a freshly spawned in-thread set drains those itself.
+    DrainWorkerFrames(world_, kCoordinatorRank, kCoordinatorRank);
+    hosts_ = InThreadWorkers::Share(world_, n_frags_);
     session_live_ = true;
   }
 
@@ -1267,12 +1296,16 @@ class GrapeEngine {
   /// after the worker finished its peer-to-peer mirror/warm-value
   /// exchange, so a complete ack set means every routing plan is resolved
   /// and every outer copy holds its owner's converged value.
-  Result<std::vector<WkBuildAck>> ApplyMutationsImpl(const MutationBatch& b) {
+  Result<std::vector<WkBuildAck>> ApplyMutationsImpl(const MutationBatch& b,
+                                                     uint64_t token) {
     if (fg_ != nullptr) {
       GRAPE_RETURN_NOT_OK(b.Validate(fg_->total_vertices));
     }
-    GRAPE_RETURN_NOT_OK(SendToWorkers(
-        kTagWkMutate, [&](FragmentId, Encoder& enc) { b.EncodeTo(enc); }));
+    GRAPE_RETURN_NOT_OK(
+        SendToWorkers(kTagWkMutate, [&](FragmentId, Encoder& enc) {
+          enc.WriteU64(token);
+          b.EncodeTo(enc);
+        }));
     std::vector<WkBuildAck> shapes(n_frags_);
     GRAPE_RETURN_NOT_OK(AwaitWorkers(
         "mutation acks", n_frags_,
@@ -1570,11 +1603,11 @@ class GrapeEngine {
   uint64_t recorded_messages_ = 0;
   uint64_t recorded_bytes_ = 0;
 
-  // Remote worker hosts, from StartWorkers until EndSession: the
-  // in-thread hosts (inproc backends; endpoint backends keep their
-  // workers in the endpoint processes) and whether the remote workers may
-  // hold a loaded app + fragment.
-  std::unique_ptr<InThreadWorkers> session_workers_;
+  // From StartWorkers until EndSession: this engine's hold on the world's
+  // shared in-thread hosts (inproc backends; endpoint backends keep their
+  // hosts in the endpoint processes), and whether its app slot may be
+  // loaded in them.
+  std::shared_ptr<InThreadWorkers> hosts_;
   bool session_live_ = false;
 
   // Fault tolerance (CheckpointPolicy): failure detector, worker image

@@ -123,15 +123,12 @@ Result<DistributedGraphMeta> DistributedLoad(
   GRAPE_ASSIGN_OR_RETURN(ranges, ComputeShardRanges(options.path, n));
 
   // A previous build or run on this world may have left worker frames
-  // behind; drain them so they cannot alias into this build.
-  for (uint32_t tag = kTagWkLoad; tag < kTagWkEnd_; ++tag) {
-    for (uint32_t rank = 0; rank <= n; ++rank) {
-      while (auto stale = world->TryRecv(rank, tag)) {
-        world->buffer_pool().Release(std::move(stale->payload));
-      }
-    }
-  }
-  InThreadWorkers in_thread(world, n, !world->has_remote_endpoints());
+  // behind; drain them so they cannot alias into this build. The in-thread
+  // hosts (inproc) are the world's shared set: a live session's hosts
+  // run the build too.
+  DrainWorkerFrames(world, 0, 0);
+  std::shared_ptr<InThreadWorkers> in_thread =
+      InThreadWorkers::Share(world, n);
 
   DistributedGraphMeta meta;
   meta.token = TokenCounter().fetch_add(1, std::memory_order_relaxed);

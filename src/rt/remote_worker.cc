@@ -112,6 +112,56 @@ Status RemoteWorkerHost::EmitAck(const WorkerAck& ack) {
   return emit_(kCoordinatorRank, kTagWkAck, enc.TakeBuffer());
 }
 
+Status RemoteWorkerHost::EmitOpenAck(uint8_t phase, uint32_t round) {
+  WorkerAck ack;
+  ack.phase = phase;
+  ack.round = round;
+  ack.worker_pid = static_cast<uint64_t>(getpid());
+  return EmitAck(ack);
+}
+
+RemoteWorkerHost::Slot* RemoteWorkerHost::FindSlot(const std::string& app) {
+  auto it = slots_.find(app);
+  return it == slots_.end() ? nullptr : &it->second;
+}
+
+void RemoteWorkerHost::ClearRound() {
+  current_ = nullptr;
+  for (PendingFrame& f : pending_) pool_->Release(std::move(f.payload));
+  pending_.clear();
+  inc_pending_ = false;
+  ckpt_pending_ = false;
+}
+
+void RemoteWorkerHost::AdoptFragment(std::shared_ptr<const Fragment> fragment,
+                                     uint64_t token) {
+  if (fragment != fragment_) {
+    // Retire the slots before the fragment they reference can go.
+    slots_.clear();
+    ClearRound();
+  }
+  fragment_ = std::move(fragment);
+  token_ = token;
+}
+
+Status RemoteWorkerHost::AttachResident(uint64_t token) {
+  std::shared_ptr<const Fragment> resident =
+      ResidentFragmentStore::Global().Get(token, rank_);
+  if (resident == nullptr) {
+    return Status::NotFound(
+        "no resident fragment for build token " + std::to_string(token) +
+        " at rank " + std::to_string(rank_) +
+        " (was the distributed load run on this world?)");
+  }
+  if (resident->fid() + 1 != rank_) {
+    return Status::InvalidArgument(
+        "resident fragment " + std::to_string(resident->fid()) +
+        " found at rank " + std::to_string(rank_));
+  }
+  AdoptFragment(std::move(resident), token);
+  return Status::OK();
+}
+
 Status RemoteWorkerHost::HandleLoad(const std::vector<uint8_t>& payload) {
   Decoder dec(payload);
   std::string app_name;
@@ -123,61 +173,99 @@ Status RemoteWorkerHost::HandleLoad(const std::vector<uint8_t>& payload) {
     parse = dec.ReadU32(&compute_threads);
   }
   if (!parse.ok()) return EmitError(parse);
-  // A load is an implicit reload: every run begins with its own
-  // kTagWkLoad, and an engine whose previous run failed mid-phase (so no
-  // shutdown was sent) must still be able to start over on the same
+  // A load is an implicit reload of its slot: every run begins with its
+  // own kTagWkLoad, and an engine whose previous run failed mid-phase (so
+  // no shutdown was sent) must still be able to start over on the same
   // world. Anything buffered for the abandoned run dies with the old
   // server. (A flaky-duplicated load frame re-loads the identical state
   // and its second ack is ignored engine-side — harmless.)
-  server_.reset();
-  pending_.clear();
-  inc_pending_ = false;
-  ckpt_pending_ = false;
-  mut_.reset();
+  ClearRound();
+  AbandonMutation();
+  slots_.erase(app_name);
   auto factory = WorkerAppRegistry::Global().Get(app_name);
   if (!factory.ok()) return EmitError(factory.status());
   std::unique_ptr<WorkerAppServerBase> server = (*factory)();
-  check_monotonicity_ = (flags & kWkLoadCheckMonotonicity) != 0;
   server->SetComputeThreads(compute_threads);
-  if (Status s = server->Load(dec, rank_, check_monotonicity_, flags);
-      !s.ok()) {
-    return EmitError(s);
+  if (Status s = server->DecodeQuery(dec); !s.ok()) return EmitError(s);
+
+  // The fragment source: a token to attach by, a shipped fragment to
+  // deposit under a token (ship-and-stash, so every later load on this
+  // world — another query class's engine, a post-reload session —
+  // attaches instead of re-shipping the graph), or a plain ship.
+  if ((flags & kWkLoadUseResident) != 0) {
+    uint64_t token = 0;
+    Status s = dec.ReadU64(&token);
+    if (s.ok() && (fragment_ == nullptr || token != token_)) {
+      s = AttachResident(token);
+    }
+    if (!s.ok()) return EmitError(s);
+  } else {
+    uint64_t token = 0;
+    if ((flags & kWkLoadStashResident) != 0) {
+      if (Status s = dec.ReadU64(&token); !s.ok()) return EmitError(s);
+    }
+    auto owned = std::make_shared<Fragment>();
+    if (Status s = Fragment::DecodeFrom(dec, owned.get()); !s.ok()) {
+      return EmitError(s);
+    }
+    if (token != 0) ResidentFragmentStore::Global().Put(token, rank_, owned);
+    if (owned->fid() + 1 != rank_) {
+      return EmitError(Status::InvalidArgument(
+          "fragment " + std::to_string(owned->fid()) + " shipped to rank " +
+          std::to_string(rank_) + " (worker rank must be fid + 1)"));
+    }
+    AdoptFragment(std::move(owned), token);
   }
-  server_ = std::move(server);
-  WorkerAck ack;
-  ack.phase = kWkPhaseLoad;
-  ack.worker_pid = static_cast<uint64_t>(getpid());
-  return EmitAck(ack);
+  Slot& slot = slots_[app_name];
+  slot.server = std::move(server);
+  slot.check_monotonicity = (flags & kWkLoadCheckMonotonicity) != 0;
+  slot.server->Seat(*fragment_, slot.check_monotonicity);
+  current_ = &slot;
+  return EmitOpenAck(kWkPhaseLoad, 0);
 }
 
 Status RemoteWorkerHost::HandleQuery(const std::vector<uint8_t>& payload) {
-  if (server_ == nullptr) {
-    return EmitError(
-        Status::FailedPrecondition("session query before a successful load"));
-  }
+  Decoder dec(payload);
+  std::string app_name;
+  if (Status s = dec.ReadString(&app_name); !s.ok()) return EmitError(s);
   // Sessions only advance between completed runs, so anything still
   // buffered belongs to an abandoned round; clear it exactly as a reload
   // would, minus the fragment work.
-  pending_.clear();
-  inc_pending_ = false;
-  ckpt_pending_ = false;
-  mut_.reset();
-  Decoder dec(payload);
-  if (Status s = server_->ResetQuery(dec, check_monotonicity_); !s.ok()) {
-    return EmitError(s);
+  ClearRound();
+  AbandonMutation();
+  Slot* slot = FindSlot(app_name);
+  if (slot == nullptr) {
+    return EmitError(Status::FailedPrecondition(
+        "session query for app '" + app_name +
+        "' before a successful load"));
   }
-  WorkerAck ack;
-  ack.phase = kWkPhaseLoad;
-  ack.worker_pid = static_cast<uint64_t>(getpid());
-  return EmitAck(ack);
+  current_ = slot;
+  if (Status s = slot->server->DecodeQuery(dec); !s.ok()) return EmitError(s);
+  slot->server->Seat(*fragment_, slot->check_monotonicity);
+  return EmitOpenAck(kWkPhaseLoad, 0);
+}
+
+void RemoteWorkerHost::HandleShutdown(const std::vector<uint8_t>& payload) {
+  // Retire the named slot only: the other slots' sessions stay warm, and
+  // the host stays reloadable. Nobody awaits a reply, so an unparseable
+  // frame is dropped rather than answered with an error the next query's
+  // wait would trip over.
+  Decoder dec(payload);
+  std::string app_name;
+  if (!dec.ReadString(&app_name).ok()) return;
+  auto it = slots_.find(app_name);
+  if (it == slots_.end()) return;
+  if (current_ == &it->second) ClearRound();
+  slots_.erase(it);
 }
 
 Status RemoteWorkerHost::RunPhase(uint8_t phase, uint32_t round,
                                   bool incremental) {
+  WorkerAppServerBase& server = *current_->server;
   WorkerPhaseOutput out;
-  Status s = phase == kWkPhasePEval ? server_->PEval(*pool_, &out)
-                                    : server_->IncEval(incremental, *pool_,
-                                                       &out);
+  Status s = phase == kWkPhasePEval
+                 ? server.PEval(*pool_, &out)
+                 : server.IncEval(incremental, *pool_, &out);
   if (!s.ok()) return EmitError(s);
 
   WorkerAck ack;
@@ -207,7 +295,7 @@ Status RemoteWorkerHost::RunPhase(uint8_t phase, uint32_t round,
 }
 
 Status RemoteWorkerHost::MaybeRunIncEval() {
-  if (!inc_pending_ || server_ == nullptr) return Status::OK();
+  if (!inc_pending_ || current_ == nullptr) return Status::OK();
 
   // Are this round's deliveries complete? Coordinator batches plus the
   // per-sender direct-frame expectations from the command.
@@ -228,7 +316,8 @@ Status RemoteWorkerHost::MaybeRunIncEval() {
   // peer's next-round refresh stays buffered: FIFO per channel means its
   // first `need` frames from a sender are that sender's current-round
   // ones), apply them, and run IncEval.
-  server_->BeginApply();
+  WorkerAppServerBase& server = *current_->server;
+  server.BeginApply();
   uint32_t apply_taken = 0;
   std::map<uint32_t, uint32_t> direct_quota;
   for (const auto& [from, need] : cmd_.expect_direct) {
@@ -249,7 +338,7 @@ Status RemoteWorkerHost::MaybeRunIncEval() {
       }
     }
     if (take && apply_status.ok()) {
-      apply_status = server_->ApplyFrame(f.payload);
+      apply_status = server.ApplyFrame(f.payload);
       pool_->Release(std::move(f.payload));
     } else if (take) {
       pool_->Release(std::move(f.payload));
@@ -272,7 +361,7 @@ Status RemoteWorkerHost::HandleCheckpointCmd(
   if (Status s = WkCheckpointCommand::DecodeFrom(dec, &cmd); !s.ok()) {
     return EmitError(s);
   }
-  if (server_ == nullptr) {
+  if (current_ == nullptr) {
     return EmitError(
         Status::FailedPrecondition("checkpoint before a successful load"));
   }
@@ -286,7 +375,7 @@ Status RemoteWorkerHost::HandleCheckpointCmd(
 }
 
 Status RemoteWorkerHost::MaybeCheckpoint() {
-  if (!ckpt_pending_ || server_ == nullptr) return Status::OK();
+  if (!ckpt_pending_ || current_ == nullptr) return Status::OK();
   // The barrier: every direct frame the engine knows was emitted toward us
   // this round must already be buffered, or the image would miss part of
   // the message frontier a recovered run replays.
@@ -303,9 +392,7 @@ Status RemoteWorkerHost::MaybeCheckpoint() {
   image.rank = rank_;
   image.round = ckpt_cmd_.round;
   Encoder state(pool_->Acquire());
-  if (Status s = server_->EncodeCheckpoint(state); !s.ok()) {
-    return EmitError(s);
-  }
+  current_->server->EncodeCheckpoint(state);
   image.state = state.TakeBuffer();
   image.pending.reserve(pending_.size());
   for (const PendingFrame& f : pending_) {
@@ -338,13 +425,11 @@ Status RemoteWorkerHost::HandleRestore(const std::vector<uint8_t>& payload) {
   if (Status s = WkRestoreCommand::DecodeFrom(dec, &cmd); !s.ok()) {
     return EmitError(s);
   }
-  // A restore replaces whatever partial state this host has, exactly like
+  // A restore replaces whatever partial state its slot has, exactly like
   // a load does — the previous run attempt is dead by definition.
-  server_.reset();
-  pending_.clear();
-  inc_pending_ = false;
-  ckpt_pending_ = false;
-  mut_.reset();
+  ClearRound();
+  AbandonMutation();
+  slots_.erase(cmd.app_name);
 
   Result<CheckpointImage> image =
       cmd.dir.empty()
@@ -361,23 +446,30 @@ Status RemoteWorkerHost::HandleRestore(const std::vector<uint8_t>& payload) {
   auto factory = WorkerAppRegistry::Global().Get(cmd.app_name);
   if (!factory.ok()) return EmitError(factory.status());
   std::unique_ptr<WorkerAppServerBase> server = (*factory)();
-  check_monotonicity_ = (cmd.flags & kWkLoadCheckMonotonicity) != 0;
   server->SetComputeThreads(cmd.compute_threads);
+  // The image: query, the whole fragment, then the core state.
   Decoder state(image->state);
-  if (Status s =
-          server->RestoreFromCheckpoint(state, rank_, check_monotonicity_);
-      !s.ok()) {
-    return EmitError(s);
+  auto owned = std::make_shared<Fragment>();
+  Status s = server->DecodeQuery(state);
+  if (s.ok()) s = Fragment::DecodeFrom(state, owned.get());
+  if (s.ok() && owned->fid() + 1 != rank_) {
+    s = Status::InvalidArgument(
+        "checkpoint of fragment " + std::to_string(owned->fid()) +
+        " restored at rank " + std::to_string(rank_));
   }
-  server_ = std::move(server);
+  if (!s.ok()) return EmitError(s);
+  AdoptFragment(std::move(owned), 0);
+  const bool check = (cmd.flags & kWkLoadCheckMonotonicity) != 0;
+  server->Seat(*fragment_, check);
+  if (Status r = server->RestoreCore(state); !r.ok()) return EmitError(r);
+  Slot& slot = slots_[cmd.app_name];
+  slot.server = std::move(server);
+  slot.check_monotonicity = check;
+  current_ = &slot;
   for (CheckpointImage::PendingWireFrame& f : image->pending) {
     pending_.push_back(PendingFrame{f.from, f.tag, std::move(f.payload)});
   }
-  WorkerAck ack;
-  ack.phase = kWkPhaseRestore;
-  ack.round = image->round;
-  ack.worker_pid = static_cast<uint64_t>(getpid());
-  return EmitAck(ack);
+  return EmitOpenAck(kWkPhaseRestore, image->round);
 }
 
 // ------------------------------------------------- distributed build steps
@@ -652,33 +744,67 @@ Status RemoteWorkerHost::MaybeFinishBuild() {
 
 // ------------------------------------------------- streaming mutation steps
 
-Status RemoteWorkerHost::HandleMutate(const std::vector<uint8_t>& payload) {
-  if (server_ == nullptr) {
-    return EmitError(
-        Status::FailedPrecondition("mutation before a successful load"));
+void RemoteWorkerHost::AbandonMutation() {
+  if (mut_ && mut_->fragment != nullptr) {
+    slots_.clear();
+    ClearRound();
   }
+  mut_.reset();
+}
+
+Status RemoteWorkerHost::FailMutation(const Status& error) {
+  AbandonMutation();
+  return EmitError(error);
+}
+
+Status RemoteWorkerHost::HandleMutate(const std::vector<uint8_t>& payload) {
   if (inc_pending_ || ckpt_pending_) {
     return EmitError(Status::FailedPrecondition(
         "mutation command overlapping another command"));
   }
-  // Peers that mutated first may already have buffered frames for this
-  // session into mut_ — keep them; only errors reset the session.
-  if (!mut_) mut_.emplace();
+  // A rebuild still in flight belongs to an abandoned mutation (the
+  // engine only sends the next batch after the last one's acks).
+  if (mut_ && mut_->fragment != nullptr) AbandonMutation();
   Decoder dec(payload);
-  Result<const Fragment*> frag =
-      server_->MutateFragment(dec, check_monotonicity_);
-  if (!frag.ok()) {
-    mut_.reset();
-    return EmitError(frag.status());
+  uint64_t token = 0;
+  MutationBatch batch;
+  Status s = dec.ReadU64(&token);
+  if (s.ok()) s = MutationBatch::DecodeFrom(dec, &batch);
+  // A token names the resident fragment to patch, so a host with no live
+  // slot (or a fresh in-thread host) can still carry the batch into the
+  // store every later attach reads.
+  if (s.ok() && token != 0 && (fragment_ == nullptr || token != token_)) {
+    s = AttachResident(token);
   }
-  mut_->rebuilt = true;
+  if (s.ok() && fragment_ == nullptr) {
+    s = Status::FailedPrecondition("mutation before a successful load");
+  }
+  Result<Fragment> rebuilt =
+      s.ok() ? FragmentBuilder::MutateFragment(*fragment_, batch)
+             : Result<Fragment>(s);
+  if (rebuilt.ok() && rebuilt->num_inner() != fragment_->num_inner()) {
+    rebuilt = Status::Internal(
+        "edge mutation changed the inner vertex set (ownership is fixed)");
+  }
+  if (!rebuilt.ok()) {
+    mut_.reset();
+    return EmitError(rebuilt.status());
+  }
+  // Peers that mutated first may already have buffered frames for this
+  // session into mut_ — keep them.
+  if (!mut_) mut_.emplace();
+  mut_->fragment = std::make_shared<Fragment>(std::move(rebuilt).value());
+  for (auto& [name, slot] : slots_) {
+    slot.server->Reseat(*mut_->fragment, slot.check_monotonicity);
+    slot.warm_frames = 0;
+  }
 
   // Our rebuilt outer placements, one frame per peer (possibly empty —
   // the static n-1 expectation doubles as the exchange's barrier). The
   // peer answers each with the warm values for the gids we declared.
-  const uint32_t n = server_->num_fragments();
+  const uint32_t n = fragment_->num_fragments();
   const FragmentId fid = rank_ - 1;
-  auto answers = FragmentBuilder::MirrorAnswers(**frag);
+  auto answers = FragmentBuilder::MirrorAnswers(*mut_->fragment);
   for (FragmentId f = 0; f < n; ++f) {
     if (f == fid) continue;
     Encoder enc(pool_->Acquire());
@@ -723,13 +849,43 @@ Status RemoteWorkerHost::ApplyMutMirrorFrame(
       s = dec.ReadU32(&answers[i].lid);
     }
   }
-  if (s.ok()) s = server_->ApplyMutMirror(from - 1, answers);
-  Encoder vals(pool_->Acquire());
-  if (s.ok()) s = server_->EncodeWarmValues(answers, vals);
-  if (!s.ok()) {
-    mut_.reset();
-    return EmitError(s);
+  const Fragment& frag = *mut_->fragment;
+  if (s.ok()) {
+    s = FragmentBuilder::ApplyMirrorAnswers(mut_->fragment.get(), from - 1,
+                                            answers);
   }
+  // The peer declared outer copies of these gids: each must be one of our
+  // inner vertices, whose converged value every slot ships back under the
+  // peer's lid.
+  std::vector<uint32_t> requester_lids;
+  std::vector<LocalId> here;
+  requester_lids.reserve(answers.size());
+  here.reserve(answers.size());
+  for (const MirrorLidEntry& e : answers) {
+    if (!s.ok()) break;
+    const LocalId lid = frag.Lid(e.gid);
+    if (lid == kInvalidLocal || lid >= frag.num_inner()) {
+      s = Status::InvalidArgument(
+          "warm-value request for gid " + std::to_string(e.gid) +
+          " not owned by fragment " + std::to_string(frag.fid()));
+      break;
+    }
+    requester_lids.push_back(e.lid);
+    here.push_back(lid);
+  }
+  if (!s.ok()) return FailMutation(s);
+  // One length-prefixed record block per slot, by name, so a receiver
+  // can skip a slot it does not host.
+  Encoder vals(pool_->Acquire());
+  vals.WriteVarint(slots_.size());
+  Encoder block(pool_->Acquire());
+  for (const auto& [name, slot] : slots_) {
+    block.Clear();
+    slot.server->EncodeWarmValues(requester_lids, here, block);
+    vals.WriteString(name);
+    vals.WritePodVector(block.buffer());
+  }
+  pool_->Release(block.TakeBuffer());
   ++mut_->mirrors_seen;
   return emit_(from, kTagWkMutVals, vals.TakeBuffer());
 }
@@ -737,40 +893,42 @@ Status RemoteWorkerHost::ApplyMutMirrorFrame(
 Status RemoteWorkerHost::ApplyMutValsFrame(
     const std::vector<uint8_t>& payload) {
   Decoder dec(payload);
-  if (Status s = server_->AbsorbWarmValues(dec); !s.ok()) {
-    mut_.reset();
-    return EmitError(s);
+  uint64_t count = 0;
+  Status s = dec.ReadVarint(&count);
+  std::string name;
+  std::vector<uint8_t> block;
+  for (uint64_t k = 0; k < count && s.ok(); ++k) {
+    s = dec.ReadString(&name);
+    if (s.ok()) s = dec.ReadPodVector(&block);
+    if (!s.ok()) break;
+    Slot* slot = FindSlot(name);
+    if (slot == nullptr) continue;  // not live here: retired at finish
+    Decoder values(block);
+    s = slot->server->AbsorbWarmValues(values);
+    ++slot->warm_frames;
   }
+  if (!s.ok()) return FailMutation(s);
   ++mut_->vals_seen;
   return Status::OK();
 }
 
 Status RemoteWorkerHost::HandleMutMirror(uint32_t from,
                                          std::vector<uint8_t> payload) {
-  // Without a loaded server there is no session to serve: the frame is a
-  // leftover of an abandoned mutation. Drop, like a stale build mirror.
-  if (server_ == nullptr) {
-    pool_->Release(std::move(payload));
-    return Status::OK();
-  }
   if (!mut_) mut_.emplace();
-  if (!mut_->rebuilt) {
+  if (mut_->fragment == nullptr) {
     mut_->early_mirrors.emplace_back(from, std::move(payload));
     return Status::OK();
   }
   GRAPE_RETURN_NOT_OK(ApplyMutMirrorFrame(from, payload));
+  pool_->Release(std::move(payload));
   if (!mut_) return Status::OK();
   return MaybeFinishMutate();
 }
 
 Status RemoteWorkerHost::HandleMutVals(uint32_t from,
                                        std::vector<uint8_t> payload) {
-  if (server_ == nullptr) {
-    pool_->Release(std::move(payload));
-    return Status::OK();
-  }
   if (!mut_) mut_.emplace();
-  if (!mut_->rebuilt) {
+  if (mut_->fragment == nullptr) {
     // Defensive: an owner's reply follows our own mirror frame, which we
     // only send after rebuilding — but a flaky substrate's duplicate
     // could arrive any time, and buffering is always safe.
@@ -778,40 +936,77 @@ Status RemoteWorkerHost::HandleMutVals(uint32_t from,
     return Status::OK();
   }
   GRAPE_RETURN_NOT_OK(ApplyMutValsFrame(payload));
+  pool_->Release(std::move(payload));
   if (!mut_) return Status::OK();
   return MaybeFinishMutate();
 }
 
 Status RemoteWorkerHost::MaybeFinishMutate() {
-  if (!mut_ || !mut_->rebuilt) return Status::OK();
-  const uint32_t n = server_->num_fragments();
+  if (!mut_ || mut_->fragment == nullptr) return Status::OK();
+  const uint32_t n = fragment_->num_fragments();
   if (mut_->mirrors_seen < n - 1 || mut_->vals_seen < n - 1) {
     return Status::OK();
   }
-  WkBuildAck ack;
-  if (Status s = server_->FinishMutation(&ack); !s.ok()) {
-    mut_.reset();
-    return EmitError(s);
+  if (Status s = FragmentBuilder::CheckMirrorsResolved(*mut_->fragment);
+      !s.ok()) {
+    return FailMutation(s);
   }
+  std::shared_ptr<const Fragment> frozen = std::move(mut_->fragment);
   mut_.reset();
+  // Inner values are the previous fixpoint, outer values the owners'
+  // replies: each slot's store now matches what a local warm start holds.
+  // A slot some owner did not answer for (it was not live there) would
+  // warm-start from cold outer copies; retire it instead.
+  for (auto it = slots_.begin(); it != slots_.end();) {
+    if (it->second.warm_frames < n - 1) {
+      if (current_ == &it->second) ClearRound();
+      it = slots_.erase(it);
+    } else {
+      it->second.server->SyncMonotonicityBaseline();
+      ++it;
+    }
+  }
+  fragment_ = std::move(frozen);
+  if (token_ != 0) {
+    ResidentFragmentStore::Global().Put(token_, rank_, fragment_);
+  }
+  WkBuildAck ack;
+  ack.token = token_;
+  ack.num_inner = fragment_->num_inner();
+  ack.num_local = fragment_->num_local();
+  ack.num_arcs = fragment_->num_edges();
   Encoder enc(pool_->Acquire());
   ack.EncodeTo(enc);
   return emit_(kCoordinatorRank, kTagWkMutateAck, enc.TakeBuffer());
 }
 
 Status RemoteWorkerHost::HandleIncStart(const std::vector<uint8_t>& payload) {
-  if (server_ == nullptr) {
+  Decoder dec(payload);
+  std::string app_name;
+  std::vector<VertexId> touched;
+  Status s = dec.ReadString(&app_name);
+  if (s.ok()) s = dec.ReadPodVector(&touched);
+  if (!s.ok()) return EmitError(s);
+  Slot* slot = FindSlot(app_name);
+  if (slot == nullptr) {
     return EmitError(Status::FailedPrecondition(
-        "warm IncEval start before a successful load"));
+        "warm IncEval start for app '" + app_name +
+        "' before a successful load"));
   }
   if (mut_) {
     return EmitError(Status::FailedPrecondition(
         "warm IncEval start during an unfinished mutation"));
   }
-  Decoder dec(payload);
-  std::vector<VertexId> touched;
-  if (Status s = dec.ReadPodVector(&touched); !s.ok()) return EmitError(s);
-  if (Status s = server_->SeedTouched(touched); !s.ok()) return EmitError(s);
+  // Deliberately no ClearRound: a fast peer's round-1 direct frames may
+  // already be buffered for this very start.
+  current_ = slot;
+  std::vector<LocalId> lids;
+  lids.reserve(touched.size());
+  for (VertexId gid : touched) {
+    const LocalId lid = fragment_->Lid(gid);
+    if (lid != kInvalidLocal) lids.push_back(lid);
+  }
+  slot->server->SeedTouched(lids);
   return RunPhase(kWkPhaseIncEval, 1, true);
 }
 
@@ -847,7 +1042,7 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
     }
     case kTagWkRunPEval: {
       pool_->Release(std::move(payload));
-      if (server_ == nullptr) {
+      if (current_ == nullptr) {
         return EmitError(Status::FailedPrecondition(
             "RunPEval before a successful load"));
       }
@@ -855,10 +1050,11 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
     }
     case kTagWkApply:
     case kTagWkDirect: {
-      if (server_ == nullptr) {
+      if (current_ == nullptr) {
+        // No query is open: a leftover of an abandoned round, whose
+        // engine has already given up on it.
         pool_->Release(std::move(payload));
-        return EmitError(Status::FailedPrecondition(
-            "parameter batch before a successful load"));
+        return Status::OK();
       }
       pending_.push_back(PendingFrame{from, tag, std::move(payload)});
       // At most one of the two can be armed: checkpoints only happen at
@@ -867,7 +1063,7 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
       return MaybeRunIncEval();
     }
     case kTagWkRunIncEval: {
-      if (server_ == nullptr) {
+      if (current_ == nullptr) {
         pool_->Release(std::move(payload));
         return EmitError(Status::FailedPrecondition(
             "RunIncEval before a successful load"));
@@ -890,12 +1086,12 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
     }
     case kTagWkGetPartial: {
       pool_->Release(std::move(payload));
-      if (server_ == nullptr) {
+      if (current_ == nullptr) {
         return EmitError(Status::FailedPrecondition(
             "GetPartial before a successful load"));
       }
       Encoder enc(pool_->Acquire());
-      GRAPE_RETURN_NOT_OK(server_->EncodePartial(enc));
+      GRAPE_RETURN_NOT_OK(current_->server->EncodePartial(enc));
       return emit_(kCoordinatorRank, kTagWkPartial, enc.TakeBuffer());
     }
     case kTagWkMutate: {
@@ -928,17 +1124,8 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
       return emit_(kCoordinatorRank, kTagWkPong, std::move(payload));
     }
     case kTagWkShutdown: {
+      HandleShutdown(payload);
       pool_->Release(std::move(payload));
-      // Retire the current worker but leave the host reloadable: engines
-      // may run several queries over one world, and each run begins with
-      // a fresh kTagWkLoad. shut_down_ only tells an in-thread host's
-      // loop to exit; endpoint relay loops keep serving.
-      server_.reset();
-      pending_.clear();
-      inc_pending_ = false;
-      ckpt_pending_ = false;
-      mut_.reset();
-      shut_down_ = true;
       return Status::OK();
     }
     default: {
@@ -951,9 +1138,37 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
 
 // -------------------------------------------------------- in-thread hosts
 
-InThreadWorkers::InThreadWorkers(Transport* world, uint32_t num_workers,
-                                 bool enable) {
-  if (!enable) return;
+void DrainWorkerFrames(Transport* world, uint32_t first, uint32_t last) {
+  for (uint32_t tag = kTagWkLoad; tag < kTagWkEnd_; ++tag) {
+    for (uint32_t rank = first; rank <= last; ++rank) {
+      while (auto stale = world->TryRecv(rank, tag)) {
+        world->buffer_pool().Release(std::move(stale->payload));
+      }
+    }
+  }
+}
+
+std::shared_ptr<InThreadWorkers> InThreadWorkers::Share(Transport* world,
+                                                        uint32_t num_workers) {
+  if (world->has_remote_endpoints()) return nullptr;
+  // Never destroyed, like the registry: sets may be released during any
+  // teardown order.
+  static std::mutex& mu = *new std::mutex();
+  static auto& sets =
+      *new std::map<Transport*, std::weak_ptr<InThreadWorkers>>();
+  std::lock_guard<std::mutex> lock(mu);
+  std::weak_ptr<InThreadWorkers>& slot = sets[world];
+  if (std::shared_ptr<InThreadWorkers> live = slot.lock()) return live;
+  // No host serves these mailboxes right now, so whatever waits in them
+  // is a leftover of an earlier set's sessions.
+  DrainWorkerFrames(world, 1, num_workers);
+  std::shared_ptr<InThreadWorkers> spawned(
+      new InThreadWorkers(world, num_workers));
+  slot = spawned;
+  return spawned;
+}
+
+InThreadWorkers::InThreadWorkers(Transport* world, uint32_t num_workers) {
   threads_.reserve(num_workers);
   for (uint32_t rank = 1; rank <= num_workers; ++rank) {
     threads_.emplace_back([this, world, rank] { Loop(world, rank); });
@@ -979,9 +1194,9 @@ void InThreadWorkers::Loop(Transport* world, uint32_t rank) {
     std::optional<RtMessage> msg = world->TryRecv(rank);
     if (!msg) {
       // Drain-then-stop: only exit on the stop flag once the mailbox is
-      // empty, so a shutdown frame sent just before our destructor is
-      // consumed now instead of greeting (and instantly killing) the
-      // next run's worker thread.
+      // empty, so the shutdown frames the last holder sent just before
+      // releasing the set are consumed now instead of greeting the next
+      // set's host.
       if (stop_.load(std::memory_order_acquire) || !world->healthy()) break;
       IdleWait(&idle);
       continue;
@@ -991,7 +1206,6 @@ void InThreadWorkers::Loop(Transport* world, uint32_t rank) {
     if (!host.OnFrame(msg->from, msg->tag, std::move(msg->payload)).ok()) {
       break;  // the world is gone; nothing left to serve
     }
-    if (host.shut_down()) break;
   }
 }
 

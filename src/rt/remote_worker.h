@@ -62,89 +62,77 @@ class ResidentFragmentStore {
       fragments_;
 };
 
-/// Type-erased worker for one (app, fragment) pair — the virtual seam
+/// Type-erased worker for one app slot of an endpoint — the virtual seam
 /// between the generic protocol host below and the templated
-/// WorkerCore<App> compute. Instantiated by name through
+/// WorkerCore<App> compute. A server holds only its query and its core:
+/// the fragment belongs to the host (RemoteWorkerHost), which seats every
+/// slot's core on its one resident fragment. Instantiated by name through
 /// WorkerAppRegistry, so an endpoint process can host any registered PIE
 /// program without compile-time knowledge of the app.
 class WorkerAppServerBase {
  public:
   virtual ~WorkerAppServerBase() = default;
 
-  /// Decodes query + fragment (the name and flags were already consumed)
-  /// and initializes the parameter store. `rank` is this worker's
-  /// transport rank; the shipped fragment must be fragment rank-1. `flags`
-  /// is the kTagWkLoad flag byte: kWkLoadUseResident resolves a build
-  /// token through ResidentFragmentStore instead of decoding a fragment;
-  /// kWkLoadStashResident decodes a shipped fragment AND deposits it in
-  /// the store under the token that precedes it on the wire.
-  virtual Status Load(Decoder& dec, uint32_t rank, bool check_monotonicity,
-                      uint8_t flags) = 0;
-  /// Re-seeds this already-loaded server for the next query of a session
-  /// (kTagWkQuery): decodes only the query — the fragment stays exactly
-  /// as loaded — and rebuilds the core around a fresh app instance, so
-  /// stateful apps drop every trace of the previous query.
-  virtual Status ResetQuery(Decoder& dec, bool check_monotonicity) = 0;
-  /// Frontier-parallel lane count for subsequent Load/Restore calls
-  /// (kWkLoadComputeThreads). <= 1 keeps the sequential path; the host
-  /// calls this before Load, so the server can size its own pool — each
-  /// endpoint process parallelizes within itself, never across ranks.
+  /// Frontier-parallel lane count (kWkLoadComputeThreads). <= 1 keeps the
+  /// sequential path; the host calls this before the first Seat, so the
+  /// server can size its own pool — each endpoint process parallelizes
+  /// within itself, never across ranks.
   virtual void SetComputeThreads(uint32_t threads) = 0;
+  /// Decodes the next query (from kTagWkLoad, kTagWkQuery or a checkpoint
+  /// image). Seat must follow before any phase runs.
+  virtual Status DecodeQuery(Decoder& dec) = 0;
+  /// Rebuilds the core over `frag` around a fresh app instance and a cold
+  /// parameter store, so stateful apps drop every trace of the previous
+  /// query. `frag` is host-owned and outlives the seat.
+  virtual void Seat(const Fragment& frag, bool check_monotonicity) = 0;
   virtual Status PEval(BufferPool& pool, WorkerPhaseOutput* out) = 0;
   virtual void BeginApply() = 0;
   virtual Status ApplyFrame(const std::vector<uint8_t>& payload) = 0;
   virtual Status IncEval(bool incremental, BufferPool& pool,
                          WorkerPhaseOutput* out) = 0;
   virtual Status EncodePartial(Encoder& enc) const = 0;
-  virtual uint32_t num_fragments() const = 0;
 
   /// Serializes everything a respawned worker needs to resume this one's
   /// run mid-stream: query + fragment + WorkerCore state (+ app state for
-  /// CheckpointableApp programs). Only called at a superstep barrier.
-  virtual Status EncodeCheckpoint(Encoder& enc) const = 0;
-  /// Inverse of EncodeCheckpoint on a fresh server instance. All-or-
-  /// nothing: a failure leaves the caller free to discard this instance.
-  virtual Status RestoreFromCheckpoint(Decoder& dec, uint32_t rank,
-                                       bool check_monotonicity) = 0;
+  /// CheckpointableApp programs). Only called at a superstep barrier. The
+  /// fragment ships whole even when it came from the resident store: a
+  /// post-recovery world's endpoint processes are fresh forks that never
+  /// saw the load, so the image must be self-sufficient.
+  virtual void EncodeCheckpoint(Encoder& enc) const = 0;
+  /// The WorkerCore part of an image, after DecodeQuery and a Seat on the
+  /// image's fragment. All-or-nothing: a failure leaves the caller free to
+  /// discard this instance.
+  virtual Status RestoreCore(Decoder& dec) = 0;
 
-  // Streaming mutations (kTagWkMutate .. kTagWkIncStart): the warm path
-  // that rebuilds the resident fragment in place and keeps the converged
-  // parameter store alive across the rebuild. Inner lids are stable under
-  // edge mutation (the inner set is fixed by vertex ownership), so inner
-  // values migrate by lid; the rebuilt outer set starts cold and is
-  // overwritten with the owners' converged values through the
-  // kTagWkMutMirror / kTagWkMutVals exchange the host drives.
+  // Streaming mutations (kTagWkMutate .. kTagWkMutVals): the host rebuilds
+  // its fragment once and re-seats every slot on the rebuilt copy. Inner
+  // lids are stable under edge mutation (the inner set is fixed by vertex
+  // ownership, and the inner order — ascending gid among owned vertices —
+  // is a function of ownership alone), so inner values migrate by lid; the
+  // rebuilt outer set starts cold and is overwritten with the owners'
+  // converged values through the kTagWkMutMirror / kTagWkMutVals exchange.
 
-  /// Decodes a MutationBatch and rebuilds this worker's fragment from its
-  /// mutated incident edge view (FragmentBuilder::MutateFragment). The
-  /// core is re-seated on the rebuilt fragment with inner values carried
-  /// over; mirror destinations stay unresolved until the host applies the
-  /// peers' kTagWkMutMirror answers. Returns the rebuilt fragment so the
-  /// host can compute its own mirror answers.
-  virtual Result<const Fragment*> MutateFragment(Decoder& dec,
-                                                 bool check_monotonicity) = 0;
-  /// Applies one peer's rebuilt mirror placements (patching this
-  /// fragment's routing plan), exactly like the build path's mirror step.
-  virtual Status ApplyMutMirror(FragmentId from,
-                                const std::vector<MirrorLidEntry>& answers) = 0;
-  /// Answers a peer's warm-value request: for each entry — a gid this
-  /// worker owns, paired with the REQUESTER's local id for it — encode the
-  /// converged inner value under the requester's lid (record-block wire
-  /// format, the same codec parameter messages use).
-  virtual Status EncodeWarmValues(const std::vector<MirrorLidEntry>& request,
-                                  Encoder& enc) = 0;
-  /// Absorbs an owner's kTagWkMutVals reply: OVERWRITES the addressed
-  /// store slots (no aggregation — at a converged fixpoint an outer copy
-  /// can be stale-high, and the owner's value is authoritative).
+  /// Re-seats the core on `rebuilt`, carrying the converged inner values
+  /// over by lid.
+  virtual void Reseat(const Fragment& rebuilt, bool check_monotonicity) = 0;
+  /// Answers a peer's warm-value request: the converged value of each
+  /// inner vertex `here[k]`, addressed under the REQUESTER's local id
+  /// `requester_lids[k]` (record-block wire format, the same codec
+  /// parameter messages use).
+  virtual void EncodeWarmValues(const std::vector<uint32_t>& requester_lids,
+                                const std::vector<LocalId>& here,
+                                Encoder& enc) const = 0;
+  /// Absorbs an owner's warm values: OVERWRITES the addressed store slots
+  /// (no aggregation — at a converged fixpoint an outer copy can be
+  /// stale-high, and the owner's value is authoritative).
   virtual Status AbsorbWarmValues(Decoder& dec) = 0;
-  /// Verifies the rebuilt routing plan is fully resolved, freezes the
-  /// fragment (re-depositing it in ResidentFragmentStore when this load
-  /// carried a token), re-baselines monotonicity tracking on the warm
-  /// values, and reports the new shape for the mutate ack.
-  virtual Status FinishMutation(WkBuildAck* shape) = 0;
+  /// Re-baselines monotonicity tracking on the warm values once the
+  /// exchange completed: they, not InitValue, are the floor the
+  /// incremental rounds descend from.
+  virtual void SyncMonotonicityBaseline() = 0;
   /// Seeds the warm IncEval's initial M_i with the local ids (inner AND
   /// outer copies) of the batch's touched vertices.
-  virtual Status SeedTouched(const std::vector<VertexId>& gids) = 0;
+  virtual void SeedTouched(const std::vector<LocalId>& lids) = 0;
 };
 
 /// Templated worker server: WorkerCore<App> behind the virtual seam.
@@ -155,68 +143,23 @@ class WorkerServer final : public WorkerAppServerBase {
   using Query = typename App::QueryType;
   using Value = typename App::ValueType;
 
-  Status Load(Decoder& dec, uint32_t rank, bool check_monotonicity,
-              uint8_t flags) override {
-    GRAPE_RETURN_NOT_OK(DecodeValue(dec, &query_));
-    rank_ = rank;
-    token_ = 0;
-    if ((flags & kWkLoadUseResident) != 0) {
-      uint64_t token = 0;
-      GRAPE_RETURN_NOT_OK(dec.ReadU64(&token));
-      resident_ = ResidentFragmentStore::Global().Get(token, rank);
-      if (resident_ == nullptr) {
-        return Status::NotFound(
-            "no resident fragment for build token " + std::to_string(token) +
-            " at rank " + std::to_string(rank) +
-            " (was the distributed load run on this world?)");
-      }
-      token_ = token;
-    } else if ((flags & kWkLoadStashResident) != 0) {
-      // Ship-and-stash: decode the fragment into shared ownership and
-      // deposit it under the session token, so every later load on this
-      // world (another query class's engine, a post-reload session)
-      // attaches by token instead of re-shipping the graph.
-      uint64_t token = 0;
-      GRAPE_RETURN_NOT_OK(dec.ReadU64(&token));
-      auto owned = std::make_shared<Fragment>();
-      GRAPE_RETURN_NOT_OK(Fragment::DecodeFrom(dec, owned.get()));
-      ResidentFragmentStore::Global().Put(token, rank, owned);
-      resident_ = std::move(owned);
-      token_ = token;
-    } else {
-      GRAPE_RETURN_NOT_OK(Fragment::DecodeFrom(dec, &frag_));
-      resident_.reset();
-    }
-    const Fragment& frag = resident_ ? *resident_ : frag_;
-    if (frag.fid() + 1 != rank) {
-      return Status::InvalidArgument(
-          "fragment " + std::to_string(frag.fid()) + " shipped to rank " +
-          std::to_string(rank) + " (worker rank must be fid + 1)");
-    }
-    core_.emplace(frag, App{});
-    MaybeEnableParallel();
-    core_->Reset(check_monotonicity);
-    return Status::OK();
-  }
-
-  Status ResetQuery(Decoder& dec, bool check_monotonicity) override {
-    if (!core_.has_value()) {
-      return Status::FailedPrecondition(
-          "session query before a successful load");
-    }
-    GRAPE_RETURN_NOT_OK(DecodeValue(dec, &query_));
-    const Fragment& frag = resident_ ? *resident_ : frag_;
-    core_.emplace(frag, App{});
-    MaybeEnableParallel();
-    core_->Reset(check_monotonicity);
-    return Status::OK();
-  }
-
   void SetComputeThreads(uint32_t threads) override {
     compute_threads_ = threads;
     if (threads > 1 && pool_ == nullptr) {
       pool_ = std::make_unique<ThreadPool>(threads);
     }
+  }
+
+  Status DecodeQuery(Decoder& dec) override {
+    return DecodeValue(dec, &query_);
+  }
+
+  void Seat(const Fragment& frag, bool check_monotonicity) override {
+    core_.emplace(frag, App{});
+    if (compute_threads_ > 1) {
+      core_->EnableParallel(pool_.get(), compute_threads_);
+    }
+    core_->Reset(check_monotonicity);
   }
 
   Status PEval(BufferPool& pool, WorkerPhaseOutput* out) override {
@@ -242,111 +185,41 @@ class WorkerServer final : public WorkerAppServerBase {
     return Status::OK();
   }
 
-  uint32_t num_fragments() const override {
-    return (resident_ ? *resident_ : frag_).num_fragments();
-  }
-
-  Status EncodeCheckpoint(Encoder& enc) const override {
+  void EncodeCheckpoint(Encoder& enc) const override {
     EncodeValue(enc, query_);
-    // The fragment ships whole even when it came from the resident store:
-    // a post-recovery world's endpoint processes are fresh forks that
-    // never saw the distributed build, so the checkpoint must be
-    // self-sufficient.
-    (resident_ ? *resident_ : frag_).EncodeTo(enc);
+    core_->fragment().EncodeTo(enc);
     core_->EncodeCheckpoint(enc);
-    return Status::OK();
   }
 
-  Status RestoreFromCheckpoint(Decoder& dec, uint32_t rank,
-                               bool check_monotonicity) override {
-    GRAPE_RETURN_NOT_OK(DecodeValue(dec, &query_));
-    GRAPE_RETURN_NOT_OK(Fragment::DecodeFrom(dec, &frag_));
-    resident_.reset();
-    rank_ = rank;
-    token_ = 0;
-    if (frag_.fid() + 1 != rank) {
-      return Status::InvalidArgument(
-          "checkpoint of fragment " + std::to_string(frag_.fid()) +
-          " restored at rank " + std::to_string(rank));
-    }
-    core_.emplace(frag_, App{});
-    MaybeEnableParallel();
-    core_->Reset(check_monotonicity);
+  Status RestoreCore(Decoder& dec) override {
     return core_->RestoreCheckpoint(dec);
   }
 
-  Result<const Fragment*> MutateFragment(Decoder& dec,
-                                         bool check_monotonicity) override {
-    if (!core_.has_value()) {
-      return Status::FailedPrecondition(
-          "mutation before a successful load");
+  void Reseat(const Fragment& rebuilt, bool check_monotonicity) override {
+    const LocalId num_inner = rebuilt.num_inner();
+    std::vector<Value> warm;
+    warm.reserve(num_inner);
+    for (LocalId i = 0; i < num_inner; ++i) {
+      warm.push_back(std::move(core_->store().UntrackedRef(i)));
     }
-    MutationBatch batch;
-    GRAPE_RETURN_NOT_OK(MutationBatch::DecodeFrom(dec, &batch));
-    const Fragment& old = resident_ ? *resident_ : frag_;
-    auto rebuilt = FragmentBuilder::MutateFragment(old, batch);
-    if (!rebuilt.ok()) return rebuilt.status();
-    auto owned = std::make_shared<Fragment>(std::move(rebuilt).value());
-    if (owned->num_inner() != old.num_inner()) {
-      return Status::Internal(
-          "edge mutation changed the inner vertex set (ownership is fixed)");
-    }
-    // The warm state: converged inner values survive the rebuild by lid
-    // (the inner order — ascending gid among owned vertices — is a
-    // function of ownership alone, which mutations never change).
-    const std::vector<Value>& vals = core_->store().values();
-    std::vector<Value> warm(vals.begin(), vals.begin() + old.num_inner());
-    mut_frag_ = owned;
-    core_.emplace(*mut_frag_, App{});
-    MaybeEnableParallel();
-    core_->Reset(check_monotonicity);
+    Seat(rebuilt, check_monotonicity);
     ParamStore<Value>& store = core_->store();
-    for (LocalId i = 0; i < old.num_inner(); ++i) {
+    for (LocalId i = 0; i < num_inner; ++i) {
       store.UntrackedRef(i) = std::move(warm[i]);
     }
-    return static_cast<const Fragment*>(mut_frag_.get());
   }
 
-  Status ApplyMutMirror(FragmentId from,
-                        const std::vector<MirrorLidEntry>& answers) override {
-    if (mut_frag_ == nullptr) {
-      return Status::FailedPrecondition(
-          "mutation mirror answers without a rebuilt fragment");
-    }
-    return FragmentBuilder::ApplyMirrorAnswers(mut_frag_.get(), from, answers);
-  }
-
-  Status EncodeWarmValues(const std::vector<MirrorLidEntry>& request,
-                          Encoder& enc) override {
-    if (!core_.has_value() || mut_frag_ == nullptr) {
-      return Status::FailedPrecondition(
-          "warm-value request without a rebuilt fragment");
-    }
-    const Fragment& frag = *mut_frag_;
+  void EncodeWarmValues(const std::vector<uint32_t>& requester_lids,
+                        const std::vector<LocalId>& here,
+                        Encoder& enc) const override {
     const ParamStore<Value>& store = core_->store();
-    std::vector<uint32_t> lids;
     std::vector<Value> values;
-    lids.reserve(request.size());
-    values.reserve(request.size());
-    for (const MirrorLidEntry& e : request) {
-      const LocalId here = frag.Lid(e.gid);
-      if (here == kInvalidLocal || here >= frag.num_inner()) {
-        return Status::InvalidArgument(
-            "warm-value request for gid " + std::to_string(e.gid) +
-            " not owned by fragment " + std::to_string(frag.fid()));
-      }
-      lids.push_back(e.lid);  // addressed in the REQUESTER's lid space
-      values.push_back(store.Get(here));
-    }
-    EncodeOwnedRecords(enc, lids, values);
-    return Status::OK();
+    values.reserve(here.size());
+    for (LocalId lid : here) values.push_back(store.Get(lid));
+    EncodeOwnedRecords(enc, requester_lids, values);
   }
 
   Status AbsorbWarmValues(Decoder& dec) override {
-    if (!core_.has_value()) {
-      return Status::FailedPrecondition(
-          "warm values before a successful load");
-    }
     std::vector<uint32_t> lids;
     std::vector<Value> values;
     GRAPE_RETURN_NOT_OK(DecodeRecordBlock(dec, &lids, &values));
@@ -362,56 +235,15 @@ class WorkerServer final : public WorkerAppServerBase {
     return Status::OK();
   }
 
-  Status FinishMutation(WkBuildAck* shape) override {
-    if (mut_frag_ == nullptr || !core_.has_value()) {
-      return Status::FailedPrecondition(
-          "mutation finish without a rebuilt fragment");
-    }
-    GRAPE_RETURN_NOT_OK(FragmentBuilder::CheckMirrorsResolved(*mut_frag_));
-    // Inner values are the previous fixpoint, outer values the owners'
-    // replies: the store now matches what a local warm start holds, and
-    // that — not InitValue — is the monotonicity floor the incremental
-    // rounds descend from.
+  void SyncMonotonicityBaseline() override {
     core_->SyncMonotonicityBaseline();
-    shape->token = token_;
-    shape->num_inner = mut_frag_->num_inner();
-    shape->num_local = mut_frag_->num_local();
-    shape->num_arcs = mut_frag_->num_edges();
-    std::shared_ptr<const Fragment> frozen = std::move(mut_frag_);
-    mut_frag_.reset();
-    resident_ = frozen;
-    // Loads that carried a token (resident attach or ship-and-stash)
-    // re-deposit under the SAME key: every other engine attached to this
-    // world sees the mutated graph on its next load, without a new epoch.
-    if (token_ != 0) {
-      ResidentFragmentStore::Global().Put(token_, rank_, std::move(frozen));
-    }
-    return Status::OK();
   }
 
-  Status SeedTouched(const std::vector<VertexId>& gids) override {
-    if (!core_.has_value()) {
-      return Status::FailedPrecondition(
-          "warm IncEval start before a successful load");
-    }
-    const Fragment& frag = resident_ ? *resident_ : frag_;
-    std::vector<LocalId> lids;
-    lids.reserve(gids.size());
-    for (VertexId gid : gids) {
-      const LocalId lid = frag.Lid(gid);
-      if (lid != kInvalidLocal) lids.push_back(lid);
-    }
+  void SeedTouched(const std::vector<LocalId>& lids) override {
     core_->SeedUpdated(lids);
-    return Status::OK();
   }
 
  private:
-  void MaybeEnableParallel() {
-    if (compute_threads_ > 1) {
-      core_->EnableParallel(pool_.get(), compute_threads_);
-    }
-  }
-
   Status FlushInto(BufferPool& pool, WorkerPhaseOutput* out) {
     // updated_count is read after IncEval so the ablation's expansion of
     // M_i is visible, exactly like the engine's local RecordRound.
@@ -427,21 +259,9 @@ class WorkerServer final : public WorkerAppServerBase {
   }
 
   Query query_{};
-  Fragment frag_;
-  /// Set instead of frag_ for resident loads; shared with the store so the
-  /// core's fragment outlives later builds.
-  std::shared_ptr<const Fragment> resident_;
-  /// In-flight mutation rebuild: mutable until FinishMutation freezes it
-  /// into resident_. The core already points at it (routing-plan patches
-  /// from ApplyMutMirror are visible in place).
-  std::shared_ptr<Fragment> mut_frag_;
-  /// Transport rank and resident-store token of the current load (token 0
-  /// for plain fragment ships) — FinishMutation re-deposits under them.
-  uint32_t rank_ = 0;
-  uint64_t token_ = 0;
   std::optional<WorkerCore<App>> core_;
-  /// Frontier-parallel execution (kWkLoadComputeThreads): this endpoint's
-  /// own lane pool, created on first demand and reused across reloads.
+  /// Frontier-parallel execution (kWkLoadComputeThreads): this slot's own
+  /// lane pool, created on first demand.
   uint32_t compute_threads_ = 0;
   std::unique_ptr<ThreadPool> pool_;
 };
@@ -485,6 +305,15 @@ void RegisterRemoteWorker(const std::string& name) {
 /// single-threaded inside a tcp endpoint's poll loop or an in-process
 /// worker thread.
 ///
+/// The host owns the rank's one resident fragment and keeps one warm
+/// server per app slot over it, keyed by the app name the kTagWkLoad
+/// frame carries. Only the frames that open or retire a slot's query name
+/// it (kTagWkLoad, kTagWkQuery, kTagWkIncStart, kTagWkRestore,
+/// kTagWkShutdown); every per-superstep frame goes to the slot the
+/// current query opened. A load that brings a different fragment retires
+/// every other slot (they were seated on the old one); kTagWkMutate
+/// patches the fragment once and re-seats every live slot.
+///
 /// Protocol violations (unknown app, corrupt frame, command out of order
 /// — e.g. a duplicated control frame injected by a flaky substrate) are
 /// answered with kTagWkError and do not kill the host; only emit failures
@@ -508,12 +337,19 @@ class RemoteWorkerHost {
   /// down, mirroring any other dead-peer situation.
   Status OnFrame(uint32_t from, uint32_t tag, std::vector<uint8_t> payload);
 
-  bool shut_down() const { return shut_down_; }
-
  private:
+  /// One warm app server over the resident fragment.
+  struct Slot {
+    std::unique_ptr<WorkerAppServerBase> server;
+    bool check_monotonicity = false;
+    /// kTagWkMutVals blocks absorbed during the mutation in flight.
+    uint32_t warm_frames = 0;
+  };
+
   Status HandleLoad(const std::vector<uint8_t>& payload);
-  /// kTagWkQuery: re-seed the loaded server for a session's next query.
+  /// kTagWkQuery: re-seed one loaded slot for its session's next query.
   Status HandleQuery(const std::vector<uint8_t>& payload);
+  void HandleShutdown(const std::vector<uint8_t>& payload);
   Status MaybeRunIncEval();
   Status RunPhase(uint8_t phase, uint32_t round, bool incremental);
   // Fault tolerance (rt/checkpoint.h).
@@ -526,6 +362,20 @@ class RemoteWorkerHost {
   /// Reports a worker-side failure to the engine (code + message).
   Status EmitError(const Status& error);
   Status EmitAck(const WorkerAck& ack);
+  /// Acks a load, query re-seed or restore.
+  Status EmitOpenAck(uint8_t phase, uint32_t round);
+
+  /// The slot named `app`, or nullptr.
+  Slot* FindSlot(const std::string& app);
+  /// Forgets the current query: its slot selection and its buffered round
+  /// state, which can only belong to an abandoned round now.
+  void ClearRound();
+  /// Makes `fragment` the resident one. A different fragment retires
+  /// every slot, since each was seated on the old one.
+  void AdoptFragment(std::shared_ptr<const Fragment> fragment, uint64_t token);
+  /// Adopts the fragment a distributed build or a stashing load deposited
+  /// under `token` at this rank.
+  Status AttachResident(uint64_t token);
 
   // Distributed build steps (kTagWkShard .. kTagWkBuildAck).
   Status HandleShard(const std::vector<uint8_t>& payload);
@@ -539,19 +389,24 @@ class RemoteWorkerHost {
   /// Deposits the fragment and acks once every peer answered.
   Status MaybeFinishBuild();
 
-  // Streaming mutation steps (kTagWkMutate .. kTagWkIncStart): rebuild in
-  // place, then the peer-to-peer mirror-placement + warm-value exchange.
+  // Streaming mutation steps (kTagWkMutate .. kTagWkMutateAck): rebuild
+  // the fragment in place once, re-seat every slot, then the peer-to-peer
+  // mirror-placement + per-slot warm-value exchange.
   Status HandleMutate(const std::vector<uint8_t>& payload);
   Status HandleMutMirror(uint32_t from, std::vector<uint8_t> payload);
   Status HandleMutVals(uint32_t from, std::vector<uint8_t> payload);
-  /// Applies one peer's rebuilt mirror placements and answers it with the
-  /// warm values for the outer copies it declared.
+  /// Applies one peer's rebuilt mirror placements and answers it with
+  /// every slot's warm values for the outer copies it declared.
   Status ApplyMutMirrorFrame(uint32_t from,
                              const std::vector<uint8_t>& payload);
   Status ApplyMutValsFrame(const std::vector<uint8_t>& payload);
   /// Freezes the rebuilt fragment and acks the new shape once every
   /// peer's placements were applied AND every owner's values absorbed.
   Status MaybeFinishMutate();
+  /// Drops an unfinished mutation. Slots already re-seated on its rebuilt
+  /// fragment are retired with it.
+  void AbandonMutation();
+  Status FailMutation(const Status& error);
   /// kTagWkIncStart: seed M_i with the touched gids and run the warm
   /// IncEval round 1 (no query frame — the store keeps its warm state).
   Status HandleIncStart(const std::vector<uint8_t>& payload);
@@ -561,9 +416,16 @@ class RemoteWorkerHost {
   BufferPool owned_pool_;
   BufferPool* pool_;
 
-  std::unique_ptr<WorkerAppServerBase> server_;
-  bool check_monotonicity_ = false;
-  bool shut_down_ = false;
+  /// The resident fragment every slot is seated on, and its
+  /// ResidentFragmentStore token (0 for a plain fragment ship) —
+  /// FinishMutation re-deposits under it, so every later attach on this
+  /// world sees the mutated graph without a new epoch.
+  std::shared_ptr<const Fragment> fragment_;
+  uint64_t token_ = 0;
+  std::map<std::string, Slot> slots_;
+  /// The slot the current query opened: every per-superstep frame goes
+  /// here. nullptr between a retirement and the next opening frame.
+  Slot* current_ = nullptr;
 
   struct PendingFrame {
     uint32_t from;
@@ -609,7 +471,11 @@ class RemoteWorkerHost {
   /// early_mirrors. The engine serializes mutations (one batch in flight
   /// per world), so no token is needed to match frames to the session.
   struct MutSession {
-    bool rebuilt = false;
+    /// The rebuilt fragment, mutable (routing-plan patches from the
+    /// peers' placements land in place) until MaybeFinishMutate freezes
+    /// it into fragment_. Every slot is already seated on it. nullptr
+    /// until our own kTagWkMutate arrives.
+    std::shared_ptr<Fragment> fragment;
     uint32_t mirrors_seen = 0;
     uint32_t vals_seen = 0;
     std::vector<std::pair<uint32_t, std::vector<uint8_t>>> early_mirrors;
@@ -636,19 +502,31 @@ inline void IdleWait(uint32_t* idle) {
   }
 }
 
+/// Drops every worker-protocol frame waiting in the mailboxes of ranks
+/// [first, last]: leftovers of an abandoned query or build, which must not
+/// masquerade as the next one's traffic.
+void DrainWorkerFrames(Transport* world, uint32_t first, uint32_t last);
+
 /// In-process worker threads for backends without endpoint processes
 /// (inproc): rank r's worker is a thread of the engine process speaking
-/// the exact same protocol over the transport. RAII: construction spawns
-/// (when `enable`), destruction stops and joins.
+/// the exact same protocol over the transport. One set per world, shared
+/// by every live session and build on it — exactly like an endpoint
+/// process, whose host outlives any one session. The set lives while any
+/// holder keeps its shared_ptr; the last release stops and joins it.
 class InThreadWorkers {
  public:
-  InThreadWorkers(Transport* world, uint32_t num_workers, bool enable);
+  /// The world's shared set, spawned on first demand (after dropping
+  /// stale worker frames from the mailboxes it will serve). nullptr on
+  /// backends whose workers live in endpoint processes.
+  static std::shared_ptr<InThreadWorkers> Share(Transport* world,
+                                                uint32_t num_workers);
   ~InThreadWorkers();
 
   InThreadWorkers(const InThreadWorkers&) = delete;
   InThreadWorkers& operator=(const InThreadWorkers&) = delete;
 
  private:
+  InThreadWorkers(Transport* world, uint32_t num_workers);
   void Loop(Transport* world, uint32_t rank);
 
   std::atomic<bool> stop_{false};

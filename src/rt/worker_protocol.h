@@ -39,7 +39,15 @@ namespace grape {
 //                        ◀─ kTagWkData / kTagWkDirect / kTagWkAck
 //   kTagWkGetPartial ──────────────────▶ GetPartial
 //                        ◀─ kTagWkPartial {encoded partial}
-//   kTagWkShutdown ────────────────────▶ worker host retires
+//   kTagWkShutdown {app} ──────────────▶ the app's slot retires
+//
+// App slots: a worker host keeps one warm server per app name over its
+// one resident fragment (rt/remote_worker.h RemoteWorkerHost), so several
+// engines' sessions can stay live on one world. Only the frames that open
+// or retire a slot's query name it — kTagWkLoad, kTagWkQuery,
+// kTagWkIncStart, kTagWkRestore (by their app-name field) and
+// kTagWkShutdown; every per-superstep frame goes to the slot the current
+// query opened.
 //
 // Ordering is carried entirely by the transport's FIFO-per-channel
 // guarantee: a worker's data frames precede its ack on the (r, 0)
@@ -100,29 +108,35 @@ enum WorkerProtocolTag : uint32_t {
   kTagWkPong = 0x118,           // r -> 0: probe reply (payload echoed)
 
   // Query sessions (core/engine.h SessionRun, the serving layer's hot
-  // path): a loaded worker is handed the NEXT query without re-shipping
-  // the app name or fragment — the server re-seeds its parameter store
-  // from the already-resident fragment. Acked with phase=load, exactly
-  // like the full load it replaces. Control frame, invisible to
-  // CommStats like every other tag here.
-  kTagWkQuery = 0x119,  // 0 -> r: payload = encoded query only
+  // path): a loaded slot is handed the NEXT query without re-shipping
+  // the fragment — the server re-seeds its parameter store from the
+  // already-resident fragment. Acked with phase=load, exactly like the
+  // full load it replaces. Control frame, invisible to CommStats like
+  // every other tag here.
+  kTagWkQuery = 0x119,  // 0 -> r: payload = app name + encoded query
 
   // Streaming mutations (the incremental serving path): the engine ships
-  // an edge-mutation batch into a live session; each worker rebuilds its
-  // fragment in place from its mutated incident edge view, re-runs the
+  // an edge-mutation batch into the world's resident fragments; each
+  // worker rebuilds its fragment once, in place, from its mutated
+  // incident edge view, re-seats every live slot on it, re-runs the
   // mirror-placement exchange peer-to-peer (same halves as the build
-  // protocol), and pulls warm parameter values for its new outer set from
-  // the owners — so a following kTagWkIncStart runs IncEval against
-  // exactly the state a local warm start would hold. All control frames,
-  // invisible to CommStats.
-  kTagWkMutate = 0x11a,     // 0 -> r: encoded MutationBatch
+  // protocol), and pulls every slot's warm parameter values for its new
+  // outer set from the owners — so a following kTagWkIncStart of any
+  // live slot runs IncEval against exactly the state a local warm start
+  // would hold. All control frames, invisible to CommStats.
+  //   kTagWkMutate payload: u64 resident token (0: the fragment the host
+  //   holds; otherwise the host attaches to the fragment deposited under
+  //   it first) + encoded MutationBatch.
+  //   kTagWkMutVals payload: varint slot count, then per slot its app name
+  //   and a length-prefixed record block.
+  kTagWkMutate = 0x11a,     // 0 -> r: token + encoded MutationBatch
   kTagWkMutMirror = 0x11b,  // r -> s: rebuilt mirror placements (one each)
-  kTagWkMutVals = 0x11c,    // s -> r: warm values for r's outer copies
+  kTagWkMutVals = 0x11c,    // s -> r: per-slot warm values for r's outers
   kTagWkMutateAck = 0x11d,  // r -> 0: WkBuildAck (new shape under token)
-  // 0 -> r: warm-start IncEval round 1 seeded with the batch's touched
-  // vertices (payload: pod vector of gids). Re-answers the session's last
-  // query — it deliberately does NOT reset the parameter store the way
-  // kTagWkQuery does.
+  // 0 -> r: warm-start IncEval round 1 of one slot, seeded with the
+  // batch's touched vertices (payload: app name + pod vector of gids).
+  // Re-answers the slot's last query — it deliberately does NOT reset the
+  // parameter store the way kTagWkQuery does.
   kTagWkIncStart = 0x11e,
 
   kTagWkEnd_,  // exclusive upper bound

@@ -37,11 +37,12 @@ inline constexpr uint32_t kTagSvSssp = 0x302;
 /// WritePodVector<uint32_t> — depth[gid], UINT32_MAX when unreachable.
 inline constexpr uint32_t kTagSvBfs = 0x303;
 /// Connected-component membership. Payload: empty (the labeling is a
-/// property of the graph, which is what lets the server answer from its
-/// per-epoch cache). Response: WritePodVector<VertexId> — label[gid].
+/// property of the graph, which is what lets the server answer from a
+/// standing answer it keeps current across mutations). Response:
+/// WritePodVector<VertexId> — label[gid].
 inline constexpr uint32_t kTagSvCcLabel = 0x304;
 /// PageRank with the server's fixed default parameters (fixed so results
-/// are cacheable per graph epoch). Payload: empty. Response:
+/// are cacheable per graph version). Payload: empty. Response:
 /// WritePodVector<double> — rank[gid].
 inline constexpr uint32_t kTagSvPageRank = 0x305;
 /// Re-runs the server's loader, bumps the graph epoch, and invalidates

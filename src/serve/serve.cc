@@ -44,6 +44,12 @@ struct ServeServer::Impl {
     int fd = -1;
     std::mutex write_mu;
     std::atomic<bool> open{true};
+    /// Requests this connection queued for the dispatcher and not yet
+    /// answered. Only the reader raises it and the dispatcher lowers it
+    /// (under write_mu, just before writing the answer), so a reader
+    /// that sees 0 knows every earlier answer is on the wire or ahead of
+    /// it on write_mu: an admission-time answer cannot overtake one.
+    std::atomic<uint32_t> unanswered{0};
   };
 
   struct PendingRequest {
@@ -52,8 +58,6 @@ struct ServeServer::Impl {
     uint32_t tag = 0;
     std::vector<uint8_t> payload;
   };
-
-  enum Class { kNone, kSssp, kBfs, kCc, kPageRank };
 
   explicit Impl(ServeOptions options) : options_(std::move(options)) {}
 
@@ -152,7 +156,7 @@ struct ServeServer::Impl {
         conn->fd = -1;
       }
     }
-    SwitchClass(kNone);  // retire the live worker session
+    ResetEngines();  // retire every class's worker session
   }
 
   // ---------------------------------------------------------- graph epoch
@@ -161,13 +165,9 @@ struct ServeServer::Impl {
   /// loader, rebuilds, primes residency. On failure the server keeps its
   /// (bumped) epoch but no engines — queries error until a reload works.
   Status LoadEpoch() {
-    SwitchClass(kNone);
-    sssp_.reset();
-    bfs_.reset();
-    cc_.reset();
-    pr_.reset();
-    cc_cache_.reset();
-    pr_cache_.reset();
+    ResetEngines();
+    graph_unknown_ = false;
+    PublishAnswers(nullptr, nullptr);
     mut_seq_ = 0;  // versions are (epoch << 32) | seq; a new epoch restarts seq
     const uint64_t old_token = token_;
 
@@ -208,9 +208,10 @@ struct ServeServer::Impl {
       token_ = meta_.token;
     }
 
-    // Every engine attaches to the resident fragments by token; every
-    // later cold session of any class (after a class switch, a mutation,
-    // a failed wave) loads that way, never by re-shipping the graph.
+    // Every engine attaches to the resident fragments by token, each into
+    // its own app slot in every endpoint, and every class's session stays
+    // warm beside the others; a cold session (the first of its class, or
+    // after a failed wave) loads that way, never by re-shipping the graph.
     EngineOptions eo = base;
     eo.remote_app = "ms_sssp";
     sssp_ = std::make_unique<GrapeEngine<MsSsspApp>>(meta_, eo);
@@ -225,7 +226,6 @@ struct ServeServer::Impl {
     // first real query.
     auto primed = sssp_->SessionRun(MsSsspQuery{});
     GRAPE_RETURN_NOT_OK(primed.status());
-    active_ = kSssp;
 
     // The previous epoch's fragments are dead weight now. Erase reaches
     // in-process stores (inproc worlds); forked endpoints free theirs when
@@ -241,28 +241,32 @@ struct ServeServer::Impl {
     return Status::OK();
   }
 
-  /// One live query session per world: retire the active class's session
-  /// before another class (or a reload, or shutdown) touches the
-  /// mailboxes.
-  void SwitchClass(Class next) {
-    if (active_ == next) return;
-    switch (active_) {
-      case kSssp:
-        if (sssp_) sssp_->EndSession();
-        break;
-      case kBfs:
-        if (bfs_) bfs_->EndSession();
-        break;
-      case kCc:
-        if (cc_) cc_->EndSession();
-        break;
-      case kPageRank:
-        if (pr_) pr_->EndSession();
-        break;
-      case kNone:
-        break;
-    }
-    active_ = next;
+  /// Destroys the per-class engines; each retires its own app slot.
+  void ResetEngines() {
+    sssp_.reset();
+    bfs_.reset();
+    cc_.reset();
+    pr_.reset();
+  }
+
+  /// Installs the standing answers (nullptr: not current). Under qu_mu_,
+  /// so a reader's admission check sees answers and pending transitions
+  /// as one consistent state.
+  void PublishAnswers(std::shared_ptr<const std::vector<uint8_t>> cc,
+                      std::shared_ptr<const std::vector<uint8_t>> pr) {
+    std::lock_guard<std::mutex> lk(qu_mu_);
+    cc_answer_ = std::move(cc);
+    pr_answer_ = std::move(pr);
+  }
+
+  /// Pre-encodes a standing answer once; every read of it ships these
+  /// bytes as they are.
+  template <typename T>
+  static std::shared_ptr<const std::vector<uint8_t>> EncodeAnswer(
+      const std::vector<T>& answer) {
+    Encoder enc;
+    enc.WritePodVector(answer);
+    return std::make_shared<const std::vector<uint8_t>>(enc.TakeBuffer());
   }
 
   // ------------------------------------------------------------ listener
@@ -321,17 +325,38 @@ struct ServeServer::Impl {
           fatal = true;
           break;
         }
-        if ((msg->tag == kTagSvReload || msg->tag == kTagSvMutate) &&
-            wave_active_.load()) {
+        const bool transition =
+            msg->tag == kTagSvReload || msg->tag == kTagSvMutate;
+        if (transition && wave_active_.load()) {
           // The transition is not lost — it waits in FIFO order behind
           // the wave — but the deferral is observable (epoch transitions
           // serialize against in-flight waves, never under them).
           deferred_transitions_.fetch_add(1);
         }
+        // A standing answer that is current is served right here, at
+        // admission, without waiting for the wave in flight — but only
+        // while no transition is queued or executing (the answer could
+        // be about to change) and this connection has nothing
+        // unanswered (answers keep request order).
+        std::shared_ptr<const std::vector<uint8_t>> standing;
         {
           std::lock_guard<std::mutex> lk(qu_mu_);
-          queue_.push_back(PendingRequest{conn, msg->from, msg->tag,
-                                          std::move(msg->payload)});
+          if (transitions_ == 0 && conn->unanswered.load() == 0) {
+            if (msg->tag == kTagSvCcLabel) standing = cc_answer_;
+            if (msg->tag == kTagSvPageRank) standing = pr_answer_;
+          }
+          if (standing == nullptr) {
+            if (transition) ++transitions_;
+            conn->unanswered.fetch_add(1);
+            queue_.push_back(PendingRequest{conn, msg->from, msg->tag,
+                                            std::move(msg->payload)});
+          }
+        }
+        if (standing != nullptr) {
+          cache_hits_.fetch_add(1);
+          queries_.fetch_add(1);
+          SendFrame(*conn, msg->from, kTagSvOk, *standing);
+          continue;
         }
         qu_cv_.notify_one();
       }
@@ -342,8 +367,10 @@ struct ServeServer::Impl {
 
   // ----------------------------------------------------------- responses
 
+  /// `queued` marks the answer to a request the dispatcher took from the
+  /// queue (see Connection::unanswered).
   void SendFrame(Connection& conn, uint32_t request_id, uint32_t tag,
-                 const std::vector<uint8_t>& payload) {
+                 const std::vector<uint8_t>& payload, bool queued = false) {
     FrameHeader h;
     h.from = request_id;
     h.to = 0;
@@ -352,6 +379,7 @@ struct ServeServer::Impl {
     uint8_t hdr[kFrameHeaderBytes];
     EncodeFrameHeader(h, hdr);
     std::lock_guard<std::mutex> lk(conn.write_mu);
+    if (queued) conn.unanswered.fetch_sub(1);
     if (!conn.open.load()) return;
     if (!net::WriteFullFd(conn.fd, hdr, sizeof(hdr)) ||
         (!payload.empty() &&
@@ -360,11 +388,12 @@ struct ServeServer::Impl {
     }
   }
 
-  void SendOk(const PendingRequest& req, std::vector<uint8_t> payload) {
+  void SendOk(const PendingRequest& req, const std::vector<uint8_t>& payload) {
     queries_.fetch_add(1);
-    SendFrame(*req.conn, req.request_id, kTagSvOk, payload);
+    SendFrame(*req.conn, req.request_id, kTagSvOk, payload, /*queued=*/true);
   }
 
+  /// Error frame outside the queue: a frame the reader rejected.
   void SendError(Connection& conn, uint32_t request_id, const Status& error) {
     errors_.fetch_add(1);
     Encoder enc;
@@ -372,12 +401,19 @@ struct ServeServer::Impl {
     SendFrame(conn, request_id, kTagSvError, enc.buffer());
   }
 
+  /// Error answer to a queued request.
+  void SendError(const PendingRequest& req, const Status& error) {
+    queries_.fetch_add(1);
+    errors_.fetch_add(1);
+    Encoder enc;
+    EncodeServeError(enc, error);
+    SendFrame(*req.conn, req.request_id, kTagSvError, enc.buffer(),
+              /*queued=*/true);
+  }
+
   void FailBatch(const std::vector<PendingRequest>& batch,
                  const Status& error) {
-    for (const PendingRequest& req : batch) {
-      queries_.fetch_add(1);
-      SendError(*req.conn, req.request_id, error);
-    }
+    for (const PendingRequest& req : batch) SendError(req, error);
   }
 
   // ----------------------------------------------------------- dispatcher
@@ -414,9 +450,13 @@ struct ServeServer::Impl {
     }
   }
 
+  /// Pulls same-class requests forward into the wave — never past a
+  /// queued transition, so a read admitted after a Mutate or Reload
+  /// answers over the graph that transition leaves.
   void DrainSameTag(uint32_t tag, std::vector<PendingRequest>* batch) {
     for (auto it = queue_.begin();
          it != queue_.end() && batch->size() < options_.max_batch;) {
+      if (it->tag == kTagSvReload || it->tag == kTagSvMutate) break;
       if (it->tag == tag) {
         batch->push_back(std::move(*it));
         it = queue_.erase(it);
@@ -427,6 +467,13 @@ struct ServeServer::Impl {
   }
 
   void Execute(uint32_t tag, std::vector<PendingRequest>& batch) {
+    if (graph_unknown_ && tag != kTagSvPing && tag != kTagSvReload) {
+      if (tag == kTagSvMutate) FinishTransitions(batch.size());
+      FailBatch(batch, Status::FailedPrecondition(
+                           "graph state unknown after a failed mutation; "
+                           "Reload"));
+      return;
+    }
     switch (tag) {
       case kTagSvPing: {
         for (const PendingRequest& req : batch) SendOk(req, {});
@@ -442,29 +489,28 @@ struct ServeServer::Impl {
       }
       case kTagSvSssp: {
         WaveGuard g(this);
-        ExecuteWave<MsSsspApp>(batch, sssp_.get(), kSssp,
-                               [](MsSsspOutput&& out) {
-                                 return std::move(out.dist);
-                               });
+        ExecuteWave<MsSsspApp>(batch, sssp_.get(), [](MsSsspOutput&& out) {
+          return std::move(out.dist);
+        });
         return;
       }
       case kTagSvBfs: {
         WaveGuard g(this);
-        ExecuteWave<MsBfsApp>(batch, bfs_.get(), kBfs, [](MsBfsOutput&& out) {
+        ExecuteWave<MsBfsApp>(batch, bfs_.get(), [](MsBfsOutput&& out) {
           return std::move(out.depth);
         });
         return;
       }
       case kTagSvCcLabel: {
         WaveGuard g(this);
-        ExecuteCached<CcApp>(batch, cc_.get(), kCc, CcQuery{}, &cc_cache_,
+        ExecuteCached<CcApp>(batch, cc_.get(), CcQuery{}, &cc_answer_,
                              [](CcOutput&& out) { return std::move(out.label); });
         return;
       }
       case kTagSvPageRank: {
         WaveGuard g(this);
         ExecuteCached<PageRankApp>(
-            batch, pr_.get(), kPageRank, PageRankQuery{}, &pr_cache_,
+            batch, pr_.get(), PageRankQuery{}, &pr_answer_,
             [](PageRankOutput&& out) { return std::move(out.rank); });
         return;
       }
@@ -477,6 +523,7 @@ struct ServeServer::Impl {
 
   void ExecuteReload(std::vector<PendingRequest>& batch) {
     Status s = LoadEpoch();
+    FinishTransitions(batch.size());
     if (!s.ok()) {
       FailBatch(batch, s);
       return;
@@ -485,6 +532,14 @@ struct ServeServer::Impl {
     Encoder enc;
     enc.WriteU64(epoch_.load());
     for (const PendingRequest& req : batch) SendOk(req, enc.buffer());
+  }
+
+  /// Ends `n` admitted transitions. Runs before their answers go out, so
+  /// a client's next read after its Mutate already finds the refreshed
+  /// standing answer servable at admission.
+  void FinishTransitions(size_t n) {
+    std::lock_guard<std::mutex> lk(qu_mu_);
+    transitions_ -= static_cast<uint32_t>(n);
   }
 
   /// Epoch transitions (reload, mutation) only ever run here, on the
@@ -512,26 +567,23 @@ struct ServeServer::Impl {
       if (s.ok() && !dec.AtEnd()) {
         s = Status::Corruption("trailing bytes after mutation batch");
       }
-      if (s.ok()) {
-        Result<uint64_t> version = ApplyOneMutation(m);
-        if (version.ok()) {
-          mutations_.fetch_add(1);
-          Encoder enc;
-          enc.WriteU64(*version);
-          SendOk(req, enc.TakeBuffer());
-          continue;
-        }
-        s = version.status();
+      Result<uint64_t> version =
+          s.ok() ? ApplyOneMutation(m) : Result<uint64_t>(s);
+      FinishTransitions(1);
+      if (version.ok()) {
+        mutations_.fetch_add(1);
+        Encoder enc;
+        enc.WriteU64(*version);
+        SendOk(req, enc.TakeBuffer());
+      } else {
+        SendError(req, version.status());
       }
-      queries_.fetch_add(1);
-      SendError(*req.conn, req.request_id, s);
     }
   }
 
   /// One mutation batch, end to end: the resident fragments inside the
-  /// endpoints (the only copy of the graph) through the active class's
-  /// live session, then routing-slot refresh of every engine and
-  /// standing-answer maintenance. Returns the new version,
+  /// endpoints (the only copy of the graph), routing-slot refresh of every
+  /// engine, then standing-answer maintenance. Returns the new version,
   /// (epoch << 32) | intra-epoch sequence.
   Result<uint64_t> ApplyOneMutation(const MutationBatch& m) {
     if (!sssp_) {
@@ -540,43 +592,22 @@ struct ServeServer::Impl {
     }
     GRAPE_RETURN_NOT_OK(m.Validate(meta_.total_vertices));
 
-    // The mutation frames ride the one live session (the active
-    // class's). When CC itself carries the batch its standing answer can
-    // additionally be refreshed by a bounded delta below.
-    bool cc_carried = false;
-    Result<std::vector<WkBuildAck>> shapes =
-        Status::FailedPrecondition("no live session");
-    switch (active_) {
-      case kSssp:
-        shapes = sssp_->ApplyMutations(m);
-        break;
-      case kBfs:
-        shapes = bfs_->ApplyMutations(m);
-        break;
-      case kCc:
-        cc_carried = true;
-        shapes = cc_->ApplyMutations(m);
-        break;
-      case kPageRank:
-        shapes = pr_->ApplyMutations(m);
-        break;
-      case kNone:
-        break;
+    // Every engine attaches by token, so any of them can carry the batch,
+    // live session or not: each endpoint patches the fragment resident
+    // under the token once and re-seats every live class's app slot on
+    // it with warm values, so every class's session survives the write.
+    Result<std::vector<WkBuildAck>> shapes = sssp_->ApplyMutations(m);
+    if (!shapes.ok()) {
+      // Some endpoints may already have applied and re-deposited the
+      // batch, others not: neither a standing answer nor any session can
+      // be trusted until a reload rebuilds the graph.
+      graph_unknown_ = true;
+      PublishAnswers(nullptr, nullptr);
+      return shapes.status();
     }
-    if (!shapes.ok() &&
-        shapes.status().code() == StatusCode::kFailedPrecondition) {
-      // No live session (fresh kNone, or the last wave failed and tore
-      // its session down): prime a zero-lane SSSP wave to make one.
-      SwitchClass(kNone);
-      SwitchClass(kSssp);
-      GRAPE_RETURN_NOT_OK(sssp_->SessionRun(MsSsspQuery{}).status());
-      cc_carried = false;
-      shapes = sssp_->ApplyMutations(m);
-    }
-    GRAPE_RETURN_NOT_OK(shapes.status());
 
     // Every fragment was rebuilt: new shapes for the metadata and for
-    // every engine's routing slots. The applier refreshed its own inside
+    // every engine's routing slots. The carrier refreshed its own inside
     // ApplyMutations; the call is idempotent, so refresh all four.
     for (FragmentId i = 0; i < meta_.num_fragments; ++i) {
       const WkBuildAck& a = (*shapes)[i];
@@ -587,24 +618,20 @@ struct ServeServer::Impl {
     if (cc_) cc_->RefreshShapes(*shapes);
     if (pr_) pr_->RefreshShapes(*shapes);
 
-    // Standing answers: PageRank is non-monotonic, so its cache can only
-    // be invalidated. CC refreshes through the bounded delta when its own
-    // warm session carried the batch and the batch is insertion-only; any
-    // other combination invalidates precisely and the next read
-    // recomputes.
-    pr_cache_.reset();
-    if (cc_carried && cc_cache_.has_value() && !m.has_deletions()) {
+    // Standing answers: PageRank is non-monotonic, so its answer can only
+    // be invalidated. A current CC answer refreshes through the bounded
+    // delta over its own warm slot when the batch is insertion-only;
+    // deletions invalidate it and the next read recomputes.
+    std::shared_ptr<const std::vector<uint8_t>> cc;
+    if (cc_answer_ != nullptr && !m.has_deletions()) {
       auto out = cc_->RunIncremental(CcQuery{}, m);
       if (out.ok()) {
         waves_.fetch_add(1);
         delta_refreshes_.fetch_add(1);
-        cc_cache_.emplace(std::move(out->label));
-      } else {
-        cc_cache_.reset();
+        cc = EncodeAnswer(out->label);
       }
-    } else {
-      cc_cache_.reset();
     }
+    PublishAnswers(std::move(cc), nullptr);
     return (epoch_.load() << 32) | static_cast<uint64_t>(++mut_seq_);
   }
 
@@ -613,7 +640,7 @@ struct ServeServer::Impl {
   /// (apps/ms_sssp.h), so fusion is invisible to clients.
   template <typename App, typename Split>
   void ExecuteWave(std::vector<PendingRequest>& batch,
-                   GrapeEngine<App>* engine, Class cls, Split split) {
+                   GrapeEngine<App>* engine, Split split) {
     if (engine == nullptr) {
       FailBatch(batch, Status::FailedPrecondition(
                            "no loaded graph (did the last reload fail?)"));
@@ -626,8 +653,7 @@ struct ServeServer::Impl {
       Decoder dec(req.payload);
       uint32_t source = 0;
       if (!dec.ReadU32(&source).ok()) {
-        queries_.fetch_add(1);
-        SendError(*req.conn, req.request_id,
+        SendError(req,
                   Status::InvalidArgument("query payload: expected u32 source"));
         continue;
       }
@@ -635,7 +661,6 @@ struct ServeServer::Impl {
       admitted.push_back(std::move(req));
     }
     if (admitted.empty()) return;
-    SwitchClass(cls);
     auto out = engine->SessionRun(query);
     if (!out.ok()) {
       FailBatch(admitted, out.status());
@@ -652,33 +677,34 @@ struct ServeServer::Impl {
   }
 
   /// CC / PageRank: the answer is a property of the graph, so the first
-  /// read of an epoch computes it and every later read is a cache hit
-  /// until a reload invalidates.
-  template <typename App, typename Cache, typename Extract>
+  /// read of a version computes it and every later read is a cache hit —
+  /// usually served at admission by a reader thread — until a mutation
+  /// refreshes or invalidates it, or a reload starts a new epoch.
+  template <typename App, typename Extract>
   void ExecuteCached(std::vector<PendingRequest>& batch,
-                     GrapeEngine<App>* engine, Class cls,
-                     typename App::QueryType query,
-                     std::optional<Cache>* cache, Extract extract) {
+                     GrapeEngine<App>* engine, typename App::QueryType query,
+                     std::shared_ptr<const std::vector<uint8_t>>* answer,
+                     Extract extract) {
     if (engine == nullptr) {
       FailBatch(batch, Status::FailedPrecondition(
                            "no loaded graph (did the last reload fail?)"));
       return;
     }
-    if (!cache->has_value()) {
-      SwitchClass(cls);
+    std::shared_ptr<const std::vector<uint8_t>> bytes = *answer;
+    if (bytes == nullptr) {
       auto out = engine->SessionRun(query);
       if (!out.ok()) {
         FailBatch(batch, out.status());
         return;
       }
       waves_.fetch_add(1);
-      cache->emplace(extract(std::move(out).value()));
+      bytes = EncodeAnswer(extract(std::move(out).value()));
+      std::lock_guard<std::mutex> lk(qu_mu_);
+      *answer = bytes;
     } else {
       cache_hits_.fetch_add(batch.size());
     }
-    Encoder enc;
-    enc.WritePodVector(cache->value());
-    for (const PendingRequest& req : batch) SendOk(req, enc.buffer());
+    for (const PendingRequest& req : batch) SendOk(req, *bytes);
   }
 
   // -------------------------------------------------------------- members
@@ -693,9 +719,9 @@ struct ServeServer::Impl {
   std::unique_ptr<GrapeEngine<MsBfsApp>> bfs_;
   std::unique_ptr<GrapeEngine<CcApp>> cc_;
   std::unique_ptr<GrapeEngine<PageRankApp>> pr_;
-  Class active_ = kNone;
-  std::optional<std::vector<VertexId>> cc_cache_;
-  std::optional<std::vector<double>> pr_cache_;
+  /// Set when a mutation failed after reaching the endpoints: every query
+  /// and mutation fails with FailedPrecondition until a reload succeeds.
+  bool graph_unknown_ = false;
 
   // Listener / connections.
   int listen_fd_ = -1;
@@ -713,6 +739,13 @@ struct ServeServer::Impl {
   std::mutex qu_mu_;
   std::condition_variable qu_cv_;
   std::deque<PendingRequest> queue_;
+  // Guarded by qu_mu_: Mutate/Reload requests admitted and not yet
+  // finished, and the standing CC / PageRank answers, pre-encoded and
+  // immutable (nullptr: not current). Only the dispatcher replaces the
+  // answers; readers serve them at admission while transitions_ is 0.
+  uint32_t transitions_ = 0;
+  std::shared_ptr<const std::vector<uint8_t>> cc_answer_;
+  std::shared_ptr<const std::vector<uint8_t>> pr_answer_;
 
   // Mutation versioning (dispatcher-owned): intra-epoch sequence of
   // applied batches.

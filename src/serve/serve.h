@@ -29,10 +29,11 @@ struct ServeOptions {
   /// only inside the load. One zero-lane deposit wave ships each fragment
   /// to its worker together with the epoch token (kWkLoadStashResident),
   /// then rank 0 drops the graph and keeps only its DistributedGraphMeta.
-  /// Every session of every query class, including cold ones after a
-  /// class switch or a mutation, attaches to the resident copies by
-  /// token: the graph crosses the world exactly once per epoch, and
-  /// mutations patch the endpoints' copies, which are the only ones.
+  /// Every query class's session attaches to the resident copies by
+  /// token, into its own app slot in each endpoint, and stays warm beside
+  /// the others: the graph crosses the world exactly once per epoch, and
+  /// mutations patch the endpoints' copies, which are the only ones, and
+  /// re-seat every class's slot on them.
   std::function<Result<FragmentedGraph>()> load_coordinator;
   /// Distributed loading: the workers build their fragments themselves
   /// (rt/distributed_load.h) and rank 0 only ever holds the returned
@@ -59,7 +60,9 @@ struct ServeStats {
   uint64_t queries = 0;          // requests answered (ok or error)
   uint64_t waves = 0;            // superstep waves executed
   uint64_t fused_queries = 0;    // queries answered by a wave of >= 2 lanes
-  uint64_t cache_hits = 0;       // CC/PageRank reads served from cache
+  /// CC/PageRank reads served from the standing answer, at admission or
+  /// by the dispatcher.
+  uint64_t cache_hits = 0;
   uint64_t errors = 0;           // error responses sent
   uint64_t rejected_frames = 0;  // malformed/oversized client frames
   uint64_t reloads = 0;          // successful reloads (epoch bumps)
@@ -69,8 +72,8 @@ struct ServeStats {
   /// until the wave finished: the dispatcher never swaps fragments or
   /// bumps the epoch under a running engine session.
   uint64_t deferred_transitions = 0;
-  /// CC answers refreshed by a bounded incremental delta after a
-  /// mutation (instead of cache invalidation + full recompute).
+  /// CC standing answers refreshed by a bounded incremental delta after
+  /// an insert-only mutation (instead of invalidation + full recompute).
   uint64_t delta_refreshes = 0;
 };
 
@@ -83,9 +86,13 @@ struct ServeStats {
 /// single dispatcher thread — the rank-0 admission loop — executes queries
 /// against the engines. One dispatcher is not a bottleneck but the
 /// correctness anchor: engines share one transport world, so exactly one
-/// query session may be live at a time, and the dispatcher's batching
-/// window is what turns concurrent same-class queries into one fused
-/// multi-source wave (apps/ms_sssp.h, apps/ms_bfs.h). Answers are
+/// query may execute at a time (while every class keeps its own warm
+/// session), and the dispatcher's batching window is what turns
+/// concurrent same-class queries into one fused multi-source wave
+/// (apps/ms_sssp.h, apps/ms_bfs.h). A CC or PageRank read whose standing
+/// answer is current skips the dispatcher: its reader thread answers it at
+/// admission, unless a mutation or reload is queued or executing, or the
+/// connection has an earlier request unanswered. Answers are
 /// bit-identical to one-at-a-time execution because every lane of a fused
 /// wave runs the single-source algorithm's exact arithmetic
 /// (tests/serving_test.cc pins this on every transport).

@@ -727,6 +727,77 @@ INSTANTIATE_TEST_SUITE_P(
              (info.param.incremental ? "_incremental" : "_ablation");
     });
 
+// Two sessions of different apps stay live on one world, each warm in its
+// own app slot over the endpoints' one resident fragment: one
+// ApplyMutations re-seats both, each then re-answers by a bounded delta,
+// and retiring one session leaves the other answering.
+TEST(MutationTest, TwoLiveSessionsShareOneWorld) {
+  RegisterBuiltinWorkerApps();
+  auto g = GenerateGridRoad(12, 12, 77);
+  ASSERT_TRUE(g.ok());
+  const MutationBatch m = GateBatches()[0];
+  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
+  FragmentedGraph fg_new = MakeFragments(updated, "hash", 3);
+  GrapeEngine<SsspApp> ref_sssp(fg_new, SsspApp{});
+  auto want_sssp = ref_sssp.Run(SsspQuery{0});
+  ASSERT_TRUE(want_sssp.ok()) << want_sssp.status();
+  GrapeEngine<CcApp> ref_cc(fg_new, CcApp{});
+  auto want_cc = ref_cc.Run(CcQuery{});
+  ASSERT_TRUE(want_cc.ok()) << want_cc.status();
+
+  uint64_t token = 0x74776f736573730ull;  // "twosess"
+  for (const char* transport : {"inproc", "tcp"}) {
+    SCOPED_TRACE(transport);
+    ++token;
+    FragmentedGraph fg = MakeFragments(*g, "hash", 3);
+    auto world = MakeTransport(transport, 4);
+    ASSERT_TRUE(world.ok()) << world.status();
+
+    // The SSSP engine ships the fragments and stashes them under the
+    // token; the CC engine attaches to those very fragments.
+    EngineOptions so;
+    so.transport = world->get();
+    so.remote_app = "sssp";
+    so.resident_stash_token = token;
+    GrapeEngine<SsspApp> sssp(fg, SsspApp{}, so);
+    ASSERT_TRUE(sssp.SessionRun(SsspQuery{0}).ok());
+    DistributedGraphMeta meta;
+    meta.token = token;
+    meta.num_fragments = fg.num_fragments();
+    meta.total_vertices = fg.total_vertices;
+    meta.directed = fg.directed;
+    for (const Fragment& f : fg.fragments) {
+      meta.shapes.push_back(
+          FragmentShape{f.num_inner(), f.num_local(), f.num_edges()});
+    }
+    EngineOptions co;
+    co.transport = world->get();
+    co.remote_app = "cc";
+    GrapeEngine<CcApp> cc(meta, co);
+    ASSERT_TRUE(cc.SessionRun(CcQuery{}).ok());
+
+    // One batch, carried by the CC engine, re-seats both slots.
+    ASSERT_OK_AND_ASSIGN(std::vector<WkBuildAck> shapes, cc.ApplyMutations(m));
+    sssp.RefreshShapes(shapes);
+    auto sssp_inc = sssp.RunIncremental(SsspQuery{0}, m);
+    ASSERT_TRUE(sssp_inc.ok()) << sssp_inc.status();
+    EXPECT_FALSE(sssp.metrics().incremental_fallback);
+    EXPECT_TRUE(BitEq(sssp_inc->dist, want_sssp->dist));
+    auto cc_inc = cc.RunIncremental(CcQuery{}, m);
+    ASSERT_TRUE(cc_inc.ok()) << cc_inc.status();
+    EXPECT_FALSE(cc.metrics().incremental_fallback);
+    EXPECT_TRUE(BitEq(cc_inc->label, want_cc->label));
+
+    // Retiring the SSSP slot leaves the CC slot warm.
+    sssp.EndSession();
+    auto cc_again = cc.SessionRun(CcQuery{});
+    ASSERT_TRUE(cc_again.ok()) << cc_again.status();
+    EXPECT_TRUE(BitEq(cc_again->label, want_cc->label));
+    cc.EndSession();
+    ResidentFragmentStore::Global().Erase(token);
+  }
+}
+
 // Guard-rail: the mutation API stays session-scoped — using it without a
 // live session is an error, not a crash or a silent local mutation.
 TEST(MutationTest, ApplyMutationsRequiresLiveSession) {

@@ -25,6 +25,7 @@
 #include "graph/graph.h"
 #include "graph/mutation.h"
 #include "gtest/gtest.h"
+#include "rt/remote_worker.h"
 #include "rt/tcp_transport.h"
 #include "rt/transport.h"
 #include "rt/worker_protocol.h"
@@ -257,7 +258,7 @@ TEST(ServingTest, ReloadInvalidatesCachesAndBumpsEpoch) {
 // Streaming updates through the serve protocol: a mutation batch lands in
 // the resident graph (no reload, no epoch bump), later answers are
 // bit-identical to a from-scratch recompute of G ⊕ M, an insert-only batch
-// carried by the live CC session refreshes the CC cache by bounded delta,
+// refreshes a current CC answer by bounded delta over CC's own warm slot,
 // and a deletion batch invalidates caches instead of serving stale bits.
 
 TEST(ServingTest, MutateStreamsIntoResidentGraph) {
@@ -280,7 +281,7 @@ TEST(ServingTest, MutateStreamsIntoResidentGraph) {
   ASSERT_OK(server.Start());
   ASSERT_OK_AND_ASSIGN(ServeClient client, ServeClient::Connect(server.port()));
 
-  // Prime the CC cache so the first mutation rides the live CC session.
+  // Prime the CC answer so the first mutation has one to refresh.
   ASSERT_OK_AND_ASSIGN(auto cc0, client.ComponentLabels());
 
   // Insert-only batch: a shortcut edge in both directions.
@@ -295,7 +296,7 @@ TEST(ServingTest, MutateStreamsIntoResidentGraph) {
     EXPECT_EQ(stats.mutations, 1u);
     EXPECT_EQ(stats.reloads, 0u);
     EXPECT_EQ(stats.delta_refreshes, 1u)
-        << "insert-only batch on the live CC session did not delta-refresh";
+        << "insert-only batch did not delta-refresh the CC answer";
   }
 
   ASSERT_OK_AND_ASSIGN(Graph g1, ApplyMutations(graph, m1));
@@ -366,24 +367,29 @@ TEST(ServingTest, MutateStreamsIntoResidentGraph) {
 
 // ---------------------------------------------------------------------------
 // Residency: under coordinator loading the graph crosses the world once per
-// epoch. Cold sessions after a class switch or a mutation attach to the
-// resident fragments by token instead of re-shipping them, and still see
-// every mutation the endpoints applied.
+// epoch. Every class's session attaches to the resident fragments by token
+// instead of re-shipping them, and sees every mutation the endpoints
+// applied.
 
-/// Forwards everything to an inner transport and counts the kTagWkLoad
-/// frames that ship a fragment for deposit (kWkLoadStashResident).
-class StashCountingTransport final : public Transport {
+/// Forwards everything to an inner transport, counts the kTagWkLoad
+/// frames (all of them, and those that ship a fragment for deposit under
+/// kWkLoadStashResident), and on demand turns one rank's next
+/// kTagWkMutateAck into a kTagWkError on its way to the coordinator.
+class ProbingTransport final : public Transport {
  public:
-  explicit StashCountingTransport(std::unique_ptr<Transport> inner)
+  explicit ProbingTransport(std::unique_ptr<Transport> inner)
       : inner_(std::move(inner)) {}
 
+  uint64_t loads() const { return loads_.load(); }
   uint64_t stash_loads() const { return stash_loads_.load(); }
+  void FailNextMutateAckFrom(uint32_t rank) { fail_ack_from_.store(rank); }
 
   uint32_t size() const override { return inner_->size(); }
   std::string name() const override { return "counting+" + inner_->name(); }
   Status Send(uint32_t from, uint32_t to, uint32_t tag,
               std::vector<uint8_t> payload) override {
     if (tag == kTagWkLoad) {
+      loads_.fetch_add(1);
       Decoder dec(payload);
       std::string app;
       uint8_t flags = 0;
@@ -395,7 +401,16 @@ class StashCountingTransport final : public Transport {
     return inner_->Send(from, to, tag, std::move(payload));
   }
   std::optional<RtMessage> TryRecv(uint32_t rank) override {
-    return inner_->TryRecv(rank);
+    std::optional<RtMessage> msg = inner_->TryRecv(rank);
+    if (msg && rank == kCoordinatorRank && msg->tag == kTagWkMutateAck &&
+        fail_ack_from_.load() == msg->from) {
+      fail_ack_from_.store(0);
+      Encoder enc;
+      EncodeWorkerError(enc, Status::Internal("injected mutation failure"));
+      msg->tag = kTagWkError;
+      msg->payload = enc.TakeBuffer();
+    }
+    return msg;
   }
   std::optional<RtMessage> TryRecv(uint32_t rank, uint32_t tag) override {
     return inner_->TryRecv(rank, tag);
@@ -419,7 +434,9 @@ class StashCountingTransport final : public Transport {
 
  private:
   std::unique_ptr<Transport> inner_;
+  std::atomic<uint64_t> loads_{0};
   std::atomic<uint64_t> stash_loads_{0};
+  std::atomic<uint32_t> fail_ack_from_{0};
 };
 
 constexpr uint32_t kFrags = 3;
@@ -429,7 +446,7 @@ TEST(ServingTest, GraphShipsOncePerEpoch) {
   Graph graph = ServingGraph();
   auto inner = MakeTransport("inproc", 4);
   ASSERT_TRUE(inner.ok()) << inner.status();
-  StashCountingTransport world(std::move(inner).value());
+  ProbingTransport world(std::move(inner).value());
 
   ServeOptions opts;
   opts.transport = &world;
@@ -476,14 +493,14 @@ TEST(ServingTest, GraphShipsOncePerEpoch) {
   EXPECT_TRUE(BitEq(d1, sssp_g));
   ASSERT_OK_AND_ASSIGN(auto c1, client.ComponentLabels());
   EXPECT_TRUE(BitEq(c1, cc_g));
-  // Cold SSSP session after a class switch: attach, not re-ship.
+  // SSSP after a CC read: each class kept its own warm slot.
   ASSERT_OK_AND_ASSIGN(auto d2, client.Sssp(0));
   EXPECT_TRUE(BitEq(d2, sssp_g));
   ASSERT_OK(client.Mutate(m).status());
   ASSERT_OK_AND_ASSIGN(auto c2, client.ComponentLabels());
   EXPECT_TRUE(BitEq(c2, cc_gm));
-  // Cold SSSP session after a mutation and a class switch: the mutation
-  // must reach it through the resident fragments, not through a re-ship.
+  // SSSP after a mutation: the endpoints re-seated its warm slot on the
+  // patched resident fragment, no re-ship involved.
   ASSERT_OK_AND_ASSIGN(auto d3, client.Sssp(0));
   EXPECT_TRUE(BitEq(d3, sssp_gm));
   EXPECT_EQ(world.stash_loads(), kFrags)
@@ -497,6 +514,326 @@ TEST(ServingTest, GraphShipsOncePerEpoch) {
   ASSERT_OK_AND_ASSIGN(auto d4, client.Sssp(0));
   EXPECT_TRUE(BitEq(d4, sssp_g));
   EXPECT_EQ(world.stash_loads(), 2 * kFrags);
+  EXPECT_EQ(server.stats().errors, 0u);
+  server.Shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Standing answers across writes: each class keeps its own warm app slot in
+// every endpoint, so a write refreshes the CC answer by a bounded delta
+// while SSSP keeps its session, and later reads are served without any
+// class loading again.
+
+/// Two 6x12 weighted grids with no edge between them (vertices 0..71 and
+/// 72..143): CC has two components until a write bridges them, and SSSP
+/// from 0 cannot reach the second island before that. Integer weights keep
+/// every path length exact.
+Graph TwoIslandGraph() {
+  GraphBuilder builder(/*directed=*/true);
+  for (VertexId r = 0; r < 12; ++r) {
+    for (VertexId c = 0; c < 12; ++c) {
+      const VertexId v = r * 12 + c;
+      if (c + 1 < 12) {
+        const double w = 1.0 + v % 7;
+        builder.AddEdge(v, v + 1, w);
+        builder.AddEdge(v + 1, v, w);
+      }
+      if (r + 1 < 12 && r != 5) {
+        const double w = 1.0 + v % 5;
+        builder.AddEdge(v, v + 12, w);
+        builder.AddEdge(v + 12, v, w);
+      }
+    }
+  }
+  auto g = std::move(builder).Build(144);
+  EXPECT_TRUE(g.ok()) << g.status();
+  return std::move(g).value();
+}
+
+/// Coordinator-loaded serving of `graph` (borrowed) over hash fragments.
+ServeOptions LoaderOptions(Transport* world, const Graph* graph) {
+  ServeOptions opts;
+  opts.transport = world;
+  opts.num_fragments = kFrags;
+  opts.batch_window_ms = 0;
+  opts.load_coordinator = [graph]() -> Result<FragmentedGraph> {
+    auto partitioner = MakePartitioner("hash");
+    GRAPE_RETURN_NOT_OK(partitioner.status());
+    GRAPE_ASSIGN_OR_RETURN(auto assignment,
+                           (*partitioner)->Partition(*graph, kFrags));
+    return FragmentBuilder::Build(*graph, assignment, kFrags);
+  };
+  return opts;
+}
+
+std::vector<double> OracleSssp(const Graph& g) {
+  FragmentedGraph fg = MakeFragments(g, "hash", kFrags);
+  GrapeEngine<SsspApp> ref(fg, SsspApp{});
+  auto full = ref.Run(SsspQuery{0});
+  EXPECT_TRUE(full.ok()) << full.status();
+  return full.ok() ? full->dist : std::vector<double>{};
+}
+
+std::vector<VertexId> OracleCc(const Graph& g) {
+  FragmentedGraph fg = MakeFragments(g, "hash", kFrags);
+  GrapeEngine<CcApp> ref(fg, CcApp{});
+  auto full = ref.Run(CcQuery{});
+  EXPECT_TRUE(full.ok()) << full.status();
+  return full.ok() ? full->label : std::vector<VertexId>{};
+}
+
+/// Encodes one request frame the way ServeClient does.
+void AppendRequest(uint32_t id, uint32_t tag,
+                   const std::vector<uint8_t>& payload,
+                   std::vector<uint8_t>* wire) {
+  FrameHeader h;
+  h.from = id;
+  h.to = 0;
+  h.tag = tag;
+  h.payload_len = static_cast<uint32_t>(payload.size());
+  uint8_t hdr[kFrameHeaderBytes];
+  EncodeFrameHeader(h, hdr);
+  wire->insert(wire->end(), hdr, hdr + kFrameHeaderBytes);
+  wire->insert(wire->end(), payload.begin(), payload.end());
+}
+
+class ServingTransportTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ServingTransportTest, StandingAnswersSurviveWrites) {
+  RegisterBuiltinWorkerApps();
+  const Graph graph = TwoIslandGraph();
+  auto inner = MakeTransport(GetParam(), kFrags + 1);
+  ASSERT_TRUE(inner.ok()) << inner.status();
+  ProbingTransport world(std::move(inner).value());
+
+  // Version k is the loaded graph with batches 1..k applied: the first
+  // bridges the islands (CC labels move), the others add shortcuts
+  // (SSSP distances move).
+  std::vector<MutationBatch> batches(3);
+  batches[0].InsertEdge(65, 77, 2.0);
+  batches[0].InsertEdge(77, 65, 2.0);
+  batches[1].InsertEdge(3, 140, 1.0);
+  batches[1].InsertEdge(140, 3, 1.0);
+  batches[2].InsertEdge(60, 100, 1.0);
+  batches[2].InsertEdge(100, 60, 1.0);
+  std::vector<std::vector<double>> sssp = {OracleSssp(graph)};
+  std::vector<std::vector<VertexId>> cc = {OracleCc(graph)};
+  {
+    ASSERT_OK_AND_ASSIGN(Graph g, ApplyMutations(graph, batches[0]));
+    for (size_t k = 0; k < batches.size(); ++k) {
+      if (k > 0) {
+        ASSERT_OK_AND_ASSIGN(g, ApplyMutations(g, batches[k]));
+      }
+      sssp.push_back(OracleSssp(g));
+      cc.push_back(OracleCc(g));
+    }
+  }
+  ASSERT_FALSE(BitEq(cc[0], cc[1])) << "the bridge must merge components";
+
+  ServeServer server(LoaderOptions(&world, &graph));
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(ServeClient client, ServeClient::Connect(server.port()));
+  ASSERT_OK_AND_ASSIGN(auto d0, client.Sssp(0));
+  EXPECT_TRUE(BitEq(d0, sssp[0]));
+  ASSERT_OK_AND_ASSIGN(auto c0, client.ComponentLabels());
+  EXPECT_TRUE(BitEq(c0, cc[0]));
+  const uint64_t loads_after_cc = world.loads();
+  const ServeStats before = server.stats();
+
+  for (uint32_t k = 1; k <= batches.size(); ++k) {
+    ASSERT_OK_AND_ASSIGN(uint64_t version, client.Mutate(batches[k - 1]));
+    ASSERT_EQ(version, (1ull << 32) | k);
+    const uint32_t seq = static_cast<uint32_t>(version);
+    ASSERT_OK_AND_ASSIGN(auto labels, client.ComponentLabels());
+    EXPECT_TRUE(BitEq(labels, cc[seq])) << "CC at version " << seq;
+    ASSERT_OK_AND_ASSIGN(auto dist, client.Sssp(0));
+    EXPECT_TRUE(BitEq(dist, sssp[seq])) << "SSSP at version " << seq;
+  }
+  const ServeStats after = server.stats();
+  EXPECT_EQ(after.delta_refreshes - before.delta_refreshes, 3u)
+      << "an insert-only write did not refresh the CC answer by delta";
+  EXPECT_EQ(after.cache_hits - before.cache_hits, 3u)
+      << "a CC read after a write recomputed instead of hitting";
+  EXPECT_EQ(world.loads(), loads_after_cc)
+      << "a class loaded its app slot again after the first CC load";
+  EXPECT_EQ(after.errors, 0u);
+  server.Shutdown();
+}
+
+// A failed mutation may have reached some endpoints and not others: no
+// standing answer and no session survives it, and the server refuses to
+// answer until a reload rebuilds the graph.
+TEST_P(ServingTransportTest, FailedMutateRefusesQueriesUntilReload) {
+  RegisterBuiltinWorkerApps();
+  const Graph graph = TwoIslandGraph();
+  auto inner = MakeTransport(GetParam(), kFrags + 1);
+  ASSERT_TRUE(inner.ok()) << inner.status();
+  ProbingTransport world(std::move(inner).value());
+  const std::vector<VertexId> cc0 = OracleCc(graph);
+  const std::vector<double> sssp0 = OracleSssp(graph);
+
+  ServeServer server(LoaderOptions(&world, &graph));
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(ServeClient client, ServeClient::Connect(server.port()));
+  ASSERT_OK_AND_ASSIGN(auto c0, client.ComponentLabels());
+  EXPECT_TRUE(BitEq(c0, cc0));
+
+  MutationBatch bridge;
+  bridge.InsertEdge(65, 77, 2.0);
+  bridge.InsertEdge(77, 65, 2.0);
+  world.FailNextMutateAckFrom(1);
+  EXPECT_FALSE(client.Mutate(bridge).ok());
+  EXPECT_TRUE(client.ComponentLabels().status().IsFailedPrecondition())
+      << "the pre-mutation CC answer outlived a failed mutation";
+  EXPECT_TRUE(client.Sssp(0).status().IsFailedPrecondition());
+  EXPECT_TRUE(client.Mutate(bridge).status().IsFailedPrecondition());
+  ASSERT_OK(client.Ping());
+
+  ASSERT_OK_AND_ASSIGN(uint64_t epoch, client.Reload());
+  EXPECT_EQ(epoch, 2u);
+  ASSERT_OK_AND_ASSIGN(auto c1, client.ComponentLabels());
+  EXPECT_TRUE(BitEq(c1, cc0));
+  ASSERT_OK_AND_ASSIGN(auto d1, client.Sssp(0));
+  EXPECT_TRUE(BitEq(d1, sssp0));
+  server.Shutdown();
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, ServingTransportTest,
+                         ::testing::Values("inproc", "tcp"));
+
+// Admission-time answers keep per-connection order: a ComponentLabels
+// pipelined right behind a Mutate on the same connection must see the
+// batch, even though a current CC answer was servable the moment before.
+TEST(ServingTest, AdmissionAnswersKeepConnectionOrder) {
+  RegisterBuiltinWorkerApps();
+  const Graph graph = TwoIslandGraph();
+  auto world = MakeTransport("inproc", kFrags + 1);
+  ASSERT_TRUE(world.ok()) << world.status();
+  MutationBatch bridge;
+  bridge.InsertEdge(65, 77, 2.0);
+  bridge.InsertEdge(77, 65, 2.0);
+  ASSERT_OK_AND_ASSIGN(Graph bridged, ApplyMutations(graph, bridge));
+  const std::vector<VertexId> cc0 = OracleCc(graph);
+  const std::vector<VertexId> cc1 = OracleCc(bridged);
+  ASSERT_FALSE(BitEq(cc0, cc1));
+
+  ServeServer server(LoaderOptions(world->get(), &graph));
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(ServeClient client, ServeClient::Connect(server.port()));
+  ASSERT_OK_AND_ASSIGN(auto primed, client.ComponentLabels());
+  EXPECT_TRUE(BitEq(primed, cc0));
+  const uint64_t hits = server.stats().cache_hits;
+  ASSERT_OK_AND_ASSIGN(auto again, client.ComponentLabels());
+  EXPECT_TRUE(BitEq(again, cc0));
+  EXPECT_EQ(server.stats().cache_hits, hits + 1);
+
+  // Both frames leave in one write, so the reader admits them back to
+  // back, before the dispatcher can have applied the batch.
+  Encoder mutation;
+  bridge.EncodeTo(mutation);
+  std::vector<uint8_t> wire;
+  AppendRequest(100, kTagSvMutate, mutation.buffer(), &wire);
+  AppendRequest(101, kTagSvCcLabel, {}, &wire);
+  ASSERT_OK(client.SendRawBytes(wire.data(), wire.size()));
+  uint32_t id = 0, tag = 0;
+  std::vector<uint8_t> payload;
+  ASSERT_OK(client.ReadRawFrame(&id, &tag, &payload));
+  EXPECT_EQ(id, 100u);
+  ASSERT_EQ(tag, kTagSvOk);
+  ASSERT_OK(client.ReadRawFrame(&id, &tag, &payload));
+  EXPECT_EQ(id, 101u);
+  ASSERT_EQ(tag, kTagSvOk);
+  Decoder dec(payload);
+  std::vector<VertexId> labels;
+  ASSERT_OK(dec.ReadPodVector(&labels));
+  EXPECT_TRUE(BitEq(labels, cc1)) << "the pipelined read missed the batch";
+
+  // A servable CC read behind a queued SSSP read on the same connection
+  // waits its turn instead of overtaking it at admission.
+  Encoder source;
+  source.WriteU32(0);
+  wire.clear();
+  AppendRequest(102, kTagSvSssp, source.buffer(), &wire);
+  AppendRequest(103, kTagSvCcLabel, {}, &wire);
+  ASSERT_OK(client.SendRawBytes(wire.data(), wire.size()));
+  ASSERT_OK(client.ReadRawFrame(&id, &tag, &payload));
+  EXPECT_EQ(id, 102u) << "the CC answer overtook the SSSP read before it";
+  EXPECT_EQ(tag, kTagSvOk);
+  ASSERT_OK(client.ReadRawFrame(&id, &tag, &payload));
+  EXPECT_EQ(id, 103u);
+  EXPECT_EQ(tag, kTagSvOk);
+  server.Shutdown();
+}
+
+// Readers served at admission beside a mutator (the TSan job runs this
+// suite, so the answer hand-off between dispatcher and readers is
+// race-checked): every answer is exactly one version's labels, and no
+// reader ever sees versions go backwards.
+TEST(ServingTest, ConcurrentCcReadersBesideMutator) {
+  RegisterBuiltinWorkerApps();
+  // Six 4-vertex paths; batch k joins path k-1 to path k.
+  constexpr VertexId kBlocks = 6;
+  GraphBuilder builder(/*directed=*/false);
+  for (VertexId v = 0; v < 4 * kBlocks; ++v) {
+    if (v % 4 != 3) builder.AddEdge(v, v + 1, 1.0);
+  }
+  ASSERT_OK_AND_ASSIGN(const Graph graph, std::move(builder).Build());
+  auto labels_at = [](VertexId version) {
+    std::vector<VertexId> labels(4 * kBlocks);
+    for (VertexId v = 0; v < labels.size(); ++v) {
+      labels[v] = v < 4 * (version + 1) ? 0 : v / 4 * 4;
+    }
+    return labels;
+  };
+  auto world = MakeTransport("inproc", kFrags + 1);
+  ASSERT_TRUE(world.ok()) << world.status();
+  ServeOptions opts = LoaderOptions(world->get(), &graph);
+  opts.batch_window_ms = 1;
+  ServeServer server(opts);
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(ServeClient writer, ServeClient::Connect(server.port()));
+  ASSERT_OK_AND_ASSIGN(auto first, writer.ComponentLabels());
+  EXPECT_TRUE(BitEq(first, labels_at(0)));
+
+  std::atomic<bool> done{false};
+  std::atomic<uint32_t> failures{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&] {
+      auto client = ServeClient::Connect(server.port());
+      if (!client.ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      VertexId seen = 0;
+      for (int reads = 0; reads < 20 || !done.load(); ++reads) {
+        auto labels = client->ComponentLabels();
+        VertexId version = seen;
+        while (labels.ok() && version < kBlocks &&
+               !BitEq(*labels, labels_at(version))) {
+          ++version;
+        }
+        if (!labels.ok() || version == kBlocks) {
+          failures.fetch_add(1);
+          return;
+        }
+        seen = version;
+      }
+    });
+  }
+  for (VertexId k = 1; k < kBlocks; ++k) {
+    MutationBatch join;
+    join.InsertEdge(4 * k - 1, 4 * k, 1.0);
+    join.InsertEdge(4 * k, 4 * k - 1, 1.0);
+    ASSERT_OK(writer.Mutate(join).status());
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  done.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(failures.load(), 0u);
+  ASSERT_OK_AND_ASSIGN(auto last, writer.ComponentLabels());
+  EXPECT_TRUE(BitEq(last, labels_at(kBlocks - 1)));
+  EXPECT_EQ(server.stats().delta_refreshes, kBlocks - 1);
   EXPECT_EQ(server.stats().errors, 0u);
   server.Shutdown();
 }
