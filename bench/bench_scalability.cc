@@ -4,17 +4,12 @@
 // workers are added (until fragments get small), communication rises
 // gently, and PEval dominates IncEval for monotonic queries.
 //
-// A second panel sweeps intra-fragment compute threads on a single
-// fragment (EngineOptions::compute_threads): the frontier-parallel
-// PEval/IncEval variants must produce bit-identical answers and counters
-// at every thread count, so the only column allowed to move is time.
+// Workers are the only parallelism knob: each fragment's PEval/IncEval
+// runs sequentially, as in the paper.
 //
 // Flags: --scale (RMAT), --rows/--cols (road), --max_workers,
-//        --max_threads (threads-sweep ceiling, default 8),
 //        --full (paper-shaped sizes instead of smoke defaults),
 //        --json <path> (one row per sweep point).
-
-#include <thread>
 
 #include "apps/cc.h"
 #include "apps/pagerank.h"
@@ -89,61 +84,6 @@ void Sweep(const Graph& g, const std::string& title, const Query& query,
   }
 }
 
-/// Intra-fragment parallelism panel: one fragment, compute_threads swept
-/// over {1, 2, 4, ..., max_threads}. The frontier-parallel variants are
-/// bit-identical to the sequential path, so comm/updates/steps must not
-/// move between rows — only time may.
-void ThreadsSweep(const Graph& g, FragmentId max_threads, Report* report) {
-  PrintHeader("Intra-fragment frontier parallelism: SSSP on social graph, "
-              "1 fragment, compute-threads sweep");
-  const unsigned hw = std::thread::hardware_concurrency();
-  std::printf("hardware threads available: %u\n", hw);
-  std::printf("%8s %10s %10s %10s %12s %12s %8s %10s\n", "Threads",
-              "Time(s)", "PEval(s)", "IncEval(s)", "Comm", "ParamUpd",
-              "Steps", "Speedup");
-  const VertexId src = BusiestVertex(g);
-  FragmentedGraph fg = Fragmentize(g, "hash", 1);
-  double t1 = 0;
-  uint64_t bytes1 = 0;
-  uint32_t steps1 = 0;
-  for (FragmentId t = 1; t <= max_threads; t *= 2) {
-    EngineOptions options;
-    options.compute_threads = t;
-    GrapeEngine<SsspApp> engine(fg, SsspApp{}, options);
-    auto out = engine.Run(SsspQuery{src});
-    GRAPE_CHECK(out.ok()) << out.status();
-    const EngineMetrics& m = engine.metrics();
-    uint64_t updates = 0;
-    for (const RoundMetrics& r : m.rounds) updates += r.updated_params;
-    if (t == 1) {
-      t1 = m.total_seconds;
-      bytes1 = m.bytes;
-      steps1 = m.supersteps;
-    }
-    GRAPE_CHECK(m.bytes == bytes1 && m.supersteps == steps1)
-        << "threads=" << t << " changed comm/steps: parallel compute must "
-        << "be bit-identical to sequential";
-    std::printf("%8u %10.3f %10.3f %10.3f %12s %12s %8u %9.2fx\n", t,
-                m.total_seconds, m.peval_seconds, m.inceval_seconds,
-                HumanBytes(m.bytes).c_str(), HumanCount(updates).c_str(),
-                m.supersteps, t1 / std::max(1e-9, m.total_seconds));
-
-    ReportRow row = MetricsRow("SSSP/social threads=" + std::to_string(t),
-                               "compute-threads sweep (1 fragment)", m);
-    row.messages = updates;
-    report->Add(row);
-  }
-  if (hw <= 1) {
-    std::printf("note: this machine exposes %u hardware thread(s), so the "
-                "sweep measures scheduling overhead, not speedup; run with "
-                "--full on a multi-core machine to see scaling\n", hw);
-  } else {
-    std::printf("note: smoke-scale graphs may be too small to amortize "
-                "chunk scheduling; pass --full (or a larger --scale) for a "
-                "speedup-representative sweep\n");
-  }
-}
-
 int Run(int argc, char** argv) {
   FlagParser flags;
   GRAPE_CHECK(flags.Parse(argc, argv).ok());
@@ -163,8 +103,6 @@ int Run(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt("cols", full ? 1500 : 500));
   const auto max_workers =
       static_cast<FragmentId>(flags.GetInt("max_workers", 16));
-  const auto max_threads =
-      static_cast<FragmentId>(flags.GetInt("max_threads", 8));
 
   auto social = GenerateCommunityGraph(copts);
   GRAPE_CHECK(social.ok());
@@ -189,7 +127,6 @@ int Run(int argc, char** argv) {
   Sweep<PageRankApp>(*social,
                      "Fig 3(4)d: PageRank (20 iters) on social graph (metis)",
                      pr, max_workers, "metis", "PageRank/social", &report);
-  ThreadsSweep(*social, max_threads, &report);
   MaybeWriteJson(flags, report);
   return 0;
 }

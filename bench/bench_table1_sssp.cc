@@ -16,8 +16,6 @@
 // Flags: --rows --cols (grid size), --workers, --source,
 //        --transport inproc|tcp (substrate for the GRAPE rows),
 //        --compute local|remote (where PEval/IncEval execute),
-//        --compute-threads N (frontier-parallel PEval/IncEval inside each
-//          fragment; answers and comm counters are bit-identical to N=1),
 //        --load coordinator|distributed (how fragments come to exist;
 //          distributed requires --compute=remote),
 //        --full (paper-shaped sizes instead of smoke defaults),
@@ -76,8 +74,6 @@ int Run(int argc, char** argv) {
   const VertexId source = static_cast<VertexId>(flags.GetInt("source", 0));
   const std::string transport = flags.GetString("transport", "inproc");
   const std::string compute = flags.GetString("compute", "local");
-  const auto compute_threads =
-      static_cast<uint32_t>(flags.GetInt("compute-threads", 0));
   GRAPE_CHECK(compute == "local" || compute == "remote")
       << "--compute must be local or remote";
   const std::string load = flags.GetString("load", "coordinator");
@@ -113,10 +109,9 @@ int Run(int argc, char** argv) {
     GRAPE_CHECK(t.ok()) << t.status();
     return std::move(t).value();
   };
-  auto with_transport = [&compute, compute_threads](Transport* t) {
+  auto with_transport = [&compute](Transport* t) {
     EngineOptions options;
     options.transport = t;
-    options.compute_threads = compute_threads;
     if (compute == "remote") options.remote_app = "sssp";
     return options;
   };
@@ -241,7 +236,6 @@ int Run(int argc, char** argv) {
     std::unique_ptr<Transport> world = make_world(transport);
     EngineOptions options;
     options.transport = world.get();
-    options.compute_threads = compute_threads;
     if (mode == "remote") options.remote_app = "sssp";
     return RunGrapeSssp(grid_fg, source, expected, options,
                         "GRAPE (" + mode + " compute)", metrics);

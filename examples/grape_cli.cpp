@@ -4,7 +4,6 @@
 //             [--partitioner=<name>|auto] --workers=N
 //             [--load=coordinator|distributed]
 //             [--ckpt-every=N] [--ckpt-dir=DIR]
-//             [--compute-threads=N]
 //             <app> [k=v ...]
 //
 // Graph kinds: rmat, grid, er, community, labeled, social, ratings, or a
@@ -30,10 +29,8 @@
 // Images live in rank 0's memory unless --ckpt-dir=DIR persists one file
 // per worker under DIR.
 //
-// --compute-threads=N runs each fragment's PEval/IncEval with N threads
-// for apps that ship a frontier-parallel variant (sssp, cc, pagerank);
-// other apps and N<=1 keep the sequential path. Answers, communication
-// counters, and superstep counts are bit-identical at any N.
+// Parallelism is per fragment: each worker runs its fragment's PEval and
+// IncEval sequentially, so --workers=N is the parallelism knob.
 //
 // Examples:
 //   grape_cli --graph=grid --rows=200 --cols=200 --workers=8 sssp source=0
@@ -243,8 +240,6 @@ int RunDistributed(const FlagParser& flags, const std::string& app_name,
   options.checkpoint.every_k =
       static_cast<uint32_t>(flags.GetInt("ckpt-every", 0));
   options.checkpoint.dir = flags.GetString("ckpt-dir", "");
-  options.compute_threads =
-      static_cast<uint32_t>(flags.GetInt("compute-threads", 0));
   std::printf("running '%s' (%s) on %u workers over %s (remote compute)...\n",
               app->name.c_str(), app->description.c_str(), workers,
               transport.c_str());
@@ -296,7 +291,6 @@ int Run(int argc, char** argv) {
                          "[--transport=inproc|tcp] "
                          "[--load=coordinator|distributed] "
                          "[--ckpt-every=N --ckpt-dir=DIR] "
-                         "[--compute-threads=N] "
                          "[--rank=N --hosts=a:p,b:p,...] "
                          "<app> [k=v ...]\nregistered apps:");
     for (const std::string& name : AppRegistry::Global().Names()) {
@@ -375,8 +369,6 @@ int Run(int argc, char** argv) {
   }
   EngineOptions options;
   options.transport = world->get();
-  options.compute_threads =
-      static_cast<uint32_t>(flags.GetInt("compute-threads", 0));
 
   std::printf("running '%s' (%s) on %u workers over %s...\n",
               app->name.c_str(), app->description.c_str(), workers,

@@ -99,11 +99,6 @@ int main(int argc, char** argv) {
                  "--compute=remote\n");
     return 2;
   }
-  const int64_t compute_threads = flags.GetInt("compute-threads", 0);
-  if (compute_threads < 0) {
-    std::fprintf(stderr, "--compute-threads must be >= 0\n");
-    return 2;
-  }
   const int64_t ckpt_every = flags.GetInt("ckpt-every", 0);
   const std::string ckpt_dir = flags.GetString("ckpt-dir", "");
   if (ckpt_every < 0) {
@@ -174,7 +169,6 @@ int main(int argc, char** argv) {
   }
   EngineOptions options;
   options.transport = world->get();
-  options.compute_threads = static_cast<uint32_t>(compute_threads);
   if (compute == "remote") options.remote_app = "sssp";
   options.checkpoint.every_k = static_cast<uint32_t>(ckpt_every);
   options.checkpoint.dir = ckpt_dir;

@@ -17,7 +17,9 @@
 # 2. External SIGKILL — a grape_cli SSSP sized to run for a few seconds
 #    on a tcp world, with this script delivering a real `kill -9` to a
 #    forked endpoint found via pgrep -P (scoped to OUR children — never
-#    pkill by name). The kill can race the run's tail, so this phase
+#    pkill by name). The kill lands half-way through the fault-free
+#    golden run's measured wall time, so it falls mid-run however fast
+#    the host is. It can still race the run's tail, so this phase
 #    retries; each success demands a clean exit, at least one recovery,
 #    and an answer + comm counters identical to the fault-free golden.
 #
@@ -77,15 +79,18 @@ echo "quickstart tcp OK: rank-2 endpoint killed, recovered" \
 echo "== phase 2: external SIGKILL on a live tcp run =="
 ARGS=(--graph=grid --rows=200 --cols=200 --workers=3 --transport=tcp
       --load=distributed --ckpt-every=5 sssp source=0)
-KILL_AFTER_SECONDS="${GRAPE_CHAOS_KILL_AFTER:-2}"
 ATTEMPTS="${GRAPE_CHAOS_ATTEMPTS:-3}"
 
+golden_start_ns=$(date +%s%N)
 if ! "$BIN_DIR/grape_cli" "${ARGS[@]}" > "$WORK_DIR/golden.out" 2>&1; then
   echo "FAIL: fault-free grape_cli run failed:" >&2
   cat "$WORK_DIR/golden.out" >&2
   exit 1
 fi
+golden_ms=$(( ($(date +%s%N) - golden_start_ns) / 1000000 ))
+KILL_AFTER_SECONDS=$(awk -v ms="$golden_ms" 'BEGIN { printf "%.3f", ms / 2000 }')
 grep '^answer' "$WORK_DIR/golden.out"
+echo "fault-free run took ${golden_ms} ms; killing after ${KILL_AFTER_SECONDS} s"
 # The bit-identity gate: answer plus the msgs/bytes/supersteps counters
 # (times stripped — wall clock is the one thing recovery may change).
 signature() {

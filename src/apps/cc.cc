@@ -1,58 +1,42 @@
 #include "apps/cc.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
+#include <vector>
 
 namespace grape {
 
 namespace {
 
 /// Min-label propagation over the undirected view of the fragment from the
-/// queued seeds until the local fixed point.
+/// queued seeds until the local fixed point. A vertex already in the
+/// worklist is not queued again: it reads its label when popped, so a
+/// second entry would only repeat that scan. The fixed point and the set of
+/// lowered (changed) vertices are the same either way. `queued` holds one
+/// flag per local vertex, all clear on entry and on return.
 void Propagate(const Fragment& frag, ParamStore<VertexId>& params,
-               std::deque<LocalId>& worklist) {
+               std::deque<LocalId>& worklist, std::vector<uint8_t>& queued) {
+  queued.resize(frag.num_local(), 0);
+  for (LocalId v : worklist) queued[v] = 1;
   while (!worklist.empty()) {
     LocalId v = worklist.front();
     worklist.pop_front();
+    queued[v] = 0;
     VertexId label = params.Get(v);
     auto relax = [&](const FragNeighbor& nb) {
       if (label < params.Get(nb.local)) {
         params.Set(nb.local, label);
-        worklist.push_back(nb.local);
+        if (!queued[nb.local]) {
+          queued[nb.local] = 1;
+          worklist.push_back(nb.local);
+        }
       }
     };
     for (const FragNeighbor& nb : frag.OutNeighbors(v)) relax(nb);
     if (frag.is_directed()) {
       for (const FragNeighbor& nb : frag.InNeighbors(v)) relax(nb);
     }
-  }
-}
-
-/// Frontier-parallel min-label fixed point, the undirected view like the
-/// sequential Propagate: each round pushes members' labels to their
-/// neighbors with AtomicMin; lowered vertices join the next frontier and
-/// the dirty set.
-void ParallelPropagate(const Fragment& frag, ParamStore<VertexId>& params,
-                       Frontier& cur, Frontier& next,
-                       const ParallelContext& par) {
-  for (;;) {
-    cur.Finalize();
-    if (cur.empty()) return;
-    next.Reset(frag.num_local());
-    cur.ForAll(par, [&](LocalId v) {
-      const VertexId label = AtomicLoad(params.Get(v));
-      auto relax = [&](const FragNeighbor& nb) {
-        if (AtomicMin(params.UntrackedRef(nb.local), label)) {
-          params.MarkChangedAtomic(nb.local);
-          next.AddAtomic(nb.local);
-        }
-      };
-      for (const FragNeighbor& nb : frag.OutNeighbors(v)) relax(nb);
-      if (frag.is_directed()) {
-        for (const FragNeighbor& nb : frag.InNeighbors(v)) relax(nb);
-      }
-    });
-    cur.Swap(next);
   }
 }
 
@@ -70,7 +54,7 @@ void CcApp::PEval(const QueryType& query, const Fragment& frag,
   for (LocalId lid = 0; lid < frag.num_local(); ++lid) {
     worklist.push_back(lid);
   }
-  Propagate(frag, params, worklist);
+  Propagate(frag, params, worklist, queued_);
 }
 
 void CcApp::IncEval(const QueryType& query, const Fragment& frag,
@@ -78,38 +62,7 @@ void CcApp::IncEval(const QueryType& query, const Fragment& frag,
                     const std::vector<LocalId>& updated) {
   (void)query;
   std::deque<LocalId> worklist(updated.begin(), updated.end());
-  Propagate(frag, params, worklist);
-}
-
-void CcApp::ParallelPEval(const QueryType& query, const Fragment& frag,
-                          ParamStore<VertexId>& params,
-                          const ParallelContext& par) {
-  (void)query;
-  // Untracked init, like the sequential PEval: starting labels are not a
-  // "change". 64-aligned chunks keep plain stores race-free.
-  par.ForChunks(frag.num_local(), [&](size_t, size_t lo, size_t hi) {
-    for (size_t lid = lo; lid < hi; ++lid) {
-      params.UntrackedRef(static_cast<LocalId>(lid)) =
-          frag.Gid(static_cast<LocalId>(lid));
-    }
-  });
-  Frontier cur;
-  Frontier next;
-  cur.Reset(frag.num_local());
-  cur.FillAll();
-  ParallelPropagate(frag, params, cur, next, par);
-}
-
-void CcApp::ParallelIncEval(const QueryType& query, const Fragment& frag,
-                            ParamStore<VertexId>& params,
-                            const std::vector<LocalId>& updated,
-                            const ParallelContext& par) {
-  (void)query;
-  Frontier cur;
-  Frontier next;
-  cur.Reset(frag.num_local());
-  for (LocalId lid : updated) cur.Add(lid);
-  ParallelPropagate(frag, params, cur, next, par);
+  Propagate(frag, params, worklist, queued_);
 }
 
 CcApp::PartialType CcApp::GetPartial(const QueryType& query,

@@ -1,12 +1,12 @@
 #ifndef GRAPE_APPS_CC_H_
 #define GRAPE_APPS_CC_H_
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/aggregators.h"
 #include "core/codec.h"
-#include "core/parallel.h"
 #include "core/pie.h"
 
 namespace grape {
@@ -53,23 +53,15 @@ class CcApp {
                ParamStore<VertexId>& params,
                const std::vector<LocalId>& updated);
 
-  // Frontier-parallel variants (FrontierParallelApp): min-label rounds
-  // with AtomicMin over exact integer labels — a unique fixed point, so
-  // the converged store, the dirty set, and every flushed byte match the
-  // sequential worklist propagation bitwise at any thread count.
-  void ParallelPEval(const QueryType& query, const Fragment& frag,
-                     ParamStore<VertexId>& params,
-                     const ParallelContext& par);
-  void ParallelIncEval(const QueryType& query, const Fragment& frag,
-                       ParamStore<VertexId>& params,
-                       const std::vector<LocalId>& updated,
-                       const ParallelContext& par);
   PartialType GetPartial(const QueryType& query, const Fragment& frag,
                          const ParamStore<VertexId>& params) const;
   static OutputType Assemble(const QueryType& query,
                              std::vector<PartialType>&& partials);
 
   double GlobalValue() const { return 0.0; }
+
+ private:
+  std::vector<uint8_t> queued_;  // Propagate's worklist flags, kept clear
 };
 
 }  // namespace grape

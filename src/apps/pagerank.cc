@@ -46,64 +46,6 @@ void PageRankApp::IncEval(const QueryType& query, const Fragment& frag,
   }
 }
 
-void PageRankApp::ParallelPEval(const QueryType& query, const Fragment& frag,
-                                ParamStore<double>& params,
-                                const ParallelContext& par) {
-  (void)query;
-  const double n = static_cast<double>(frag.total_num_vertices());
-  rank_.assign(frag.num_inner(), 1.0 / n);
-  delta_ = 1.0;  // force at least one iteration
-
-  // 64-aligned chunks: params.Set's changed-bitset words are chunk-local,
-  // so the plain (non-atomic) stores never race.
-  par.ForChunks(frag.num_inner(), [&](size_t, size_t lo, size_t hi) {
-    for (size_t lid = lo; lid < hi; ++lid) {
-      size_t deg = frag.OutDegree(static_cast<LocalId>(lid));
-      double c = deg == 0 ? 0.0 : rank_[lid] / static_cast<double>(deg);
-      params.Set(static_cast<LocalId>(lid), c);
-    }
-  });
-}
-
-void PageRankApp::ParallelIncEval(const QueryType& query, const Fragment& frag,
-                                  ParamStore<double>& params,
-                                  const std::vector<LocalId>& updated,
-                                  const ParallelContext& par) {
-  (void)updated;  // every mirror refresh is already applied to the store
-  const double n = static_cast<double>(frag.total_num_vertices());
-  const double base = (1.0 - query.damping) / n;
-  const size_t inner = frag.num_inner();
-
-  // Pull phase: per-vertex in-neighbor sums in adjacency order (the
-  // sequential order); the store is read-only until the contribution pass.
-  next_scratch_.resize(inner);
-  diff_scratch_.resize(inner);
-  par.ForChunks(inner, [&](size_t, size_t lo, size_t hi) {
-    for (size_t lid = lo; lid < hi; ++lid) {
-      double sum = 0.0;
-      for (const FragNeighbor& nb :
-           frag.InNeighbors(static_cast<LocalId>(lid))) {
-        sum += params.Get(nb.local);
-      }
-      next_scratch_[lid] = base + query.damping * sum;
-      diff_scratch_[lid] = std::abs(next_scratch_[lid] - rank_[lid]);
-    }
-  });
-  // The residual feeds GlobalValue and the coordinator's termination
-  // check, so it must match the sequential left fold bitwise: fold the
-  // per-vertex terms in lid order, single-threaded.
-  delta_ = 0.0;
-  for (size_t lid = 0; lid < inner; ++lid) delta_ += diff_scratch_[lid];
-  rank_.swap(next_scratch_);
-  par.ForChunks(inner, [&](size_t, size_t lo, size_t hi) {
-    for (size_t lid = lo; lid < hi; ++lid) {
-      size_t deg = frag.OutDegree(static_cast<LocalId>(lid));
-      double c = deg == 0 ? 0.0 : rank_[lid] / static_cast<double>(deg);
-      params.SetIfChanged(static_cast<LocalId>(lid), c);
-    }
-  });
-}
-
 PageRankApp::PartialType PageRankApp::GetPartial(
     const QueryType& query, const Fragment& frag,
     const ParamStore<double>& params) const {

@@ -6,7 +6,6 @@
 
 #include "core/aggregators.h"
 #include "core/codec.h"
-#include "core/parallel.h"
 #include "core/pie.h"
 
 namespace grape {
@@ -64,19 +63,6 @@ class PageRankApp {
                ParamStore<double>& params,
                const std::vector<LocalId>& updated);
 
-  // Frontier-parallel variants (FrontierParallelApp). PageRank's floating
-  // point is order-sensitive, so instead of atomics the pull phase runs
-  // over disjoint 64-aligned inner-lid chunks: each vertex sums its
-  // in-neighbor contributions in adjacency order (the sequential order),
-  // and the round's L1 residual is folded sequentially over a per-vertex
-  // scratch array in lid order — reproducing the sequential delta_ (and
-  // hence the termination round) to the last bit at any thread count.
-  void ParallelPEval(const QueryType& query, const Fragment& frag,
-                     ParamStore<double>& params, const ParallelContext& par);
-  void ParallelIncEval(const QueryType& query, const Fragment& frag,
-                       ParamStore<double>& params,
-                       const std::vector<LocalId>& updated,
-                       const ParallelContext& par);
   PartialType GetPartial(const QueryType& query, const Fragment& frag,
                          const ParamStore<double>& params) const;
   static OutputType Assemble(const QueryType& query,
@@ -104,11 +90,6 @@ class PageRankApp {
  private:
   std::vector<double> rank_;  // by inner lid
   double delta_ = 0.0;
-  // Frontier-parallel scratch (not state: rebuilt every round, never
-  // checkpointed): next round's ranks and per-vertex |next - rank| terms
-  // awaiting the sequential lid-order fold into delta_.
-  std::vector<double> next_scratch_;
-  std::vector<double> diff_scratch_;
 };
 
 }  // namespace grape

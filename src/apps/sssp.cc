@@ -30,32 +30,6 @@ void LocalDijkstra(const Fragment& frag, ParamStore<double>& params,
   }
 }
 
-/// One frontier-parallel relaxation fixed point: each round relaxes every
-/// member's out-edges with AtomicMin; a vertex whose distance drops joins
-/// the next frontier (and the store's dirty set). Visit order within a
-/// round is thread-dependent, but the fixed point — min over all path
-/// costs — is not, so the converged store matches LocalDijkstra bitwise.
-void ParallelRelax(const Fragment& frag, ParamStore<double>& params,
-                   Frontier& cur, Frontier& next,
-                   const ParallelContext& par) {
-  for (;;) {
-    cur.Finalize();
-    if (cur.empty()) return;
-    next.Reset(frag.num_local());
-    cur.ForAll(par, [&](LocalId v) {
-      const double d = AtomicLoad(params.Get(v));
-      for (const FragNeighbor& nb : frag.OutNeighbors(v)) {
-        const double nd = d + nb.weight;
-        if (AtomicMin(params.UntrackedRef(nb.local), nd)) {
-          params.MarkChangedAtomic(nb.local);
-          next.AddAtomic(nb.local);
-        }
-      }
-    });
-    cur.Swap(next);
-  }
-}
-
 }  // namespace
 
 void SsspApp::PEval(const QueryType& query, const Fragment& frag,
@@ -78,33 +52,6 @@ void SsspApp::IncEval(const QueryType& query, const Fragment& frag,
   MinHeap heap;
   for (LocalId lid : updated) heap.push({params.Get(lid), lid});
   LocalDijkstra(frag, params, heap);
-}
-
-void SsspApp::ParallelPEval(const QueryType& query, const Fragment& frag,
-                            ParamStore<double>& params,
-                            const ParallelContext& par) {
-  Frontier cur;
-  Frontier next;
-  cur.Reset(frag.num_local());
-  LocalId lid = frag.Lid(query.source);
-  // Same seeding rule as the sequential PEval: only the owner starts.
-  if (lid != kInvalidLocal && frag.IsInner(lid)) {
-    params.Set(lid, 0.0);
-    cur.Add(lid);
-  }
-  ParallelRelax(frag, params, cur, next, par);
-}
-
-void SsspApp::ParallelIncEval(const QueryType& query, const Fragment& frag,
-                              ParamStore<double>& params,
-                              const std::vector<LocalId>& updated,
-                              const ParallelContext& par) {
-  (void)query;
-  Frontier cur;
-  Frontier next;
-  cur.Reset(frag.num_local());
-  for (LocalId lid : updated) cur.Add(lid);
-  ParallelRelax(frag, params, cur, next, par);
 }
 
 SsspApp::PartialType SsspApp::GetPartial(

@@ -6,7 +6,6 @@
 
 #include "core/aggregators.h"
 #include "core/codec.h"
-#include "core/parallel.h"
 #include "core/pie.h"
 
 namespace grape {
@@ -53,20 +52,6 @@ class SsspApp {
                ParamStore<double>& params,
                const std::vector<LocalId>& updated);
 
-  // Frontier-parallel variants (FrontierParallelApp): Bellman-Ford-style
-  // rounds over a dense/sparse frontier with AtomicMin relaxation. Both
-  // converge to the least fixed point of the same relaxation operator the
-  // sequential Dijkstra computes — non-negative weights make float
-  // addition monotone, so every path cost is a left fold evaluated
-  // identically in both — which is why the final store, the dirty set
-  // {v : dist(v) dropped}, and hence every flushed byte are bit-identical
-  // to the sequential oracle at any thread count.
-  void ParallelPEval(const QueryType& query, const Fragment& frag,
-                     ParamStore<double>& params, const ParallelContext& par);
-  void ParallelIncEval(const QueryType& query, const Fragment& frag,
-                       ParamStore<double>& params,
-                       const std::vector<LocalId>& updated,
-                       const ParallelContext& par);
   PartialType GetPartial(const QueryType& query, const Fragment& frag,
                          const ParamStore<double>& params) const;
   static OutputType Assemble(const QueryType& query,

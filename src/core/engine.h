@@ -59,19 +59,9 @@ struct CheckpointPolicy {
 
 /// Engine configuration (the demo's "play panel" knobs).
 struct EngineOptions {
-  /// Worker threads; 0 means one per fragment.
+  /// Worker threads; 0 means one per fragment. Each fragment's PEval and
+  /// IncEval run sequentially on one of them: parallelism is per fragment.
   uint32_t num_threads = 0;
-  /// Intra-fragment frontier parallelism (opt-in, ROADMAP item 2): when
-  /// > 1, apps implementing the FrontierParallelApp concept run their
-  /// ParallelPEval/ParallelIncEval with this many lanes, and WorkerCore
-  /// stages its flush in parallel. 0 and 1 keep the historical sequential
-  /// path byte-for-byte. Results, message payloads, CommStats, and
-  /// superstep counts are bit-identical to sequential at every value —
-  /// frozen by tests/parallel_compute_test.cc. Plumbed to remote worker
-  /// hosts through the kTagWkLoad/kTagWkRestore frames, so placement does
-  /// not change the contract. Apps without the parallel methods silently
-  /// run sequentially.
-  uint32_t compute_threads = 0;
   /// Hard stop against non-terminating (non-monotonic, mis-specified) apps.
   uint32_t max_supersteps = 1000000;
   /// When false, every round re-evaluates from *all* inner vertices instead
@@ -252,10 +242,8 @@ class GrapeEngine {
                                        : std::make_unique<CommWorld>(
                                              fg.num_fragments() + 1)),
         world_(options.transport ? options.transport : owned_world_.get()),
-        pool_(options.num_threads == 0
-                  ? fg.num_fragments() *
-                        std::max<uint32_t>(1, options.compute_threads)
-                  : options.num_threads) {
+        pool_(options.num_threads == 0 ? fg.num_fragments()
+                                       : options.num_threads) {
     const FragmentId n = n_frags_;
     GRAPE_CHECK(world_->size() == n + 1)
         << "transport sized " << world_->size() << " for " << n
@@ -263,9 +251,6 @@ class GrapeEngine {
     cores_.reserve(n);
     for (FragmentId i = 0; i < n; ++i) {
       cores_.emplace_back(fg_->fragments[i], prototype);
-      if (options_.compute_threads > 1) {
-        cores_.back().EnableParallel(&pool_, options_.compute_threads);
-      }
     }
     phase_status_.assign(n, Status::OK());
     pending_sends_.resize(n);
@@ -1222,14 +1207,11 @@ class GrapeEngine {
 
   /// Flag bits shared by the kTagWkLoad and kTagWkRestore frames.
   uint8_t WorkerFlags() const {
-    uint8_t flags = options_.check_monotonicity ? kWkLoadCheckMonotonicity : 0;
-    if (options_.compute_threads > 1) flags |= kWkLoadComputeThreads;
-    return flags;
+    return options_.check_monotonicity ? kWkLoadCheckMonotonicity : 0;
   }
 
-  /// Worker i's kTagWkLoad frame: app name, flags, lane count (gated on
-  /// its flag so compute_threads <= 1 frames stay byte-identical to every
-  /// frame this engine ever sent), query, then the fragment source.
+  /// Worker i's kTagWkLoad frame: app name, flags, query, then the
+  /// fragment source.
   /// Coordinator-loaded engines serialize the fragment — preceded by
   /// `stash_token` when the worker should also deposit it in its
   /// ResidentFragmentStore. Distributed-load engines ship only the build
@@ -1247,7 +1229,6 @@ class GrapeEngine {
     }
     enc.WriteString(options_.remote_app);
     enc.WriteU8(flags);
-    if (options_.compute_threads > 1) enc.WriteU32(options_.compute_threads);
     EncodeValue(enc, query);
     if (fg_ == nullptr) {
       enc.WriteU64(resident_token_);
@@ -1411,7 +1392,6 @@ class GrapeEngine {
             WkRestoreCommand cmd;
             cmd.app_name = options_.remote_app;
             cmd.flags = WorkerFlags();
-            cmd.compute_threads = options_.compute_threads;
             cmd.round = barrier;
             cmd.dir = cp.dir;
             cmd.image = std::move(images[i]);

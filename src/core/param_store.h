@@ -55,12 +55,6 @@ class ParamStore {
   V& UntrackedRef(LocalId lid) { return values_[lid]; }
   void MarkChanged(LocalId lid) { changed_.Set(lid); }
 
-  /// Thread-safe MarkChanged for frontier-parallel writers (which update
-  /// values through AtomicMin on UntrackedRef). The resulting dirty set —
-  /// and therefore the flush — is identical to sequential marking: the
-  /// bitset orders it by lid, not by insertion.
-  void MarkChangedAtomic(LocalId lid) { changed_.SetAtomic(lid); }
-
   bool IsChanged(LocalId lid) const { return changed_.Test(lid); }
 
   /// Snapshots and clears the dirty set (engine flush).

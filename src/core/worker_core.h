@@ -9,32 +9,11 @@
 #include <vector>
 
 #include "core/codec.h"
-#include "core/parallel.h"
 #include "core/pie.h"
 #include "rt/message.h"
 #include "util/status.h"
 
 namespace grape {
-
-/// Apps that additionally ship frontier-parallel phase implementations
-/// (GBBS/Ligra-style vertex maps over core/parallel.h). The sequential
-/// PEval/IncEval stay mandatory — they are the differential oracle — and
-/// the parallel variants MUST be bit-identical to them: same final store,
-/// same dirty set, same GlobalValue, at every thread count. Selected at
-/// run time by EngineOptions::compute_threads via
-/// WorkerCore::EnableParallel.
-template <typename App>
-concept FrontierParallelApp =
-    requires(App& app, const typename App::QueryType& query,
-             const Fragment& frag,
-             ParamStore<typename App::ValueType>& params,
-             const std::vector<LocalId>& updated,
-             const ParallelContext& par) {
-      { app.ParallelPEval(query, frag, params, par) } -> std::same_as<void>;
-      {
-        app.ParallelIncEval(query, frag, params, updated, par)
-      } -> std::same_as<void>;
-    };
 
 /// Apps that carry private cross-superstep state beyond the ParamStore
 /// (e.g. PageRank's rank vector and residual) expose it to the checkpoint
@@ -63,7 +42,9 @@ struct WorkerSend {
 /// The per-fragment half of the GRAPE engine (Sec. 2.2): one worker P_i's
 /// update-parameter store, its PEval/IncEval invocations, message
 /// application, and the flush that turns changed parameters into staged
-/// record blocks. Extracted from GrapeEngine so the exact same code runs
+/// record blocks. The plug-in's PEval/IncEval run sequentially, one call
+/// per fragment: GRAPE's parallelism is across fragments, never inside
+/// one. Extracted from GrapeEngine so the exact same code runs
 /// in BOTH execution modes — inline in the rank-0 engine process (local
 /// compute) and inside a remote worker host in the rank's endpoint
 /// process (remote compute). Observable behaviour (payload bytes, send
@@ -94,24 +75,7 @@ class WorkerCore {
     flush_dirty_ = 0;
   }
 
-  /// Opts this core into frontier-parallel phase execution (apps without
-  /// the parallel methods silently keep their sequential path). `pool` is
-  /// borrowed and must outlive the core; `threads` is the chunking factor
-  /// — parallel flush staging and the app's vertex maps split work
-  /// `threads` ways regardless of the pool's actual size.
-  void EnableParallel(ThreadPool* pool, uint32_t threads) {
-    par_.Enable(pool, threads);
-  }
-
-  void PEval(const Query& query) {
-    if constexpr (FrontierParallelApp<App>) {
-      if (par_.enabled()) {
-        app_.ParallelPEval(query, *frag_, store_, par_);
-        return;
-      }
-    }
-    app_.PEval(query, *frag_, store_);
-  }
+  void PEval(const Query& query) { app_.PEval(query, *frag_, store_); }
 
   /// Clears M_i before a round's message application.
   void BeginApply() { updated_.clear(); }
@@ -174,12 +138,6 @@ class WorkerCore {
         updated_.push_back(v);
       }
     }
-    if constexpr (FrontierParallelApp<App>) {
-      if (par_.enabled()) {
-        app_.ParallelIncEval(query, *frag_, store_, updated_, par_);
-        return;
-      }
-    }
     app_.IncEval(query, *frag_, store_, updated_);
   }
 
@@ -209,12 +167,8 @@ class WorkerCore {
     };
 
     std::vector<LocalId>& reset_list = reset_scratch_;
-    if (par_.enabled()) {
-      StageChangedParallel(changed, &reset_list);
-    } else {
-      for (LocalId lid : changed) {
-        StageChangedVertex(lid, stage, &reset_list, &mono_violations_);
-      }
+    for (LocalId lid : changed) {
+      StageChangedVertex(lid, stage, &reset_list, &mono_violations_);
     }
     for (const auto& [gid, value] : remote) {
       stage(frag.OwnerOf(gid), frag.LidAtOwner(gid), value);
@@ -313,10 +267,7 @@ class WorkerCore {
 
  private:
   /// Stages one changed lid's outgoing records through `stage` and applies
-  /// reset/monotonicity bookkeeping. `reset_list` and `mono` are the
-  /// caller's (possibly per-chunk) accumulators; store_ values and
-  /// prev_flushed_[lid] are only ever touched for this lid, so concurrent
-  /// calls on distinct lids need no further synchronization.
+  /// reset/monotonicity bookkeeping into `reset_list` and `mono`.
   template <typename StageFn>
   void StageChangedVertex(LocalId lid, const StageFn& stage,
                           std::vector<LocalId>* reset_list, uint64_t* mono) {
@@ -344,55 +295,6 @@ class WorkerCore {
     }
   }
 
-  /// Frontier-parallel staging: contiguous chunks of the (ascending)
-  /// changed list stage into per-chunk buffers, merged back in chunk-index
-  /// order. Chunk c's lids all precede chunk c+1's, so concatenating the
-  /// per-chunk blocks per destination reproduces the sequential record
-  /// order — and therefore the payload bytes — exactly, at any thread
-  /// count.
-  void StageChangedParallel(const std::vector<LocalId>& changed,
-                            std::vector<LocalId>* reset_list) {
-    const size_t lanes = par_.num_threads();
-    if (par_staging_.size() < lanes) {
-      par_staging_.resize(lanes);
-      par_dsts_.resize(lanes);
-      par_reset_.resize(lanes);
-      par_mono_.resize(lanes, 0);
-      for (auto& lane : par_staging_) lane.resize(frag_->num_fragments());
-    }
-    par_.ForChunks(changed.size(), [&](size_t c, size_t lo, size_t hi) {
-      std::vector<RecordBlock<Value>>& lane = par_staging_[c];
-      std::vector<FragmentId>& lane_dsts = par_dsts_[c];
-      auto lane_stage = [&lane, &lane_dsts](FragmentId dst, LocalId dst_lid,
-                                            const Value& value) {
-        RecordBlock<Value>& block = lane[dst];
-        if (block.empty()) lane_dsts.push_back(dst);
-        block.Append(dst_lid, value);
-      };
-      for (size_t k = lo; k < hi; ++k) {
-        StageChangedVertex(changed[k], lane_stage, &par_reset_[c],
-                           &par_mono_[c]);
-      }
-    });
-    for (size_t c = 0; c < lanes; ++c) {
-      for (FragmentId dst : par_dsts_[c]) {
-        RecordBlock<Value>& src = par_staging_[c][dst];
-        RecordBlock<Value>& block = staging_[dst];
-        if (block.empty()) staged_dsts_.push_back(dst);
-        block.lids.insert(block.lids.end(), src.lids.begin(), src.lids.end());
-        block.values.insert(block.values.end(), src.values.begin(),
-                            src.values.end());
-        src.clear();
-      }
-      par_dsts_[c].clear();
-      reset_list->insert(reset_list->end(), par_reset_[c].begin(),
-                         par_reset_[c].end());
-      par_reset_[c].clear();
-      mono_violations_ += par_mono_[c];
-      par_mono_[c] = 0;
-    }
-  }
-
   const Fragment* frag_;
   App app_;
   ParamStore<Value> store_;     // x̄_i
@@ -410,14 +312,6 @@ class WorkerCore {
   std::vector<FragmentId> staged_dsts_;
   std::vector<uint32_t> apply_lids_;
   std::vector<Value> apply_values_;
-
-  // Frontier-parallel execution (disabled unless EnableParallel ran):
-  // per-chunk staging lanes merged in chunk order by StageChangedParallel.
-  ParallelContext par_;
-  std::vector<std::vector<RecordBlock<Value>>> par_staging_;
-  std::vector<std::vector<FragmentId>> par_dsts_;
-  std::vector<std::vector<LocalId>> par_reset_;
-  std::vector<uint64_t> par_mono_;
 };
 
 /// Compile-time gate for remote execution: everything the engine must

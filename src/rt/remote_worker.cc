@@ -166,12 +166,8 @@ Status RemoteWorkerHost::HandleLoad(const std::vector<uint8_t>& payload) {
   Decoder dec(payload);
   std::string app_name;
   uint8_t flags = 0;
-  uint32_t compute_threads = 0;
   Status parse = dec.ReadString(&app_name);
   if (parse.ok()) parse = dec.ReadU8(&flags);
-  if (parse.ok() && (flags & kWkLoadComputeThreads) != 0) {
-    parse = dec.ReadU32(&compute_threads);
-  }
   if (!parse.ok()) return EmitError(parse);
   // A load is an implicit reload of its slot: every run begins with its
   // own kTagWkLoad, and an engine whose previous run failed mid-phase (so
@@ -185,7 +181,6 @@ Status RemoteWorkerHost::HandleLoad(const std::vector<uint8_t>& payload) {
   auto factory = WorkerAppRegistry::Global().Get(app_name);
   if (!factory.ok()) return EmitError(factory.status());
   std::unique_ptr<WorkerAppServerBase> server = (*factory)();
-  server->SetComputeThreads(compute_threads);
   if (Status s = server->DecodeQuery(dec); !s.ok()) return EmitError(s);
 
   // The fragment source: a token to attach by, a shipped fragment to
@@ -446,7 +441,6 @@ Status RemoteWorkerHost::HandleRestore(const std::vector<uint8_t>& payload) {
   auto factory = WorkerAppRegistry::Global().Get(cmd.app_name);
   if (!factory.ok()) return EmitError(factory.status());
   std::unique_ptr<WorkerAppServerBase> server = (*factory)();
-  server->SetComputeThreads(cmd.compute_threads);
   // The image: query, the whole fragment, then the core state.
   Decoder state(image->state);
   auto owned = std::make_shared<Fragment>();

@@ -23,7 +23,6 @@
 #include "rt/worker_protocol.h"
 #include "util/result.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace grape {
 
@@ -73,11 +72,6 @@ class WorkerAppServerBase {
  public:
   virtual ~WorkerAppServerBase() = default;
 
-  /// Frontier-parallel lane count (kWkLoadComputeThreads). <= 1 keeps the
-  /// sequential path; the host calls this before the first Seat, so the
-  /// server can size its own pool — each endpoint process parallelizes
-  /// within itself, never across ranks.
-  virtual void SetComputeThreads(uint32_t threads) = 0;
   /// Decodes the next query (from kTagWkLoad, kTagWkQuery or a checkpoint
   /// image). Seat must follow before any phase runs.
   virtual Status DecodeQuery(Decoder& dec) = 0;
@@ -143,22 +137,12 @@ class WorkerServer final : public WorkerAppServerBase {
   using Query = typename App::QueryType;
   using Value = typename App::ValueType;
 
-  void SetComputeThreads(uint32_t threads) override {
-    compute_threads_ = threads;
-    if (threads > 1 && pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(threads);
-    }
-  }
-
   Status DecodeQuery(Decoder& dec) override {
     return DecodeValue(dec, &query_);
   }
 
   void Seat(const Fragment& frag, bool check_monotonicity) override {
     core_.emplace(frag, App{});
-    if (compute_threads_ > 1) {
-      core_->EnableParallel(pool_.get(), compute_threads_);
-    }
     core_->Reset(check_monotonicity);
   }
 
@@ -260,10 +244,6 @@ class WorkerServer final : public WorkerAppServerBase {
 
   Query query_{};
   std::optional<WorkerCore<App>> core_;
-  /// Frontier-parallel execution (kWkLoadComputeThreads): this slot's own
-  /// lane pool, created on first demand.
-  uint32_t compute_threads_ = 0;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// Process-wide registry of remotely instantiable PIE programs: the

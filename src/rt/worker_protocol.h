@@ -176,11 +176,7 @@ inline constexpr uint8_t kWkLoadCheckMonotonicity = 1u << 0;
 /// serialized fragment: the worker attaches to the fragment a distributed
 /// build (kTagWkShard..kTagWkBuildAck) left in its process-local store.
 inline constexpr uint8_t kWkLoadUseResident = 1u << 1;
-/// A u32 compute-thread count follows the flags byte: the worker runs
-/// frontier-parallel phases with that many lanes (core/parallel.h).
-/// Gated on the flag so sequential runs' frames stay byte-identical to
-/// what they always were. Also used inside WkRestoreCommand::flags.
-inline constexpr uint8_t kWkLoadComputeThreads = 1u << 2;
+// Bit 1u << 2 is unused: the remaining flag bits keep their wire values.
 /// The load frame carries BOTH a token (u64) and a serialized fragment:
 /// the worker decodes the fragment, deposits it in its process-local
 /// ResidentFragmentStore under the token, and loads from the deposited
@@ -522,11 +518,7 @@ struct WkCheckpointAck {
 /// worker reads it from `dir` (per-worker local disk).
 struct WkRestoreCommand {
   std::string app_name;
-  uint8_t flags = 0;   // kWkLoadCheckMonotonicity | kWkLoadComputeThreads
-  /// Frontier-parallel lane count for the restored worker; travels (gated
-  /// on kWkLoadComputeThreads, like the load frame) so a respawned worker
-  /// resumes with the same execution mode it crashed with.
-  uint32_t compute_threads = 0;
+  uint8_t flags = 0;   // kWkLoadCheckMonotonicity
   uint32_t round = 0;  // the barrier to restore — a torn checkpoint can
                        // leave newer images around; the coordinator's
                        // snapshot, not the newest image, picks the round
@@ -536,7 +528,6 @@ struct WkRestoreCommand {
   void EncodeTo(Encoder& enc) const {
     enc.WriteString(app_name);
     enc.WriteU8(flags);
-    if (flags & kWkLoadComputeThreads) enc.WriteU32(compute_threads);
     enc.WriteU32(round);
     enc.WriteString(dir);
     enc.WriteVarint(image.size());
@@ -546,9 +537,6 @@ struct WkRestoreCommand {
   static Status DecodeFrom(Decoder& dec, WkRestoreCommand* out) {
     GRAPE_RETURN_NOT_OK(dec.ReadString(&out->app_name));
     GRAPE_RETURN_NOT_OK(dec.ReadU8(&out->flags));
-    if (out->flags & kWkLoadComputeThreads) {
-      GRAPE_RETURN_NOT_OK(dec.ReadU32(&out->compute_threads));
-    }
     GRAPE_RETURN_NOT_OK(dec.ReadU32(&out->round));
     GRAPE_RETURN_NOT_OK(dec.ReadString(&out->dir));
     uint64_t n = 0;

@@ -1,10 +1,8 @@
 #ifndef GRAPE_UTIL_BITSET_H_
 #define GRAPE_UTIL_BITSET_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace grape {
@@ -25,31 +23,12 @@ class Bitset {
 
   void Set(size_t i) { words_[i >> 6] |= (1ULL << (i & 63)); }
   void Reset(size_t i) { words_[i >> 6] &= ~(1ULL << (i & 63)); }
-
-  /// Thread-safe Set for concurrent frontier/changed-set writers; returns
-  /// whether this call flipped the bit (exactly one concurrent setter of
-  /// the same bit sees true). Must not race with the plain accessors.
-  bool SetAtomic(size_t i) {
-    std::atomic_ref<uint64_t> word(words_[i >> 6]);
-    const uint64_t mask = 1ULL << (i & 63);
-    return (word.fetch_or(mask, std::memory_order_relaxed) & mask) == 0;
-  }
   bool Test(size_t i) const {
     return (words_[i >> 6] >> (i & 63)) & 1ULL;
   }
 
   void Clear() {
     for (auto& w : words_) w = 0;
-  }
-
-  /// Sets every bit in [0, size); bits past size stay clear so Count and
-  /// ForEach remain exact.
-  void SetAll() {
-    for (auto& w : words_) w = ~0ULL;
-    const size_t tail = size_ & 63;
-    if (tail != 0 && !words_.empty()) {
-      words_.back() = (1ULL << tail) - 1;
-    }
   }
 
   /// Number of set bits.
@@ -77,11 +56,6 @@ class Bitset {
         w &= w - 1;
       }
     }
-  }
-
-  void Swap(Bitset& other) {
-    words_.swap(other.words_);
-    std::swap(size_, other.size_);
   }
 
  private:

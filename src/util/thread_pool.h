@@ -13,8 +13,9 @@
 namespace grape {
 
 /// Fixed-size worker pool. The PIE engine maps each logical worker P_i onto
-/// a pool task per superstep; ParallelFor is used by partitioners,
-/// generators, and the frontier-parallel WorkerCore for data-parallel loops.
+/// one pool task per superstep, so fragments run in parallel while each
+/// fragment's PEval/IncEval stays sequential; ParallelFor is also used by
+/// partitioners and generators for data-parallel loops.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);

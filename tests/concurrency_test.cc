@@ -7,7 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel.h"
 #include "gtest/gtest.h"
 #include "rt/comm_world.h"
 #include "util/barrier.h"
@@ -323,81 +322,6 @@ TEST(BitsetTest, ClearAndAny) {
   EXPECT_TRUE(bs.Any());
   bs.Clear();
   EXPECT_FALSE(bs.Any());
-}
-
-TEST(BitsetTest, SetAllMasksTailWord) {
-  Bitset bs(70);  // 64 + 6: the second word must get only 6 bits
-  bs.SetAll();
-  EXPECT_EQ(bs.Count(), 70u);
-  std::vector<size_t> seen;
-  bs.ForEach([&seen](size_t i) { seen.push_back(i); });
-  ASSERT_EQ(seen.size(), 70u);
-  EXPECT_EQ(seen.front(), 0u);
-  EXPECT_EQ(seen.back(), 69u);
-}
-
-TEST(BitsetTest, SetAtomicReportsFirstSetter) {
-  Bitset bs(256);
-  // Exactly one of N racing SetAtomic(i) calls must see "I flipped it".
-  constexpr size_t kThreads = 8;
-  std::vector<std::atomic<int>> winners(256);
-  std::vector<std::thread> threads;
-  for (size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (size_t i = 0; i < 256; ++i) {
-        if (bs.SetAtomic(i)) winners[i]++;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(bs.Count(), 256u);
-  for (auto& w : winners) EXPECT_EQ(w.load(), 1);
-}
-
-TEST(FrontierTest, DenseSparseRoundTrip) {
-  ThreadPool pool(2);
-  ParallelContext par;
-  par.Enable(&pool, 2);
-  Frontier f;
-  f.Reset(1000);
-  // Sparse: 3 of 1000 members — well under the dense threshold.
-  f.Add(5);
-  f.Add(64);
-  f.Add(999);
-  f.Finalize();
-  EXPECT_FALSE(f.empty());
-  EXPECT_EQ(f.size(), 3u);
-  std::vector<LocalId> seen;
-  std::mutex mu;
-  f.ForAll(par, [&](LocalId v) {
-    std::lock_guard<std::mutex> lock(mu);
-    seen.push_back(v);
-  });
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(seen, (std::vector<LocalId>{5, 64, 999}));
-
-  // Dense: every vertex a member.
-  f.Reset(1000);
-  f.FillAll();
-  f.Finalize();
-  EXPECT_EQ(f.size(), 1000u);
-  std::atomic<size_t> hits{0};
-  f.ForAll(par, [&](LocalId) { hits++; });
-  EXPECT_EQ(hits.load(), 1000u);
-}
-
-TEST(ParallelContextTest, ForChunksCoversRangeWith64AlignedBounds) {
-  ThreadPool pool(4);
-  ParallelContext par;
-  par.Enable(&pool, 4);
-  std::vector<std::atomic<int>> hits(1000);
-  std::atomic<bool> misaligned{false};
-  par.ForChunks(1000, [&](size_t, size_t lo, size_t hi) {
-    if (lo % 64 != 0) misaligned = true;
-    for (size_t i = lo; i < hi; ++i) hits[i]++;
-  });
-  EXPECT_FALSE(misaligned.load());
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(HistogramTest, BasicStats) {

@@ -90,14 +90,12 @@ inline Graph ScenarioGraph(const std::string& kind) {
 /// partials come back; observables must not change either) or "session"
 /// (remote, answered twice through SessionRun on one engine: the cold
 /// load, then the warm kTagWkQuery re-seed). Returns one observation per
-/// answer. compute_threads > 1 selects the frontier-parallel PEval/IncEval
-/// variants (EngineOptions::compute_threads) — observables must not
-/// change at ANY thread count (tests/parallel_compute_test.cc).
+/// answer.
 inline std::vector<MessagePathObservation> RunMessagePathScenarioRuns(
     const std::string& app, const std::string& graph_kind,
     const std::string& strategy, FragmentId workers,
     const std::string& transport = "inproc",
-    const std::string& compute = "local", uint32_t compute_threads = 0) {
+    const std::string& compute = "local") {
   Graph g = ScenarioGraph(graph_kind);
   FragmentedGraph fg = ScenarioFragments(g, strategy, workers);
   if (compute != "local") {
@@ -109,7 +107,6 @@ inline std::vector<MessagePathObservation> RunMessagePathScenarioRuns(
   GRAPE_CHECK(world.ok()) << world.status();
   EngineOptions options;
   options.transport = world->get();
-  options.compute_threads = compute_threads;
   if (compute != "local") options.remote_app = app;
   std::vector<MessagePathObservation> runs;
   auto observe = [&](auto& engine, const auto& query, auto hash) {
@@ -149,9 +146,9 @@ inline MessagePathObservation RunMessagePathScenario(
     const std::string& app, const std::string& graph_kind,
     const std::string& strategy, FragmentId workers,
     const std::string& transport = "inproc",
-    const std::string& compute = "local", uint32_t compute_threads = 0) {
+    const std::string& compute = "local") {
   return RunMessagePathScenarioRuns(app, graph_kind, strategy, workers,
-                                    transport, compute, compute_threads)
+                                    transport, compute)
       .front();
 }
 
