@@ -53,8 +53,8 @@ void Trace(const Graph& g, const std::string& title, const Query& query,
 }
 
 int Run(int argc, char** argv) {
-  FlagParser flags;
-  GRAPE_CHECK(flags.Parse(argc, argv).ok());
+  const FlagParser flags =
+      ParseBenchFlags(argc, argv, {"rows", "cols", "scale", "workers"});
   const auto rows = static_cast<uint32_t>(flags.GetInt("rows", 150));
   const auto cols = static_cast<uint32_t>(flags.GetInt("cols", 150));
   const auto workers = static_cast<FragmentId>(flags.GetInt("workers", 8));

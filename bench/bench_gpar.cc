@@ -17,8 +17,8 @@ namespace bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  FlagParser flags;
-  GRAPE_CHECK(flags.Parse(argc, argv).ok());
+  const FlagParser flags = ParseBenchFlags(
+      argc, argv, {"persons", "items", "support", "max_workers"});
   SocialGraphOptions opts;
   opts.num_persons =
       static_cast<VertexId>(flags.GetInt("persons", 120000));

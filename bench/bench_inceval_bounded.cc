@@ -1,5 +1,6 @@
 // Experiment E6 — the boundedness claim of Sec. 2.2(2): IncEval's cost is a
-// function of |M_i| + |ΔO_i| (changes in and out), not of |F_i|. Two probes:
+// function of |M_i| + |ΔO_i| (changes in and out), not of |F_i|. Three
+// probes:
 //
 // (a) Ablation: the same SSSP query with bounded IncEval vs. the engine's
 //     full-re-evaluation mode (every round re-evaluates whole fragments, the
@@ -9,10 +10,16 @@
 // (b) Per-round scaling: on one large graph, per-round IncEval time tracks
 //     the round's update count, not the (constant) fragment size.
 //
+// (c) Q(G ⊕ M) from Q(G): after one edge insertion, a query session's
+//     incremental delta updates a vanishing fraction of the parameters the
+//     full run updated.
+//
 // Flags: --workers, --json <path> (IncEval-vs-recompute rows).
 
 #include "apps/seq/seq_algorithms.h"
 #include "bench/bench_util.h"
+#include "graph/mutation.h"
+#include "rt/transport.h"
 #include "util/flags.h"
 
 namespace grape {
@@ -20,8 +27,7 @@ namespace bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  FlagParser flags;
-  GRAPE_CHECK(flags.Parse(argc, argv).ok());
+  const FlagParser flags = ParseBenchFlags(argc, argv, {"workers"});
   const auto workers = static_cast<FragmentId>(flags.GetInt("workers", 8));
   Report report("inceval_bounded");
 
@@ -73,41 +79,46 @@ int Run(int argc, char** argv) {
       auto g = GenerateGridRoad(side, side, 701 + side);
       GRAPE_CHECK(g.ok());
       FragmentedGraph fg = Fragmentize(*g, "grid2d", workers);
-      GrapeEngine<SsspApp> initial(fg, SsspApp{});
-      GRAPE_CHECK(initial.Run(SsspQuery{0}).ok());
+      // Q(G) in a query session over in-thread inproc hosts; the update
+      // streams into its resident fragments and Q(G ⊕ M) is re-answered
+      // from the converged state.
+      auto world = MakeTransport("inproc", workers + 1);
+      GRAPE_CHECK(world.ok());
+      EngineOptions eo;
+      eo.transport = world->get();
+      eo.remote_app = "sssp";
+      GrapeEngine<SsspApp> engine(fg, SsspApp{}, eo);
+      GRAPE_CHECK(engine.SessionRun(SsspQuery{0}).ok());
+      const EngineMetrics initial = engine.metrics();
       uint64_t full_updates = 0;
-      for (const RoundMetrics& r : initial.metrics().rounds) {
+      for (const RoundMetrics& r : initial.rounds) {
         full_updates += r.updated_params;
       }
 
       // Insert one shortcut near the far corner and re-answer.
       const VertexId corner = side * side - 1;
-      GraphBuilder builder(true);
-      for (const Edge& e : g->ToEdgeList()) builder.AddEdge(e);
-      builder.AddEdge(corner - 3, corner, 0.5);
-      builder.AddEdge(corner, corner - 3, 0.5);
-      auto updated = std::move(builder).Build(g->num_vertices());
+      MutationBatch m;
+      m.InsertEdge(corner - 3, corner, 0.5);
+      m.InsertEdge(corner, corner - 3, 0.5);
+      auto updated = ApplyMutations(*g, m);
       GRAPE_CHECK(updated.ok());
-      FragmentedGraph fg2 = Fragmentize(*updated, "grid2d", workers);
-
-      GrapeEngine<SsspApp> incremental(fg2, SsspApp{});
-      auto out = incremental.RunIncremental(SsspQuery{0}, initial,
-                                            {corner - 3, corner});
+      GRAPE_CHECK(engine.ApplyMutations(m).ok());
+      auto out = engine.RunIncremental(SsspQuery{0}, m);
       GRAPE_CHECK(out.ok());
       GRAPE_CHECK(SsspMatches(out->dist, SeqDijkstra(*updated, 0)));
+      const EngineMetrics& incremental = engine.metrics();
       uint64_t incr_updates = 0;
-      for (const RoundMetrics& r : incremental.metrics().rounds) {
+      for (const RoundMetrics& r : incremental.rounds) {
         incr_updates += r.updated_params;
       }
       std::printf("%12u %16llu %16llu %14.4f %14.4f\n", side * side,
                   static_cast<unsigned long long>(full_updates),
                   static_cast<unsigned long long>(incr_updates),
-                  initial.metrics().total_seconds,
-                  incremental.metrics().total_seconds);
+                  initial.total_seconds, incremental.total_seconds);
 
       ReportRow row =
           MetricsRow("Q(G+M) from Q(G) |V|=" + std::to_string(side * side),
-                     "incremental re-answering", incremental.metrics());
+                     "incremental re-answering", incremental);
       row.messages = incr_updates;
       report.Add(row);
     }

@@ -21,8 +21,8 @@ namespace bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  FlagParser flags;
-  GRAPE_CHECK(flags.Parse(argc, argv).ok());
+  const FlagParser flags = ParseBenchFlags(
+      argc, argv, {"scale", "workers", "communities", "degree", "intra"});
   CommunityGraphOptions opts;
   opts.num_vertices = 1u << static_cast<uint32_t>(flags.GetInt("scale", 15));
   opts.avg_degree = static_cast<uint32_t>(flags.GetInt("degree", 14));

@@ -37,8 +37,7 @@ void RunClass(const std::string& name, const FragmentedGraph& fg,
 }
 
 int Run(int argc, char** argv) {
-  FlagParser flags;
-  GRAPE_CHECK(flags.Parse(argc, argv).ok());
+  const FlagParser flags = ParseBenchFlags(argc, argv, {"scale", "workers"});
   const auto workers = static_cast<FragmentId>(flags.GetInt("workers", 8));
   const auto scale = static_cast<uint32_t>(flags.GetInt("scale", 13));
   RegisterBuiltinApps();

@@ -85,8 +85,8 @@ void Sweep(const Graph& g, const std::string& title, const Query& query,
 }
 
 int Run(int argc, char** argv) {
-  FlagParser flags;
-  GRAPE_CHECK(flags.Parse(argc, argv).ok());
+  const FlagParser flags = ParseBenchFlags(
+      argc, argv, {"rows", "cols", "scale", "max_workers", "full"});
   // --full is profile scaffolding: paper-shaped sizes for overnight runs
   // on real hardware; smoke defaults keep CI in seconds. Explicit size
   // flags always win.

@@ -101,8 +101,9 @@ void AddRows(const std::string& system, const ServingRun& run,
 }
 
 int Run(int argc, char** argv) {
-  FlagParser flags;
-  GRAPE_CHECK(flags.Parse(argc, argv).ok());
+  const FlagParser flags =
+      ParseBenchFlags(argc, argv, {"workers", "scale", "clients", "queries",
+                                   "mutation-batches", "batch-window-ms"});
   const auto workers = static_cast<FragmentId>(flags.GetInt("workers", 4));
   const auto scale = static_cast<uint32_t>(flags.GetInt("scale", 12));
   const auto clients = static_cast<uint32_t>(flags.GetInt("clients", 8));

@@ -59,8 +59,10 @@ namespace bench {
 namespace {
 
 int Run(int argc, char** argv) {
-  FlagParser flags;
-  GRAPE_CHECK(flags.Parse(argc, argv).ok());
+  const FlagParser flags = ParseBenchFlags(
+      argc, argv,
+      ClusterSpec::WithFlagNames({"rows", "cols", "workers", "source",
+                                  "transport", "compute", "load", "full"}));
   // --full is profile scaffolding (ROADMAP housekeeping): paper-shaped
   // sizes for overnight runs; smoke defaults keep CI in seconds. Explicit
   // --rows/--cols always win.

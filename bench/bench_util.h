@@ -82,6 +82,17 @@ inline ReportRow MetricsRow(const std::string& system,
   return row;
 }
 
+/// Parses a bench's flags: its own `names` plus the bench-wide `--json`
+/// (MaybeWriteJson). An unknown flag aborts with the parse error.
+inline FlagParser ParseBenchFlags(int argc, char** argv,
+                                  std::vector<std::string> names) {
+  names.push_back("json");
+  FlagParser flags;
+  const Status parsed = flags.Parse(argc, argv, names);
+  GRAPE_CHECK(parsed.ok()) << parsed.ToString();
+  return flags;
+}
+
 /// Honors the bench-wide `--json <path>` flag: writes `report` there when
 /// given, aborting (bench-grade handling) if the file cannot be written.
 inline void MaybeWriteJson(const FlagParser& flags, const Report& report) {

@@ -264,8 +264,12 @@ int RunDistributed(const FlagParser& flags, const std::string& app_name,
 }
 
 int Run(int argc, char** argv) {
+  const std::vector<std::string> kFlags = ClusterSpec::WithFlagNames(
+      {"graph", "rows", "cols", "scale", "edge_factor", "seed", "directed",
+       "weighted", "labels", "edge_labels", "workers", "partitioner",
+       "transport", "load", "ckpt-every", "ckpt-dir"});
   FlagParser flags;
-  Status parsed = flags.Parse(argc, argv);
+  Status parsed = flags.Parse(argc, argv, kFlags);
   if (!parsed.ok()) {
     std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
     return 2;

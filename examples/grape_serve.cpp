@@ -219,8 +219,11 @@ bool RunSelfTest(grape::ServeServer& server, uint32_t num_clients,
 int main(int argc, char** argv) {
   using namespace grape;
 
+  const std::vector<std::string> kFlags = ClusterSpec::WithFlagNames(
+      {"workers", "rows", "cols", "port", "transport", "load",
+       "batch-window-ms", "selftest", "verbose"});
   FlagParser flags;
-  if (Status s = flags.Parse(argc, argv); !s.ok()) {
+  if (Status s = flags.Parse(argc, argv, kFlags); !s.ok()) {
     std::fprintf(stderr, "flags: %s\n", s.ToString().c_str());
     return 2;
   }

@@ -17,8 +17,12 @@
 
 int main(int argc, char** argv) {
   using namespace grape;
+  const std::vector<std::string> kFlags = {"scale", "radius", "k0", "k1"};
   FlagParser flags;
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  if (Status s = flags.Parse(argc, argv, kFlags); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
 
   LabeledGraphOptions opts;
   opts.scale = static_cast<uint32_t>(flags.GetInt("scale", 12));

@@ -76,8 +76,11 @@
 int main(int argc, char** argv) {
   using namespace grape;
 
+  const std::vector<std::string> kFlags = ClusterSpec::WithFlagNames(
+      {"transport", "compute", "load", "ckpt-every", "ckpt-dir",
+       "chaos-kill-rank"});
   FlagParser flags;
-  if (Status s = flags.Parse(argc, argv); !s.ok()) {
+  if (Status s = flags.Parse(argc, argv, kFlags); !s.ok()) {
     std::fprintf(stderr, "flags: %s\n", s.ToString().c_str());
     return 2;
   }

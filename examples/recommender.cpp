@@ -17,8 +17,12 @@
 
 int main(int argc, char** argv) {
   using namespace grape;
+  const std::vector<std::string> kFlags = {"users", "items", "rank", "epochs"};
   FlagParser flags;
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  if (Status s = flags.Parse(argc, argv, kFlags); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
 
   BipartiteOptions gopts;
   gopts.num_users = static_cast<VertexId>(flags.GetInt("users", 2000));

@@ -20,8 +20,12 @@
 
 int main(int argc, char** argv) {
   using namespace grape;
+  const std::vector<std::string> kFlags = {"rows", "cols", "workers", "source"};
   FlagParser flags;
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  if (Status s = flags.Parse(argc, argv, kFlags); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
   const auto rows = static_cast<uint32_t>(flags.GetInt("rows", 120));
   const auto cols = static_cast<uint32_t>(flags.GetInt("cols", 120));
   const auto workers = static_cast<FragmentId>(flags.GetInt("workers", 8));

@@ -19,8 +19,12 @@
 
 int main(int argc, char** argv) {
   using namespace grape;
+  const std::vector<std::string> kFlags = {"persons", "items", "support"};
   FlagParser flags;
-  if (!flags.Parse(argc, argv).ok()) return 1;
+  if (Status s = flags.Parse(argc, argv, kFlags); !s.ok()) {
+    std::fprintf(stderr, "%s\n", s.ToString().c_str());
+    return 1;
+  }
 
   SocialGraphOptions opts;
   opts.num_persons = static_cast<VertexId>(flags.GetInt("persons", 20000));

@@ -22,7 +22,6 @@ struct BlockMetrics {
 };
 
 struct BlockOptions {
-  uint32_t num_threads = 0;
   uint32_t max_supersteps = 1000000;
 };
 
@@ -55,8 +54,7 @@ class BlockCentricEngine {
         prog_(std::move(prog)),
         options_(options),
         world_(fg.num_fragments()),
-        pool_(options.num_threads == 0 ? fg.num_fragments()
-                                       : options.num_threads) {}
+        pool_(fg.num_fragments()) {}
 
   Status Run() {
     WallTimer timer;

@@ -22,7 +22,6 @@ struct GasMetrics {
 };
 
 struct GasOptions {
-  uint32_t num_threads = 0;
   uint32_t max_rounds = 1000000;
 };
 
@@ -56,8 +55,7 @@ class GasEngine {
         prog_(std::move(prog)),
         options_(options),
         world_(fg.num_fragments()),
-        pool_(options.num_threads == 0 ? fg.num_fragments()
-                                       : options.num_threads) {}
+        pool_(fg.num_fragments()) {}
 
   Status Run() {
     WallTimer timer;

@@ -71,7 +71,6 @@ struct VcMetrics {
 };
 
 struct VcOptions {
-  uint32_t num_threads = 0;
   uint32_t max_supersteps = 1000000;
 };
 
@@ -100,8 +99,7 @@ class VertexCentricEngine {
         prog_(std::move(prog)),
         options_(options),
         world_(fg.num_fragments()),
-        pool_(options.num_threads == 0 ? fg.num_fragments()
-                                       : options.num_threads) {}
+        pool_(fg.num_fragments()) {}
 
   /// Runs to quiescence; per-vertex values are read back with values().
   Status Run() {

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,9 +60,6 @@ struct CheckpointPolicy {
 
 /// Engine configuration (the demo's "play panel" knobs).
 struct EngineOptions {
-  /// Worker threads; 0 means one per fragment. Each fragment's PEval and
-  /// IncEval run sequentially on one of them: parallelism is per fragment.
-  uint32_t num_threads = 0;
   /// Hard stop against non-terminating (non-monotonic, mis-specified) apps.
   uint32_t max_supersteps = 1000000;
   /// When false, every round re-evaluates from *all* inner vertices instead
@@ -208,22 +206,27 @@ struct EngineMetrics {
 /// Two placements, one superstep loop each:
 ///
 ///  * local compute (default): each worker is a WorkerCore driven inline
-///    by this process's thread pool. Run and the warm-started
-///    RunIncremental(query, previous, ...) differ only in superstep 1
-///    (PEval, or warm start + IncEval) and share RunLocal's loop.
+///    by this process's thread pool, one thread per fragment. Run is the
+///    only entry point (RunLocal: PEval, then IncEval to the fixed point).
 ///  * remote compute (EngineOptions::remote_app): each worker is the same
 ///    WorkerCore, but executing inside its rank's worker host — the
 ///    endpoint OS process on tcp, an in-process thread on inproc —
 ///    driven through the control frames of rt/worker_protocol.h. The
 ///    engine keeps only the coordinator role: route, aggregate, decide
-///    termination, assemble. Run, SessionRun and the incremental delta
-///    all go through one driver, DriveRemote, that differs only in its
-///    opening: a cold load, a warm query re-seed, or a warm IncEval start
-///    (plus Run's checkpoint restore). Every remote wait goes through one
-///    await skeleton, AwaitWorkers. The engine's app slot in the worker
-///    hosts lives from the cold load until EndSession(), the only place
-///    that retires it; Run calls it after every attempt, sessions keep
-///    their slot until it is called.
+///    termination, assemble; it builds no thread pool and no cores. Run,
+///    SessionRun and the incremental delta all go through one driver,
+///    DriveRemote, that differs only in its opening: a cold load, a warm
+///    query re-seed, or a warm IncEval start (plus Run's checkpoint
+///    restore). Every remote wait goes through one await skeleton,
+///    AwaitWorkers. The engine's app slot in the worker hosts lives from
+///    the cold load until EndSession(), the only place that retires it;
+///    Run calls it after every attempt, sessions keep their slot until it
+///    is called.
+///
+/// Incremental evaluation across graph updates (Q(G ⊕ M) from Q(G),
+/// Sec. 2.1) has one shape: SessionRun, ApplyMutations, then
+/// RunIncremental(query, batch) over the live session's resident state,
+/// on any transport (inproc hosts run in-thread).
 template <PIEProgram App>
 class GrapeEngine {
  public:
@@ -241,19 +244,22 @@ class GrapeEngine {
         owned_world_(options.transport ? nullptr
                                        : std::make_unique<CommWorld>(
                                              fg.num_fragments() + 1)),
-        world_(options.transport ? options.transport : owned_world_.get()),
-        pool_(options.num_threads == 0 ? fg.num_fragments()
-                                       : options.num_threads) {
+        world_(options.transport ? options.transport : owned_world_.get()) {
     const FragmentId n = n_frags_;
     GRAPE_CHECK(world_->size() == n + 1)
         << "transport sized " << world_->size() << " for " << n
         << " fragments (need num_fragments()+1 ranks)";
-    cores_.reserve(n);
-    for (FragmentId i = 0; i < n; ++i) {
-      cores_.emplace_back(fg_->fragments[i], prototype);
+    // Remote compute runs the cores inside the worker hosts; only local
+    // compute needs them here, with one pool thread per fragment.
+    if (options_.remote_app.empty()) {
+      pool_.emplace(n);
+      cores_.reserve(n);
+      for (FragmentId i = 0; i < n; ++i) {
+        cores_.emplace_back(fg_->fragments[i], prototype);
+      }
+      phase_status_.assign(n, Status::OK());
+      pending_sends_.resize(n);
     }
-    phase_status_.assign(n, Status::OK());
-    pending_sends_.resize(n);
 
     coord_batches_.resize(n);
     for (FragmentId i = 0; i < n; ++i) {
@@ -276,9 +282,7 @@ class GrapeEngine {
         resident_token_(meta.token),
         options_(options),
         owned_world_(nullptr),
-        world_(options.transport),
-        pool_(options.num_threads == 0 ? meta.num_fragments
-                                       : options.num_threads) {
+        world_(options.transport) {
     const FragmentId n = n_frags_;
     GRAPE_CHECK(world_ != nullptr)
         << "a distributed-load engine reuses the build's transport";
@@ -290,8 +294,6 @@ class GrapeEngine {
     GRAPE_CHECK(meta.shapes.size() == n)
         << "distributed meta carries " << meta.shapes.size()
         << " fragment shapes for " << n << " fragments";
-    phase_status_.assign(n, Status::OK());
-    pending_sends_.resize(n);
     coord_batches_.resize(n);
     for (FragmentId i = 0; i < n; ++i) {
       coord_batches_[i].slot_round.assign(meta.shapes[i].num_local, 0);
@@ -321,61 +323,7 @@ class GrapeEngine {
           "a distributed-load engine has no local fragments; local compute "
           "is impossible (set remote_app)");
     }
-    return RunLocal(query, nullptr, {});
-  }
-
-  /// Incremental evaluation across *graph updates* (Sec. 2.1: IncEval
-  /// computes Q(G ⊕ M) from Q(G)): re-answers `query` on THIS engine's
-  /// (already updated) fragmented graph, warm-started from the converged
-  /// parameters of `previous` — an engine that ran the same query on the
-  /// pre-update graph. `touched` lists the global endpoints of the update M
-  /// (e.g. inserted edges' endpoints); only they seed IncEval, so the work
-  /// is proportional to the affected region, not |G|.
-  ///
-  /// Soundness: for monotonic apps this supports change that moves
-  /// parameters down the partial order (e.g. edge insertions for SSSP/CC).
-  /// A non-monotonic aggregator has no such order to warm-start along, so
-  /// it takes a full run instead, flagged by metrics().incremental_fallback
-  /// (in both placements). Updates that could move values against the
-  /// order (deletions under min) require a dedicated IncEval; the
-  /// MutationBatch overloads below detect those and fall back too.
-  ///
-  /// Placement follows the engine: remote engines run the delta inside
-  /// their endpoint processes against the state already resident there
-  /// (the live session's last answer takes the role of `previous`, whose
-  /// in-process stores are never read); local engines warm-start from
-  /// `previous`'s stores — the differential oracle the remote path is
-  /// tested against.
-  Result<Output> RunIncremental(const Query& query,
-                                const GrapeEngine& previous,
-                                const std::vector<VertexId>& touched) {
-    if (!Agg::kMonotonic) return FullRunFallback(query);
-    if (!options_.remote_app.empty()) {
-      if constexpr (RemoteCompatibleApp<App>) {
-        (void)previous;  // the endpoints hold the warm state, not `previous`
-        return RunOnSession(query, Opening::kIncStart, touched);
-      } else {
-        return Status::InvalidArgument(
-            "remote incremental evaluation requires wire-codable "
-            "Query/Partial/Value types");
-      }
-    }
-    // Local-oracle preconditions: the warm start reads `previous`'s
-    // in-process stores, so previous must have computed locally, and both
-    // engines need coordinator-held fragments.
-    if (!previous.metrics_.remote_worker_pids.empty()) {
-      return Status::InvalidArgument(
-          "previous engine ran with remote compute: its converged stores "
-          "live in the worker hosts — answer over the live session instead "
-          "(SessionRun, ApplyMutations, then RunIncremental(query, batch))");
-    }
-    if (fg_ == nullptr || previous.fg_ == nullptr) {
-      return Status::InvalidArgument(
-          "the local oracle path needs coordinator-loaded graphs on both "
-          "engines; distributed-load engines answer incrementally over "
-          "their live session (RunIncremental(query, batch))");
-    }
-    return RunLocal(query, &previous, touched);
+    return RunLocal(query);
   }
 
   /// Streams one edge-mutation batch into the world's resident fragments:
@@ -428,11 +376,13 @@ class GrapeEngine {
     }
   }
 
-  /// Q(G ⊕ M) over a live session — the streaming-serving product path.
-  /// `batch` must already have been applied with ApplyMutations(); this
-  /// re-answers the session's LAST query (which must equal `query`),
-  /// warm-starting IncEval inside the endpoints from the converged state
-  /// resident there, seeded with the batch's touched vertices.
+  /// Incremental evaluation across graph updates (Sec. 2.1: IncEval
+  /// computes Q(G ⊕ M) from Q(G)) over a live session. `batch` must
+  /// already have been applied with ApplyMutations(); this re-answers the
+  /// session's LAST query (which must equal `query`), warm-starting
+  /// IncEval inside the worker hosts from the converged state resident
+  /// there, seeded with the batch's touched vertices — work proportional
+  /// to the affected region, not |G|.
   ///
   /// Enforced monotonicity contract (the Assurance Theorem's side
   /// condition): a min-style warm start is only sound for change that
@@ -445,8 +395,8 @@ class GrapeEngine {
     if constexpr (RemoteCompatibleApp<App>) {
       if (options_.remote_app.empty()) {
         return Status::InvalidArgument(
-            "the session overload answers over remote workers; local "
-            "engines pass (query, previous, batch)");
+            "incremental evaluation answers over a live query session; set "
+            "remote_app (the inproc transport hosts the workers in-thread)");
       }
       if (!Agg::kMonotonic || batch.has_deletions()) {
         return FullRunFallback(query);
@@ -456,16 +406,6 @@ class GrapeEngine {
       return Status::InvalidArgument(
           "query sessions require wire-codable Query/Partial/Value types");
     }
-  }
-
-  /// Local twin of the session overload (the differential oracle): same
-  /// enforcement, then the touched-vertex warm start above. `previous` ran
-  /// `query` on the pre-update graph; THIS engine holds G ⊕ M.
-  Result<Output> RunIncremental(const Query& query,
-                                const GrapeEngine& previous,
-                                const MutationBatch& batch) {
-    if (batch.has_deletions()) return FullRunFallback(query);
-    return RunIncremental(query, previous, batch.TouchedVertices());
   }
 
   /// Re-sizes the coordinator's routing slots to new fragment shapes (a
@@ -549,10 +489,10 @@ class GrapeEngine {
 
   const EngineMetrics& metrics() const { return metrics_; }
 
-  /// Post-run parameter access (tests assert on converged stores). Only
-  /// meaningful after local compute: remote workers keep their stores in
-  /// their own processes.
+  /// Post-run parameter access (tests assert on converged stores). Local
+  /// compute only: remote workers keep their stores in their own hosts.
   const ParamStore<Value>& params(FragmentId i) const {
+    GRAPE_CHECK(i < cores_.size()) << "remote engines hold no stores";
     return cores_[i].store();
   }
 
@@ -570,11 +510,10 @@ class GrapeEngine {
   }
 
   /// The enforced contract's answer when a warm start would be unsound: a
-  /// full run of `query` in this engine's placement (over the live session
-  /// when remote), flagged by metrics().incremental_fallback.
+  /// full run of `query` over the live session, flagged by
+  /// metrics().incremental_fallback.
   Result<Output> FullRunFallback(const Query& query) {
-    Result<Output> out =
-        options_.remote_app.empty() ? Run(query) : SessionRun(query);
+    Result<Output> out = SessionRun(query);
     metrics_.incremental_fallback = true;
     return out;
   }
@@ -653,32 +592,23 @@ class GrapeEngine {
 
   // ------------------------------------------------------- local compute
 
-  /// The local fixed point. Superstep 1 is PEval, or — given `previous` —
-  /// a warm start from previous's converged stores seeded with `touched`,
-  /// then IncEval (always incremental, like the remote kTagWkIncStart).
-  /// Every later superstep: the coordinator routes, workers IncEval.
-  Result<Output> RunLocal(const Query& query, const GrapeEngine* previous,
-                          const std::vector<VertexId>& touched) {
+  /// The local fixed point. Superstep 1 is PEval; every later superstep:
+  /// the coordinator routes, workers IncEval.
+  Result<Output> RunLocal(const Query& query) {
     WallTimer total_timer;
     ResetRunState();
     const FragmentId n = n_frags_;
     for (FragmentId i = 0; i < n; ++i) {
       cores_[i].Reset(options_.check_monotonicity);
     }
-    if (previous != nullptr) WarmStart(*previous, touched);
 
     // Messages are staged inside each parallel phase and dispatched after
     // the barrier, so nothing a worker sends can be consumed in the same
     // superstep (BSP delivery semantics).
     {
-      ScopedTimer t(previous == nullptr ? &metrics_.peval_seconds
-                                        : &metrics_.inceval_seconds);
-      pool_.ParallelFor(0, n, [&](size_t i) {
-        if (previous == nullptr) {
-          cores_[i].PEval(query);
-        } else {
-          cores_[i].IncEval(query, true);
-        }
+      ScopedTimer t(&metrics_.peval_seconds);
+      pool_->ParallelFor(0, n, [&](size_t i) {
+        cores_[i].PEval(query);
         cores_[i].Flush(world_->buffer_pool(), &pending_sends_[i]);
       });
       metrics_.supersteps = 1;
@@ -709,7 +639,7 @@ class GrapeEngine {
       WallTimer round_timer;
       {
         ScopedTimer t(&metrics_.inceval_seconds);
-        pool_.ParallelFor(0, n, [&](size_t i) {
+        pool_->ParallelFor(0, n, [&](size_t i) {
           auto fid = static_cast<FragmentId>(i);
           Status s = ApplyMessages(fid);
           if (!s.ok()) {
@@ -736,40 +666,13 @@ class GrapeEngine {
     {
       ScopedTimer t(&metrics_.assemble_seconds);
       std::vector<Partial> partials(n);
-      pool_.ParallelFor(0, n, [&](size_t i) {
+      pool_->ParallelFor(0, n, [&](size_t i) {
         partials[i] = cores_[i].GetPartial(query);
       });
       output = App::Assemble(query, std::move(partials));
     }
     FinishMetrics(total_timer);
     return output;
-  }
-
-  /// Every local copy adopts its owner's converged value from `previous`
-  /// (unseen vertices keep InitValue), and the update's touched vertices
-  /// seed M at all their local copies.
-  void WarmStart(const GrapeEngine& previous,
-                 const std::vector<VertexId>& touched) {
-    for (FragmentId i = 0; i < n_frags_; ++i) {
-      const Fragment& frag = fg_->fragments[i];
-      ParamStore<Value>& store = cores_[i].store();
-      for (LocalId lid = 0; lid < frag.num_local(); ++lid) {
-        VertexId gid = frag.Gid(lid);
-        if (gid >= previous.fg_->owner->size()) continue;  // new vertex
-        FragmentId prev_owner = (*previous.fg_->owner)[gid];
-        const Fragment& prev_frag = previous.fg_->fragments[prev_owner];
-        LocalId prev_lid = prev_frag.Lid(gid);
-        if (prev_lid == kInvalidLocal) continue;
-        store.UntrackedRef(lid) =
-            previous.cores_[prev_owner].store().Get(prev_lid);
-      }
-    }
-    for (VertexId gid : touched) {
-      for (FragmentId i = 0; i < n_frags_; ++i) {
-        LocalId lid = fg_->fragments[i].Lid(gid);
-        if (lid != kInvalidLocal) cores_[i].updated().push_back(lid);
-      }
-    }
   }
 
   /// Ships every staged buffer (runs between parallel phases); returns the
@@ -1550,9 +1453,10 @@ class GrapeEngine {
   EngineOptions options_;
   std::unique_ptr<Transport> owned_world_;  // only when no external substrate
   Transport* world_;                        // the substrate actually used
-  ThreadPool pool_;
-
-  std::vector<WorkerCore<App>> cores_;  // one worker per fragment
+  // Local compute only (empty on remote engines): the pool, one worker
+  // per fragment, and the workers' phase results and staged sends.
+  std::optional<ThreadPool> pool_;
+  std::vector<WorkerCore<App>> cores_;
   std::vector<Status> phase_status_;
   std::vector<std::vector<WorkerSend>> pending_sends_;
   EngineMetrics metrics_;

@@ -83,6 +83,12 @@ Result<ClusterSpec> ClusterSpec::FromFlags(const FlagParser& flags) {
   return spec;
 }
 
+std::vector<std::string> ClusterSpec::WithFlagNames(
+    std::vector<std::string> names) {
+  names.insert(names.end(), {"rank", "hosts", "cluster-token"});
+  return names;
+}
+
 Status ValidateCoordinatorAddress(const std::vector<HostPort>& hosts) {
   if (!hosts.empty() && hosts[0].port == 0) {
     return Status::InvalidArgument(

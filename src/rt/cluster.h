@@ -58,6 +58,10 @@ struct ClusterSpec {
   /// out of process listings). Fails on a non-zero rank without --hosts
   /// or a rank outside the host list.
   static Result<ClusterSpec> FromFlags(const FlagParser& flags);
+
+  /// `names` plus the flags FromFlags reads: the list a program that
+  /// accepts cluster flags hands FlagParser::Parse.
+  static std::vector<std::string> WithFlagNames(std::vector<std::string> names);
 };
 
 /// Checks that a non-empty roster's entry 0 — the coordinator address

@@ -93,6 +93,27 @@ Status DecodeWorkerError(const std::vector<uint8_t>& payload) {
                 "remote worker: " + message);
 }
 
+// ----------------------------------------------------------- mirror frame
+
+void EncodeMirrorAnswers(Encoder& enc,
+                         const std::vector<MirrorLidEntry>& answers) {
+  enc.WriteVarint(answers.size());
+  for (const MirrorLidEntry& e : answers) enc.WriteU32(e.gid);
+  for (const MirrorLidEntry& e : answers) enc.WriteU32(e.lid);
+}
+
+Status DecodeMirrorAnswers(Decoder& dec, std::vector<MirrorLidEntry>* answers) {
+  uint64_t count = 0;
+  GRAPE_RETURN_NOT_OK(dec.ReadVarint(&count));
+  if (count > dec.Remaining() / 8) {
+    return Status::Corruption("mirror frame extends past end of buffer");
+  }
+  answers->resize(count);
+  for (MirrorLidEntry& e : *answers) GRAPE_RETURN_NOT_OK(dec.ReadU32(&e.gid));
+  for (MirrorLidEntry& e : *answers) GRAPE_RETURN_NOT_OK(dec.ReadU32(&e.lid));
+  return Status::OK();
+}
+
 // ------------------------------------------------------------------- host
 
 RemoteWorkerHost::RemoteWorkerHost(uint32_t rank, Emit emit, BufferPool* pool)
@@ -656,9 +677,7 @@ Status RemoteWorkerHost::MaybeAssemble() {
     if (f == fid) continue;
     Encoder enc(pool_->Acquire());
     enc.WriteU64(b.token);
-    enc.WriteVarint(answers[f].size());
-    for (const MirrorLidEntry& e : answers[f]) enc.WriteU32(e.gid);
-    for (const MirrorLidEntry& e : answers[f]) enc.WriteU32(e.lid);
+    EncodeMirrorAnswers(enc, answers[f]);
     GRAPE_RETURN_NOT_OK(emit_(f + 1, kTagWkMirror, enc.TakeBuffer()));
   }
 
@@ -680,16 +699,8 @@ Status RemoteWorkerHost::ApplyMirrorFrame(
   uint64_t token = 0;
   if (Status s = dec.ReadU64(&token); !s.ok()) return EmitError(s);
   if (token != b.token) return Status::OK();  // stale session, drop
-  uint64_t count = 0;
-  if (Status s = dec.ReadVarint(&count); !s.ok()) return EmitError(s);
-  std::vector<MirrorLidEntry> answers(count);
-  Status s = Status::OK();
-  for (uint64_t i = 0; i < count && s.ok(); ++i) {
-    s = dec.ReadU32(&answers[i].gid);
-  }
-  for (uint64_t i = 0; i < count && s.ok(); ++i) {
-    s = dec.ReadU32(&answers[i].lid);
-  }
+  std::vector<MirrorLidEntry> answers;
+  Status s = DecodeMirrorAnswers(dec, &answers);
   if (s.ok()) {
     s = FragmentBuilder::ApplyMirrorAnswers(b.fragment.get(), from - 1,
                                             answers);
@@ -802,9 +813,7 @@ Status RemoteWorkerHost::HandleMutate(const std::vector<uint8_t>& payload) {
   for (FragmentId f = 0; f < n; ++f) {
     if (f == fid) continue;
     Encoder enc(pool_->Acquire());
-    enc.WriteVarint(answers[f].size());
-    for (const MirrorLidEntry& e : answers[f]) enc.WriteU32(e.gid);
-    for (const MirrorLidEntry& e : answers[f]) enc.WriteU32(e.lid);
+    EncodeMirrorAnswers(enc, answers[f]);
     GRAPE_RETURN_NOT_OK(emit_(f + 1, kTagWkMutMirror, enc.TakeBuffer()));
   }
 
@@ -828,21 +837,8 @@ Status RemoteWorkerHost::HandleMutate(const std::vector<uint8_t>& payload) {
 Status RemoteWorkerHost::ApplyMutMirrorFrame(
     uint32_t from, const std::vector<uint8_t>& payload) {
   Decoder dec(payload);
-  uint64_t count = 0;
-  Status s = dec.ReadVarint(&count);
   std::vector<MirrorLidEntry> answers;
-  if (s.ok() && count > dec.Remaining() / 8) {
-    s = Status::Corruption("mutation mirror frame extends past end of buffer");
-  }
-  if (s.ok()) {
-    answers.resize(count);
-    for (uint64_t i = 0; i < count && s.ok(); ++i) {
-      s = dec.ReadU32(&answers[i].gid);
-    }
-    for (uint64_t i = 0; i < count && s.ok(); ++i) {
-      s = dec.ReadU32(&answers[i].lid);
-    }
-  }
+  Status s = DecodeMirrorAnswers(dec, &answers);
   const Fragment& frag = *mut_->fragment;
   if (s.ok()) {
     s = FragmentBuilder::ApplyMirrorAnswers(mut_->fragment.get(), from - 1,

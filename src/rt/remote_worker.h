@@ -468,6 +468,15 @@ class RemoteWorkerHost {
 void EncodeWorkerError(Encoder& enc, const Status& error);
 Status DecodeWorkerError(const std::vector<uint8_t>& payload);
 
+/// Encodes/decodes the mirror placements of the distributed build
+/// (kTagWkMirror, after its build token) and of a streaming mutation
+/// (kTagWkMutMirror): varint count, count u32 gids, count u32 lids. A
+/// count longer than the bytes left decodes to Corruption before anything
+/// is allocated.
+void EncodeMirrorAnswers(Encoder& enc,
+                         const std::vector<MirrorLidEntry>& answers);
+Status DecodeMirrorAnswers(Decoder& dec, std::vector<MirrorLidEntry>* answers);
+
 /// One idle step of a remote await loop — the engine's coordinator side
 /// and the in-thread worker hosts alike: 50 µs sleeps for the first 40
 /// empty polls, so a phase that is actively completing stays snappy, then

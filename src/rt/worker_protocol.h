@@ -166,9 +166,6 @@ inline constexpr uint8_t kWkPhaseIncEval = 3;
 /// Ack for kTagWkRestore: the worker rebuilt query + fragment + core state
 /// from a checkpoint image and re-buffered the image's pending frames.
 inline constexpr uint8_t kWkPhaseRestore = 4;
-/// Ack for kTagWkMutate (travels as a WkBuildAck, not a WorkerAck — the
-/// coordinator needs the rebuilt shape, not phase counters).
-inline constexpr uint8_t kWkPhaseMutate = 5;
 
 /// Flag bits inside kTagWkLoad.
 inline constexpr uint8_t kWkLoadCheckMonotonicity = 1u << 0;

@@ -1,10 +1,13 @@
 #include "util/flags.h"
 
+#include <algorithm>
+
 #include "util/string_util.h"
 
 namespace grape {
 
-Status FlagParser::Parse(int argc, const char* const* argv) {
+Status FlagParser::Parse(int argc, const char* const* argv,
+                         const std::vector<std::string>& known) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg(argv[i]);
     if (!StartsWith(arg, "--")) {
@@ -15,17 +18,21 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
     if (arg.empty()) {
       return Status::InvalidArgument("bare '--' is not a valid flag");
     }
-    size_t eq = arg.find('=');
+    const size_t eq = arg.find('=');
+    std::string name(arg.substr(0, eq));
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
     if (eq != std::string_view::npos) {
-      values_[std::string(arg.substr(0, eq))] = std::string(arg.substr(eq + 1));
+      values_[name] = std::string(arg.substr(eq + 1));
       continue;
     }
     // "--name value" form if the next token is not itself a flag;
     // otherwise a boolean switch.
     if (i + 1 < argc && !StartsWith(argv[i + 1], "--")) {
-      values_[std::string(arg)] = argv[++i];
+      values_[name] = argv[++i];
     } else {
-      values_[std::string(arg)] = "true";
+      values_[name] = "true";
     }
   }
   return Status::OK();

@@ -14,9 +14,11 @@ namespace grape {
 /// harnesses: `--name=value` or `--name value`; bare `--flag` sets a bool.
 class FlagParser {
  public:
-  /// Parses argv; unknown arguments without a leading "--" are collected as
-  /// positional arguments.
-  Status Parse(int argc, const char* const* argv);
+  /// Parses argv against the flag names the program accepts: an unknown
+  /// `--name` fails with InvalidArgument naming it. Arguments without a
+  /// leading "--" are collected as positional arguments.
+  Status Parse(int argc, const char* const* argv,
+               const std::vector<std::string>& known);
 
   bool Has(const std::string& name) const;
 

@@ -54,10 +54,14 @@ TEST(ClusterTest, ParseHostListRejectsGarbage) {
   EXPECT_TRUE(ParseHostList(":9000").status().IsInvalidArgument());
 }
 
+const std::vector<std::string> kClusterFlags = ClusterSpec::WithFlagNames({});
+
 ClusterSpec SpecFromArgs(std::vector<const char*> argv, bool expect_ok = true) {
   argv.insert(argv.begin(), "test");
   FlagParser flags;
-  EXPECT_TRUE(flags.Parse(static_cast<int>(argv.size()), argv.data()).ok());
+  EXPECT_TRUE(
+      flags.Parse(static_cast<int>(argv.size()), argv.data(), kClusterFlags)
+          .ok());
   auto spec = ClusterSpec::FromFlags(flags);
   EXPECT_EQ(spec.ok(), expect_ok) << spec.status();
   return spec.ok() ? *spec : ClusterSpec{};
@@ -77,11 +81,11 @@ TEST(ClusterTest, SpecFromFlags) {
   // the rank must name a roster entry.
   FlagParser bad_rank;
   const char* bad1[] = {"test", "--rank=2"};
-  ASSERT_TRUE(bad_rank.Parse(2, bad1).ok());
+  ASSERT_TRUE(bad_rank.Parse(2, bad1, kClusterFlags).ok());
   EXPECT_TRUE(ClusterSpec::FromFlags(bad_rank).status().IsInvalidArgument());
   FlagParser out_of_range;
   const char* bad2[] = {"test", "--rank=5", "--hosts=a:1,b:2"};
-  ASSERT_TRUE(out_of_range.Parse(3, bad2).ok());
+  ASSERT_TRUE(out_of_range.Parse(3, bad2, kClusterFlags).ok());
   EXPECT_TRUE(
       ClusterSpec::FromFlags(out_of_range).status().IsInvalidArgument());
   // hosts[0] is the address every endpoint dials, so an ephemeral port
@@ -89,7 +93,7 @@ TEST(ClusterTest, SpecFromFlags) {
   // letting both sides burn the rendezvous timeout.
   FlagParser eph_coord;
   const char* bad3[] = {"test", "--hosts=a,b:2"};
-  ASSERT_TRUE(eph_coord.Parse(2, bad3).ok());
+  ASSERT_TRUE(eph_coord.Parse(2, bad3, kClusterFlags).ok());
   EXPECT_TRUE(
       ClusterSpec::FromFlags(eph_coord).status().IsInvalidArgument());
 }

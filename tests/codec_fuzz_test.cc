@@ -3,7 +3,8 @@
 // across the POD fast path (two memcpy spans) and the generic per-record
 // path, including the zero-record and maximum-size blocks the tcp
 // transport can legally carry. Also drives the corruption paths: truncated
-// frames and oversized counts must surface as Status, never as UB.
+// frames and oversized counts must surface as Status, never as UB —
+// including the workers' mirror-placement frames.
 
 #include <cstring>
 #include <string>
@@ -11,6 +12,7 @@
 
 #include "core/codec.h"
 #include "gtest/gtest.h"
+#include "rt/remote_worker.h"
 #include "util/random.h"
 #include "util/serializer.h"
 
@@ -181,6 +183,35 @@ TEST(CodecFuzzTest, CorruptCountsAreRejectedBeforeAllocating) {
     std::vector<uint32_t> lids;
     std::vector<std::string> values;  // non-POD path
     EXPECT_TRUE(DecodeRecordBlock(dec, &lids, &values).IsCorruption());
+  }
+}
+
+TEST(CodecFuzzTest, MirrorFramesRoundTripAndRejectOverlongCounts) {
+  const std::vector<MirrorLidEntry> answers = {{7, 3}, {1u << 31, 0}, {9, 12}};
+  Encoder enc;
+  EncodeMirrorAnswers(enc, answers);
+  {
+    Decoder dec(enc.buffer());
+    std::vector<MirrorLidEntry> back;
+    ASSERT_TRUE(DecodeMirrorAnswers(dec, &back).ok());
+    ASSERT_EQ(back.size(), answers.size());
+    for (size_t i = 0; i < answers.size(); ++i) {
+      EXPECT_EQ(back[i].gid, answers[i].gid);
+      EXPECT_EQ(back[i].lid, answers[i].lid);
+    }
+    EXPECT_EQ(dec.Remaining(), 0u);
+  }
+  // A count one past what the bytes hold, and one far beyond any buffer:
+  // Corruption, without sizing a vector from the wire count.
+  for (uint64_t count : {uint64_t{answers.size() + 1}, uint64_t{1} << 40}) {
+    Encoder bad;
+    bad.WriteVarint(count);
+    for (const MirrorLidEntry& e : answers) bad.WriteU32(e.gid);
+    for (const MirrorLidEntry& e : answers) bad.WriteU32(e.lid);
+    Decoder dec(bad.buffer());
+    std::vector<MirrorLidEntry> back;
+    EXPECT_TRUE(DecodeMirrorAnswers(dec, &back).IsCorruption()) << count;
+    EXPECT_TRUE(back.empty()) << count;
   }
 }
 

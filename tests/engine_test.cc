@@ -30,18 +30,6 @@ TEST(EngineTest, MaxSuperstepsCapIsHonored) {
   EXPECT_EQ(engine.metrics().supersteps, 5u);
 }
 
-TEST(EngineTest, ExplicitThreadCount) {
-  auto g = GenerateGridRoad(20, 20, 1009);
-  ASSERT_TRUE(g.ok());
-  FragmentedGraph fg = testing::MakeFragments(*g, "grid2d", 8);
-  EngineOptions eopts;
-  eopts.num_threads = 2;  // fewer threads than fragments must still work
-  GrapeEngine<SsspApp> engine(fg, SsspApp{}, eopts);
-  auto out = engine.Run(SsspQuery{0});
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->dist[0], 0.0);
-}
-
 TEST(EngineTest, MoreFragmentsThanVertices) {
   auto g = GeneratePath(3);
   ASSERT_TRUE(g.ok());

@@ -1,24 +1,36 @@
-#include <algorithm>
+// Incremental evaluation across graph updates (Sec. 2.1: IncEval computes
+// Q(G ⊕ M) from Q(G)), the one way the engine offers it: a query session
+// over in-thread inproc hosts answers Q(G), ApplyMutations carries M into
+// the resident fragments, and RunIncremental re-answers from the converged
+// state. Every delta is checked bit-identical to a from-scratch Run on
+// G ⊕ M and against the apps/seq oracle.
+
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "apps/cc.h"
+#include "apps/register_apps.h"
 #include "apps/seq/seq_algorithms.h"
 #include "apps/sssp.h"
 #include "core/engine.h"
 #include "graph/generators.h"
+#include "graph/mutation.h"
 #include "gtest/gtest.h"
+#include "rt/transport.h"
 #include "tests/test_util.h"
 
 namespace grape {
 namespace {
 
-/// Rebuilds a graph with extra edges appended.
-Graph WithInsertedEdges(const Graph& g, const std::vector<Edge>& inserted) {
-  GraphBuilder builder(g.is_directed());
-  for (const Edge& e : g.ToEdgeList()) builder.AddEdge(e);
-  for (const Edge& e : inserted) builder.AddEdge(e);
-  auto out = std::move(builder).Build(g.num_vertices());
-  EXPECT_TRUE(out.ok());
-  return std::move(out).value();
+using testing::MakeFragments;
+
+template <typename T>
+bool BitEq(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
 }
 
 uint64_t TotalUpdates(const EngineMetrics& m) {
@@ -27,33 +39,65 @@ uint64_t TotalUpdates(const EngineMetrics& m) {
   return total;
 }
 
+/// What one update produced: Q(G) from the session, Q(G ⊕ M) from its
+/// incremental delta and from a from-scratch recompute.
+template <typename App>
+struct Delta {
+  typename App::OutputType initial;
+  typename App::OutputType updated;
+  typename App::OutputType recompute;
+  EngineMetrics initial_metrics;
+  EngineMetrics delta_metrics;
+};
+
+/// Answers `query` on `g` in a session of `n` fragments over in-thread
+/// inproc hosts, applies `m` and re-answers incrementally; `updated` is
+/// G ⊕ M, which a fresh local engine recomputes from scratch.
+template <typename App>
+void RunDelta(const Graph& g, const Graph& updated, const std::string& strategy,
+              FragmentId n, const std::string& remote_app,
+              const typename App::QueryType& query, const MutationBatch& m,
+              Delta<App>* out) {
+  RegisterBuiltinWorkerApps();
+  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Transport> world,
+                       MakeTransport("inproc", n + 1));
+  FragmentedGraph fg = MakeFragments(g, strategy, n);
+  EngineOptions eo;
+  eo.transport = world.get();
+  eo.remote_app = remote_app;
+  GrapeEngine<App> engine(fg, App{}, eo);
+  ASSERT_OK_AND_ASSIGN(out->initial, engine.SessionRun(query));
+  out->initial_metrics = engine.metrics();
+  ASSERT_OK(engine.ApplyMutations(m).status());
+  ASSERT_OK_AND_ASSIGN(out->updated, engine.RunIncremental(query, m));
+  out->delta_metrics = engine.metrics();
+  EXPECT_FALSE(out->delta_metrics.incremental_fallback);
+  engine.EndSession();
+
+  FragmentedGraph fg_new = MakeFragments(updated, strategy, n);
+  GrapeEngine<App> ref(fg_new, App{});
+  ASSERT_OK_AND_ASSIGN(out->recompute, ref.Run(query));
+}
+
 TEST(IncrementalTest, SsspAfterEdgeInsertions) {
   auto g = GenerateGridRoad(30, 30, 1101);
   ASSERT_TRUE(g.ok());
-  FragmentedGraph fg_old = testing::MakeFragments(*g, "hash", 4);
-  GrapeEngine<SsspApp> before(fg_old, SsspApp{});
-  ASSERT_TRUE(before.Run(SsspQuery{0}).ok());
+  // A few shortcuts (both directions, as road segments).
+  MutationBatch m;
+  m.InsertEdge(5, 850, 1.0);
+  m.InsertEdge(850, 5, 1.0);
+  m.InsertEdge(12, 600, 0.5);
+  m.InsertEdge(600, 12, 0.5);
+  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
 
-  // Insert a few shortcuts (both directions, as road segments).
-  std::vector<Edge> inserted = {{5, 850, 1.0, 0},  {850, 5, 1.0, 0},
-                                {12, 600, 0.5, 0}, {600, 12, 0.5, 0}};
-  Graph updated = WithInsertedEdges(*g, inserted);
+  Delta<SsspApp> d;
+  ASSERT_NO_FATAL_FAILURE(
+      RunDelta(*g, updated, "hash", 4, "sssp", SsspQuery{0}, m, &d));
+  EXPECT_TRUE(BitEq(d.updated.dist, d.recompute.dist));
   std::vector<double> expected = SeqDijkstra(updated, 0);
-
-  // Hash assignment depends only on ids, so the partition is unchanged and
-  // the previous run's parameters carry over 1:1.
-  FragmentedGraph fg_new = testing::MakeFragments(updated, "hash", 4);
-  GrapeEngine<SsspApp> after(fg_new, SsspApp{});
-  std::vector<VertexId> touched;
-  for (const Edge& e : inserted) {
-    touched.push_back(e.src);
-    touched.push_back(e.dst);
-  }
-  auto out = after.RunIncremental(SsspQuery{0}, before, touched);
-  ASSERT_TRUE(out.ok()) << out.status();
-  ASSERT_EQ(out->dist.size(), updated.num_vertices());
+  ASSERT_EQ(d.updated.dist.size(), updated.num_vertices());
   for (VertexId v = 0; v < updated.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(out->dist[v], expected[v]) << "vertex " << v;
+    EXPECT_DOUBLE_EQ(d.updated.dist[v], expected[v]) << "vertex " << v;
   }
 }
 
@@ -62,45 +106,47 @@ TEST(IncrementalTest, WorkIsBoundedByAffectedRegion) {
   // incremental run must update far fewer parameters than recomputing.
   auto g = GenerateGridRoad(40, 40, 1103);
   ASSERT_TRUE(g.ok());
-  FragmentedGraph fg_old = testing::MakeFragments(*g, "grid2d", 4);
-  GrapeEngine<SsspApp> before(fg_old, SsspApp{});
-  ASSERT_TRUE(before.Run(SsspQuery{0}).ok());
-  uint64_t full_updates = TotalUpdates(before.metrics());
-
   // A mild shortcut near the far corner (small affected region).
-  VertexId far_corner = 40 * 40 - 1;
-  std::vector<Edge> inserted = {{far_corner - 2, far_corner, 0.5, 0},
-                                {far_corner, far_corner - 2, 0.5, 0}};
-  Graph updated = WithInsertedEdges(*g, inserted);
-  FragmentedGraph fg_new = testing::MakeFragments(updated, "grid2d", 4);
-  GrapeEngine<SsspApp> after(fg_new, SsspApp{});
-  auto out = after.RunIncremental(
-      SsspQuery{0}, before, {far_corner - 2, far_corner});
-  ASSERT_TRUE(out.ok());
+  const VertexId far_corner = 40 * 40 - 1;
+  MutationBatch m;
+  m.InsertEdge(far_corner - 2, far_corner, 0.5);
+  m.InsertEdge(far_corner, far_corner - 2, 0.5);
+  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
+
+  Delta<SsspApp> d;
+  ASSERT_NO_FATAL_FAILURE(
+      RunDelta(*g, updated, "grid2d", 4, "sssp", SsspQuery{0}, m, &d));
+  EXPECT_TRUE(BitEq(d.updated.dist, d.recompute.dist));
   std::vector<double> expected = SeqDijkstra(updated, 0);
   for (VertexId v = 0; v < updated.num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(out->dist[v], expected[v]);
+    EXPECT_DOUBLE_EQ(d.updated.dist[v], expected[v]);
   }
   // |ΔO| for a tiny local change is orders below the initial evaluation.
-  EXPECT_LT(TotalUpdates(after.metrics()), full_updates / 10 + 10);
-  EXPECT_LE(after.metrics().supersteps, before.metrics().supersteps + 1);
+  EXPECT_LT(TotalUpdates(d.delta_metrics),
+            TotalUpdates(d.initial_metrics) / 10 + 10);
+  EXPECT_LE(d.delta_metrics.supersteps, d.initial_metrics.supersteps + 1);
 }
 
 TEST(IncrementalTest, NoChangeConvergesImmediately) {
   auto g = GenerateGridRoad(20, 20, 1109);
   ASSERT_TRUE(g.ok());
-  FragmentedGraph fg = testing::MakeFragments(*g, "hash", 4);
-  GrapeEngine<SsspApp> before(fg, SsspApp{});
-  ASSERT_TRUE(before.Run(SsspQuery{0}).ok());
+  // An "update" that changes nothing: re-inserting an existing road with
+  // its own weight and label (inserts are upserts).
+  ASSERT_FALSE(g->OutNeighbors(0).empty());
+  const Neighbor nb = g->OutNeighbors(0)[0];
+  MutationBatch m;
+  m.InsertEdge(0, nb.vertex, nb.weight, nb.label);
+  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
 
-  // "Update" that changes nothing: re-inserting an existing edge weight.
-  GrapeEngine<SsspApp> after(fg, SsspApp{});
-  auto out = after.RunIncremental(SsspQuery{0}, before, {0});
-  ASSERT_TRUE(out.ok());
-  EXPECT_LE(after.metrics().supersteps, 2u);
+  Delta<SsspApp> d;
+  ASSERT_NO_FATAL_FAILURE(
+      RunDelta(*g, updated, "hash", 4, "sssp", SsspQuery{0}, m, &d));
+  EXPECT_LE(d.delta_metrics.supersteps, 2u);
+  EXPECT_TRUE(BitEq(d.updated.dist, d.initial.dist));
+  EXPECT_TRUE(BitEq(d.updated.dist, d.recompute.dist));
   std::vector<double> expected = SeqDijkstra(*g, 0);
   for (VertexId v = 0; v < g->num_vertices(); ++v) {
-    EXPECT_DOUBLE_EQ(out->dist[v], expected[v]);
+    EXPECT_DOUBLE_EQ(d.updated.dist[v], expected[v]);
   }
 }
 
@@ -118,24 +164,20 @@ TEST(IncrementalTest, CcAfterComponentMerge) {
   }
   auto g = std::move(builder).Build();
   ASSERT_TRUE(g.ok());
+  MutationBatch m;
+  m.InsertEdge(10, 55, 1.0);
+  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
 
-  FragmentedGraph fg_old = testing::MakeFragments(*g, "hash", 3);
-  GrapeEngine<CcApp> before(fg_old, CcApp{});
-  auto before_out = before.Run(CcQuery{});
-  ASSERT_TRUE(before_out.ok());
-  EXPECT_EQ(before_out->label[45], 40u);  // second island's min id
-
-  std::vector<Edge> bridge = {{10, 55, 1.0, 0}};
-  Graph updated = WithInsertedEdges(*g, bridge);
-  FragmentedGraph fg_new = testing::MakeFragments(updated, "hash", 3);
-  GrapeEngine<CcApp> after(fg_new, CcApp{});
-  auto out = after.RunIncremental(CcQuery{}, before, {10, 55});
-  ASSERT_TRUE(out.ok());
+  Delta<CcApp> d;
+  ASSERT_NO_FATAL_FAILURE(
+      RunDelta(*g, updated, "hash", 3, "cc", CcQuery{}, m, &d));
+  EXPECT_EQ(d.initial.label[45], 40u);  // second island's min id
+  EXPECT_TRUE(BitEq(d.updated.label, d.recompute.label));
   std::vector<VertexId> expected = SeqConnectedComponents(updated);
   for (VertexId v = 0; v < updated.num_vertices(); ++v) {
-    EXPECT_EQ(out->label[v], expected[v]) << "vertex " << v;
+    EXPECT_EQ(d.updated.label[v], expected[v]) << "vertex " << v;
   }
-  EXPECT_EQ(out->label[55], 0u);
+  EXPECT_EQ(d.updated.label[55], 0u);
 }
 
 }  // namespace

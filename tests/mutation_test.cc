@@ -6,19 +6,13 @@
 //     byte-identical to a from-scratch FragmentBuilder::Build over the
 //     mutated graph, routing plan included, over a graph x partitioner x
 //     fragment-count matrix and three stacked batches.
-//  3. The local differential oracle — the MutationBatch overload of
-//     RunIncremental matches a full run, and the enforced monotonicity
-//     contract routes deletion batches, and non-monotonic aggregators on
-//     the touched-vertex overload, through the full-run fallback.
-//  4. The remote differential gate — SessionRun + ApplyMutations +
+//  3. The differential gate — SessionRun + ApplyMutations +
 //     RunIncremental answers bit-identical to a from-scratch recompute
 //     after EVERY batch, for {sssp, cc} x {inproc, tcp} x
 //     {coordinator-loaded, distributed-loaded}, with a deletion batch
 //     that must trip the enforced fallback on every cell.
-//  5. Local vs remote deltas — the local warm start and the session delta
-//     run the same fixed point: same answer, counters and per-round
-//     updated_params/messages/global, with and without the incremental
-//     ablation.
+//  4. The session delta with and without the incremental ablation, and
+//     the enforced fallback for a non-monotonic aggregator.
 
 #include <unistd.h>
 
@@ -406,89 +400,7 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.fragments);
     });
 
-// ---------------------------------------------------- local oracle (batch)
-
-TEST(MutationTest, LocalBatchOverloadMatchesFullRun) {
-  auto g = GenerateGridRoad(20, 20, 909);
-  ASSERT_TRUE(g.ok());
-  FragmentedGraph fg_old = MakeFragments(*g, "hash", 4);
-  GrapeEngine<SsspApp> before(fg_old, SsspApp{});
-  ASSERT_TRUE(before.Run(SsspQuery{0}).ok());
-
-  MutationBatch m;
-  m.InsertEdge(5, 390, 0.5);
-  m.InsertEdge(390, 5, 0.5);
-  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
-  FragmentedGraph fg_new = MakeFragments(updated, "hash", 4);
-
-  GrapeEngine<SsspApp> after(fg_new, SsspApp{});
-  auto inc = after.RunIncremental(SsspQuery{0}, before, m);
-  ASSERT_TRUE(inc.ok()) << inc.status();
-  EXPECT_FALSE(after.metrics().incremental_fallback);
-
-  GrapeEngine<SsspApp> ref(fg_new, SsspApp{});
-  auto full = ref.Run(SsspQuery{0});
-  ASSERT_TRUE(full.ok());
-  EXPECT_TRUE(BitEq(inc->dist, full->dist));
-}
-
-// A deletion under the min order cannot ride a warm start: the enforced
-// contract must answer through the full-run fallback — and flag it —
-// rather than return a silently stale (too-small) distance.
-TEST(MutationTest, LocalDeletionBatchTakesEnforcedFallback) {
-  auto g = GenerateGridRoad(15, 15, 911);
-  ASSERT_TRUE(g.ok());
-  FragmentedGraph fg_old = MakeFragments(*g, "hash", 4);
-  GrapeEngine<SsspApp> before(fg_old, SsspApp{});
-  ASSERT_TRUE(before.Run(SsspQuery{0}).ok());
-
-  MutationBatch m;
-  m.DeleteEdge(0, 1);
-  m.DeleteEdge(1, 0);
-  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
-  FragmentedGraph fg_new = MakeFragments(updated, "hash", 4);
-
-  GrapeEngine<SsspApp> after(fg_new, SsspApp{});
-  auto inc = after.RunIncremental(SsspQuery{0}, before, m);
-  ASSERT_TRUE(inc.ok()) << inc.status();
-  EXPECT_TRUE(after.metrics().incremental_fallback)
-      << "a deletion batch warm-started anyway";
-
-  GrapeEngine<SsspApp> ref(fg_new, SsspApp{});
-  auto full = ref.Run(SsspQuery{0});
-  ASSERT_TRUE(full.ok());
-  EXPECT_TRUE(BitEq(inc->dist, full->dist));
-}
-
-// A non-monotonic aggregator has no order to warm-start along. The
-// touched-vertex overload must take the enforced full-run fallback too,
-// rather than run PageRank's IncEval over a rank vector PEval never sized.
-TEST(MutationTest, LocalNonMonotonicWarmStartTakesEnforcedFallback) {
-  auto g = GenerateGridRoad(10, 10, 913);
-  ASSERT_TRUE(g.ok());
-  FragmentedGraph fg_old = MakeFragments(*g, "hash", 3);
-  GrapeEngine<PageRankApp> before(fg_old, PageRankApp{});
-  ASSERT_TRUE(before.Run(PageRankQuery{}).ok());
-
-  MutationBatch m;
-  m.InsertEdge(5, 90, 1.0);
-  m.InsertEdge(90, 5, 1.0);
-  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
-  FragmentedGraph fg_new = MakeFragments(updated, "hash", 3);
-
-  GrapeEngine<PageRankApp> after(fg_new, PageRankApp{});
-  auto inc = after.RunIncremental(PageRankQuery{}, before, m.TouchedVertices());
-  ASSERT_TRUE(inc.ok()) << inc.status();
-  EXPECT_TRUE(after.metrics().incremental_fallback)
-      << "a non-monotonic aggregator warm-started anyway";
-
-  GrapeEngine<PageRankApp> ref(fg_new, PageRankApp{});
-  auto full = ref.Run(PageRankQuery{});
-  ASSERT_TRUE(full.ok());
-  EXPECT_TRUE(BitEq(inc->rank, full->rank));
-}
-
-// ------------------------------------------------- remote differential gate
+// -------------------------------------------------------- differential gate
 
 struct RemoteGateCase {
   std::string transport;
@@ -634,28 +546,27 @@ TEST_P(MutationRemoteGateTest, IncrementalBitIdenticalToRecompute) {
 INSTANTIATE_TEST_SUITE_P(Matrix, MutationRemoteGateTest,
                          ::testing::ValuesIn(AllRemoteGateCases()), CaseName);
 
-// ------------------------------------------ local vs remote incremental
+// ------------------------------------------------ session delta variants
 
-struct IncrementalDiffCase {
+struct SessionDeltaCase {
   std::string app;   // "sssp" | "cc"
   bool incremental;  // EngineOptions::incremental (false: the ablation)
 };
 
 // SSSP reporting a constant non-zero global aggregate per fragment, so the
-// round-for-round comparison below also covers RoundMetrics::global.
-// (PageRank reports a real one but never warm-starts: it is non-monotonic,
-// so RunIncremental takes the full-run fallback.)
+// per-round check below also covers RoundMetrics::global on the delta.
 struct GlobalReportingSssp : SsspApp {
   double GlobalValue() const { return 1.0; }
 };
 
-/// One insert batch answered twice: by the local oracle (warm start from
-/// an engine converged on G) and by a remote session on inproc (SessionRun
-/// on G, ApplyMutations, RunIncremental). Both must run the same fixed
-/// point round for round.
+/// One insert batch answered by a session on inproc (SessionRun on G,
+/// ApplyMutations, RunIncremental) under the given ablation setting: the
+/// delta is bounded (no fallback), bit-identical to a from-scratch Run on
+/// G ⊕ M, and every round carries the fragments' summed global value.
 template <typename App, typename Query, typename GetVec>
-void CompareLocalAndRemoteDelta(const char* remote_app, bool incremental,
-                                const Query& query, GetVec get) {
+void CheckSessionDelta(const char* remote_app, bool incremental,
+                       double global_per_round, const Query& query,
+                       GetVec get) {
   auto g = GenerateGridRoad(12, 12, 77);
   ASSERT_TRUE(g.ok());
   const MutationBatch m = GateBatches()[0];
@@ -665,11 +576,9 @@ void CompareLocalAndRemoteDelta(const char* remote_app, bool incremental,
 
   EngineOptions lo;
   lo.incremental = incremental;
-  GrapeEngine<App> before(fg_old, App{}, lo);
-  ASSERT_TRUE(before.Run(query).ok());
-  GrapeEngine<App> local(fg_new, App{}, lo);
-  auto lout = local.RunIncremental(query, before, m);
-  ASSERT_TRUE(lout.ok()) << lout.status();
+  GrapeEngine<App> ref(fg_new, App{}, lo);
+  auto full = ref.Run(query);
+  ASSERT_TRUE(full.ok()) << full.status();
 
   auto world = MakeTransport("inproc", 4);
   ASSERT_TRUE(world.ok()) << world.status();
@@ -683,49 +592,72 @@ void CompareLocalAndRemoteDelta(const char* remote_app, bool incremental,
   ASSERT_TRUE(rout.ok()) << rout.status();
   remote.EndSession();
 
-  EXPECT_TRUE(BitEq(get(*lout), get(*rout)));
-  const EngineMetrics& lm = local.metrics();
+  EXPECT_TRUE(BitEq(get(*rout), get(*full)));
   const EngineMetrics& rm = remote.metrics();
   EXPECT_FALSE(rm.incremental_fallback);
-  EXPECT_EQ(lm.supersteps, rm.supersteps);
-  EXPECT_EQ(lm.messages, rm.messages);
-  EXPECT_EQ(lm.bytes, rm.bytes);
-  ASSERT_EQ(lm.rounds.size(), rm.rounds.size());
-  for (size_t r = 0; r < lm.rounds.size(); ++r) {
-    EXPECT_EQ(lm.rounds[r].updated_params, rm.rounds[r].updated_params)
-        << "round " << r + 1;
-    EXPECT_EQ(lm.rounds[r].messages, rm.rounds[r].messages)
-        << "round " << r + 1;
-    EXPECT_EQ(lm.rounds[r].global, rm.rounds[r].global) << "round " << r + 1;
+  ASSERT_FALSE(rm.rounds.empty());
+  for (size_t r = 0; r < rm.rounds.size(); ++r) {
+    EXPECT_EQ(rm.rounds[r].global, global_per_round) << "round " << r + 1;
   }
 }
 
-class LocalRemoteDeltaTest
-    : public ::testing::TestWithParam<IncrementalDiffCase> {};
+class SessionDeltaTest : public ::testing::TestWithParam<SessionDeltaCase> {};
 
-TEST_P(LocalRemoteDeltaTest, SameFixedPointRoundForRound) {
-  const IncrementalDiffCase& c = GetParam();
+TEST_P(SessionDeltaTest, MatchesRecompute) {
+  const SessionDeltaCase& c = GetParam();
   if (c.app == "sssp") {
-    CompareLocalAndRemoteDelta<GlobalReportingSssp>(
-        "global_sssp", c.incremental, SsspQuery{0},
+    CheckSessionDelta<GlobalReportingSssp>(
+        "global_sssp", c.incremental, 3.0, SsspQuery{0},
         [](const SsspOutput& o) { return o.dist; });
   } else {
-    CompareLocalAndRemoteDelta<CcApp>(
-        "cc", c.incremental, CcQuery{},
-        [](const CcOutput& o) { return o.label; });
+    CheckSessionDelta<CcApp>("cc", c.incremental, 0.0, CcQuery{},
+                             [](const CcOutput& o) { return o.label; });
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Matrix, LocalRemoteDeltaTest,
-    ::testing::Values(IncrementalDiffCase{"sssp", true},
-                      IncrementalDiffCase{"sssp", false},
-                      IncrementalDiffCase{"cc", true},
-                      IncrementalDiffCase{"cc", false}),
-    [](const ::testing::TestParamInfo<IncrementalDiffCase>& info) {
+    Matrix, SessionDeltaTest,
+    ::testing::Values(SessionDeltaCase{"sssp", true},
+                      SessionDeltaCase{"sssp", false},
+                      SessionDeltaCase{"cc", true},
+                      SessionDeltaCase{"cc", false}),
+    [](const ::testing::TestParamInfo<SessionDeltaCase>& info) {
       return info.param.app +
              (info.param.incremental ? "_incremental" : "_ablation");
     });
+
+// A non-monotonic aggregator has no order to warm-start along: the delta
+// must take the enforced full-run fallback over the session, and flag it,
+// rather than run PageRank's IncEval from a stale rank vector.
+TEST(MutationTest, NonMonotonicDeltaTakesEnforcedFallback) {
+  RegisterBuiltinWorkerApps();
+  auto g = GenerateGridRoad(10, 10, 913);
+  ASSERT_TRUE(g.ok());
+  MutationBatch m;
+  m.InsertEdge(5, 90, 1.0);
+  m.InsertEdge(90, 5, 1.0);
+  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
+  FragmentedGraph fg_new = MakeFragments(updated, "hash", 3);
+  GrapeEngine<PageRankApp> ref(fg_new, PageRankApp{});
+  auto full = ref.Run(PageRankQuery{});
+  ASSERT_TRUE(full.ok()) << full.status();
+
+  FragmentedGraph fg_old = MakeFragments(*g, "hash", 3);
+  auto world = MakeTransport("inproc", 4);
+  ASSERT_TRUE(world.ok()) << world.status();
+  EngineOptions eo;
+  eo.transport = world->get();
+  eo.remote_app = "pagerank";
+  GrapeEngine<PageRankApp> engine(fg_old, PageRankApp{}, eo);
+  ASSERT_TRUE(engine.SessionRun(PageRankQuery{}).ok());
+  ASSERT_OK(engine.ApplyMutations(m).status());
+  auto inc = engine.RunIncremental(PageRankQuery{}, m);
+  ASSERT_TRUE(inc.ok()) << inc.status();
+  EXPECT_TRUE(engine.metrics().incremental_fallback)
+      << "a non-monotonic aggregator warm-started anyway";
+  EXPECT_TRUE(BitEq(inc->rank, full->rank));
+  engine.EndSession();
+}
 
 // Two sessions of different apps stay live on one world, each warm in its
 // own app slot over the endpoints' one resident fragment: one
@@ -817,6 +749,8 @@ TEST(MutationTest, ApplyMutationsRequiresLiveSession) {
 
   GrapeEngine<SsspApp> local(fg, SsspApp{});
   EXPECT_TRUE(local.ApplyMutations(m).status().IsInvalidArgument());
+  EXPECT_TRUE(
+      local.RunIncremental(SsspQuery{0}, m).status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -128,7 +128,7 @@ TEST(FlagsTest, ParsesAllForms) {
   const char* argv[] = {"prog",       "--alpha=1", "--beta", "2",
                         "positional", "--gamma",   "--delta=x=y"};
   FlagParser parser;
-  ASSERT_TRUE(parser.Parse(7, argv).ok());
+  ASSERT_TRUE(parser.Parse(7, argv, {"alpha", "beta", "gamma", "delta"}).ok());
   EXPECT_EQ(parser.GetInt("alpha", 0), 1);
   EXPECT_EQ(parser.GetInt("beta", 0), 2);
   EXPECT_TRUE(parser.GetBool("gamma", false));
@@ -140,10 +140,25 @@ TEST(FlagsTest, ParsesAllForms) {
 TEST(FlagsTest, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
   FlagParser parser;
-  ASSERT_TRUE(parser.Parse(1, argv).ok());
+  ASSERT_TRUE(parser.Parse(1, argv, {"missing"}).ok());
   EXPECT_EQ(parser.GetInt("missing", 9), 9);
   EXPECT_EQ(parser.GetDouble("missing", 1.5), 1.5);
   EXPECT_FALSE(parser.Has("missing"));
+}
+
+TEST(FlagsTest, RejectsUnknownFlagByName) {
+  // Every form of an unknown name fails, and the error names it.
+  for (const char* arg : {"--compute-threads=2", "--compute-threads"}) {
+    const char* argv[] = {"prog", "--rows=3", arg, "cc"};
+    FlagParser parser;
+    Status s = parser.Parse(4, argv, {"rows"});
+    EXPECT_TRUE(s.IsInvalidArgument()) << arg;
+    EXPECT_NE(s.ToString().find("--compute-threads"), std::string::npos)
+        << s.ToString();
+  }
+  const char* spaced[] = {"prog", "--typo", "7"};
+  FlagParser parser;
+  EXPECT_TRUE(parser.Parse(3, spaced, {"rows"}).IsInvalidArgument());
 }
 
 }  // namespace
