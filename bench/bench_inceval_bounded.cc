@@ -116,9 +116,9 @@ int Run(int argc, char** argv) {
                   static_cast<unsigned long long>(incr_updates),
                   initial.total_seconds, incremental.total_seconds);
 
-      ReportRow row =
-          MetricsRow("Q(G+M) from Q(G) |V|=" + std::to_string(side * side),
-                     "incremental re-answering", incremental);
+      ReportRow row = MetricsRow(
+          "Q(G+M) session delta |V|=" + std::to_string(side * side),
+          "incremental re-answering", incremental);
       row.messages = incr_updates;
       report.Add(row);
     }

@@ -382,7 +382,8 @@ class GrapeEngine {
   /// session's LAST query (which must equal `query`), warm-starting
   /// IncEval inside the worker hosts from the converged state resident
   /// there, seeded with the batch's touched vertices — work proportional
-  /// to the affected region, not |G|.
+  /// to the affected region, not |G|. Apps whose Query/Partial/Value
+  /// types are not wire-codable have no session, so no incremental path.
   ///
   /// Enforced monotonicity contract (the Assurance Theorem's side
   /// condition): a min-style warm start is only sound for change that

@@ -5,8 +5,6 @@
 // state. Every delta is checked bit-identical to a from-scratch Run on
 // G ⊕ M and against the apps/seq oracle.
 
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,59 +22,24 @@
 namespace grape {
 namespace {
 
-using testing::MakeFragments;
+using testing::BitEq;
+using testing::RunSessionDelta;
+using testing::SessionDelta;
+using testing::TotalUpdates;
 
-template <typename T>
-bool BitEq(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
-
-uint64_t TotalUpdates(const EngineMetrics& m) {
-  uint64_t total = 0;
-  for (const RoundMetrics& r : m.rounds) total += r.updated_params;
-  return total;
-}
-
-/// What one update produced: Q(G) from the session, Q(G ⊕ M) from its
-/// incremental delta and from a from-scratch recompute.
+/// The session delta of `m` on `g` for a registered worker app, checked
+/// for a bounded (non-fallback) answer.
 template <typename App>
-struct Delta {
-  typename App::OutputType initial;
-  typename App::OutputType updated;
-  typename App::OutputType recompute;
-  EngineMetrics initial_metrics;
-  EngineMetrics delta_metrics;
-};
-
-/// Answers `query` on `g` in a session of `n` fragments over in-thread
-/// inproc hosts, applies `m` and re-answers incrementally; `updated` is
-/// G ⊕ M, which a fresh local engine recomputes from scratch.
-template <typename App>
-void RunDelta(const Graph& g, const Graph& updated, const std::string& strategy,
-              FragmentId n, const std::string& remote_app,
-              const typename App::QueryType& query, const MutationBatch& m,
-              Delta<App>* out) {
+void RunDelta(const Graph& g, const MutationBatch& m,
+              const std::string& strategy, FragmentId n,
+              const std::string& remote_app,
+              const typename App::QueryType& query, SessionDelta<App>* out) {
   RegisterBuiltinWorkerApps();
-  ASSERT_OK_AND_ASSIGN(std::unique_ptr<Transport> world,
-                       MakeTransport("inproc", n + 1));
-  FragmentedGraph fg = MakeFragments(g, strategy, n);
   EngineOptions eo;
-  eo.transport = world.get();
   eo.remote_app = remote_app;
-  GrapeEngine<App> engine(fg, App{}, eo);
-  ASSERT_OK_AND_ASSIGN(out->initial, engine.SessionRun(query));
-  out->initial_metrics = engine.metrics();
-  ASSERT_OK(engine.ApplyMutations(m).status());
-  ASSERT_OK_AND_ASSIGN(out->updated, engine.RunIncremental(query, m));
-  out->delta_metrics = engine.metrics();
+  ASSERT_NO_FATAL_FAILURE(
+      RunSessionDelta<App>(g, m, strategy, n, query, eo, out));
   EXPECT_FALSE(out->delta_metrics.incremental_fallback);
-  engine.EndSession();
-
-  FragmentedGraph fg_new = MakeFragments(updated, strategy, n);
-  GrapeEngine<App> ref(fg_new, App{});
-  ASSERT_OK_AND_ASSIGN(out->recompute, ref.Run(query));
 }
 
 TEST(IncrementalTest, SsspAfterEdgeInsertions) {
@@ -90,9 +53,9 @@ TEST(IncrementalTest, SsspAfterEdgeInsertions) {
   m.InsertEdge(600, 12, 0.5);
   ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
 
-  Delta<SsspApp> d;
+  SessionDelta<SsspApp> d;
   ASSERT_NO_FATAL_FAILURE(
-      RunDelta(*g, updated, "hash", 4, "sssp", SsspQuery{0}, m, &d));
+      RunDelta(*g, m, "hash", 4, "sssp", SsspQuery{0}, &d));
   EXPECT_TRUE(BitEq(d.updated.dist, d.recompute.dist));
   std::vector<double> expected = SeqDijkstra(updated, 0);
   ASSERT_EQ(d.updated.dist.size(), updated.num_vertices());
@@ -113,9 +76,9 @@ TEST(IncrementalTest, WorkIsBoundedByAffectedRegion) {
   m.InsertEdge(far_corner, far_corner - 2, 0.5);
   ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
 
-  Delta<SsspApp> d;
+  SessionDelta<SsspApp> d;
   ASSERT_NO_FATAL_FAILURE(
-      RunDelta(*g, updated, "grid2d", 4, "sssp", SsspQuery{0}, m, &d));
+      RunDelta(*g, m, "grid2d", 4, "sssp", SsspQuery{0}, &d));
   EXPECT_TRUE(BitEq(d.updated.dist, d.recompute.dist));
   std::vector<double> expected = SeqDijkstra(updated, 0);
   for (VertexId v = 0; v < updated.num_vertices(); ++v) {
@@ -136,11 +99,10 @@ TEST(IncrementalTest, NoChangeConvergesImmediately) {
   const Neighbor nb = g->OutNeighbors(0)[0];
   MutationBatch m;
   m.InsertEdge(0, nb.vertex, nb.weight, nb.label);
-  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
 
-  Delta<SsspApp> d;
+  SessionDelta<SsspApp> d;
   ASSERT_NO_FATAL_FAILURE(
-      RunDelta(*g, updated, "hash", 4, "sssp", SsspQuery{0}, m, &d));
+      RunDelta(*g, m, "hash", 4, "sssp", SsspQuery{0}, &d));
   EXPECT_LE(d.delta_metrics.supersteps, 2u);
   EXPECT_TRUE(BitEq(d.updated.dist, d.initial.dist));
   EXPECT_TRUE(BitEq(d.updated.dist, d.recompute.dist));
@@ -168,9 +130,9 @@ TEST(IncrementalTest, CcAfterComponentMerge) {
   m.InsertEdge(10, 55, 1.0);
   ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
 
-  Delta<CcApp> d;
+  SessionDelta<CcApp> d;
   ASSERT_NO_FATAL_FAILURE(
-      RunDelta(*g, updated, "hash", 3, "cc", CcQuery{}, m, &d));
+      RunDelta(*g, m, "hash", 3, "cc", CcQuery{}, &d));
   EXPECT_EQ(d.initial.label[45], 40u);  // second island's min id
   EXPECT_TRUE(BitEq(d.updated.label, d.recompute.label));
   std::vector<VertexId> expected = SeqConnectedComponents(updated);

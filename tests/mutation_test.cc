@@ -17,7 +17,6 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstring>
 #include <optional>
 #include <set>
 #include <string>
@@ -41,14 +40,11 @@
 namespace grape {
 namespace {
 
+using testing::BitEq;
 using testing::MakeFragments;
-
-template <typename T>
-bool BitEq(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
+using testing::RunSessionDelta;
+using testing::SessionDelta;
+using testing::TotalUpdates;
 
 std::vector<uint8_t> FragmentBytes(const Fragment& frag) {
   Encoder enc;
@@ -548,82 +544,96 @@ INSTANTIATE_TEST_SUITE_P(Matrix, MutationRemoteGateTest,
 
 // ------------------------------------------------ session delta variants
 
-struct SessionDeltaCase {
-  std::string app;   // "sssp" | "cc"
-  bool incremental;  // EngineOptions::incremental (false: the ablation)
-};
-
-// SSSP reporting a constant non-zero global aggregate per fragment, so the
-// per-round check below also covers RoundMetrics::global on the delta.
-struct GlobalReportingSssp : SsspApp {
-  double GlobalValue() const { return 1.0; }
-};
-
-/// One insert batch answered by a session on inproc (SessionRun on G,
-/// ApplyMutations, RunIncremental) under the given ablation setting: the
-/// delta is bounded (no fallback), bit-identical to a from-scratch Run on
-/// G ⊕ M, and every round carries the fragments' summed global value.
-template <typename App, typename Query, typename GetVec>
-void CheckSessionDelta(const char* remote_app, bool incremental,
-                       double global_per_round, const Query& query,
-                       GetVec get) {
-  auto g = GenerateGridRoad(12, 12, 77);
-  ASSERT_TRUE(g.ok());
-  const MutationBatch m = GateBatches()[0];
-  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
-  FragmentedGraph fg_old = MakeFragments(*g, "hash", 3);
-  FragmentedGraph fg_new = MakeFragments(updated, "hash", 3);
-
-  EngineOptions lo;
-  lo.incremental = incremental;
-  GrapeEngine<App> ref(fg_new, App{}, lo);
-  auto full = ref.Run(query);
-  ASSERT_TRUE(full.ok()) << full.status();
-
-  auto world = MakeTransport("inproc", 4);
-  ASSERT_TRUE(world.ok()) << world.status();
-  EngineOptions ro = lo;
-  ro.transport = world->get();
-  ro.remote_app = remote_app;
-  GrapeEngine<App> remote(fg_old, App{}, ro);
-  ASSERT_TRUE(remote.SessionRun(query).ok());
-  ASSERT_OK(remote.ApplyMutations(m).status());
-  auto rout = remote.RunIncremental(query, m);
-  ASSERT_TRUE(rout.ok()) << rout.status();
-  remote.EndSession();
-
-  EXPECT_TRUE(BitEq(get(*rout), get(*full)));
-  const EngineMetrics& rm = remote.metrics();
-  EXPECT_FALSE(rm.incremental_fallback);
-  ASSERT_FALSE(rm.rounds.empty());
-  for (size_t r = 0; r < rm.rounds.size(); ++r) {
-    EXPECT_EQ(rm.rounds[r].global, global_per_round) << "round " << r + 1;
+// An app whose global aggregate is the size of its last IncEval input
+// (|M_i|, or the whole fragment under the ablation), so RoundMetrics::global
+// on the delta shows what each round re-evaluated.
+template <typename Base>
+struct IncEvalInputReporting : Base {
+  template <typename Query, typename Params>
+  void IncEval(const Query& query, const Fragment& frag, Params& params,
+               const std::vector<LocalId>& updated) {
+    inputs_ = updated.size();
+    Base::IncEval(query, frag, params, updated);
   }
+  double GlobalValue() const { return static_cast<double>(inputs_); }
+
+ private:
+  size_t inputs_ = 0;
+};
+
+/// The 12x12 gate grid cut into two 72-vertex islands (rows 0-5 and
+/// 6-11), so GateBatches()[0]'s 3 <-> 140 bridge changes both SSSP
+/// distances (the far island becomes reachable) and CC labels.
+Graph SplitGateGrid() {
+  auto grid = GenerateGridRoad(12, 12, 77);
+  EXPECT_TRUE(grid.ok()) << grid.status();
+  GraphBuilder builder(grid->is_directed());
+  for (const Edge& e : grid->ToEdgeList()) {
+    if ((e.src < 72) == (e.dst < 72)) builder.AddEdge(e);
+  }
+  auto g = std::move(builder).Build(grid->num_vertices());
+  EXPECT_TRUE(g.ok()) << g.status();
+  return std::move(g).value();
 }
 
-class SessionDeltaTest : public ::testing::TestWithParam<SessionDeltaCase> {};
+/// One insert batch answered by two sessions on inproc, one per setting of
+/// EngineOptions::incremental (false is the ablation: every IncEval after
+/// the warm start re-evaluates its whole fragment). Both deltas are bounded
+/// (no fallback) and bit-identical to a from-scratch Run on G ⊕ M, and
+/// each round's global aggregate (the workers' summed IncEval inputs)
+/// equals its updated_params. The ablation re-evaluates every vertex each
+/// round after the warm start; the incremental delta updates strictly
+/// fewer parameters than the ablation and than the initial run.
+template <typename App, typename Query, typename GetVec>
+void CheckSessionDelta(const char* remote_app, const Query& query,
+                       GetVec get) {
+  const Graph g = SplitGateGrid();
+  const MutationBatch m = GateBatches()[0];
+  SessionDelta<App> delta[2];  // [0]: ablation, [1]: incremental
+  for (bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental" : "ablation");
+    EngineOptions eo;
+    eo.incremental = incremental;
+    eo.remote_app = remote_app;
+    SessionDelta<App>& d = delta[incremental];
+    ASSERT_NO_FATAL_FAILURE(
+        RunSessionDelta<App>(g, m, "hash", 3, query, eo, &d));
+    EXPECT_TRUE(BitEq(get(d.updated), get(d.recompute)));
+    const EngineMetrics& dm = d.delta_metrics;
+    EXPECT_FALSE(dm.incremental_fallback);
+    ASSERT_GE(dm.rounds.size(), 2u);
+    for (size_t r = 0; r < dm.rounds.size(); ++r) {
+      EXPECT_EQ(dm.rounds[r].global,
+                static_cast<double>(dm.rounds[r].updated_params))
+          << "round " << r + 1;
+      if (!incremental && r > 0) {
+        EXPECT_EQ(dm.rounds[r].updated_params, g.num_vertices())
+            << "round " << r + 1;
+      }
+    }
+  }
+  const uint64_t incremental = TotalUpdates(delta[1].delta_metrics);
+  EXPECT_LT(incremental, TotalUpdates(delta[0].delta_metrics));
+  EXPECT_LT(incremental, TotalUpdates(delta[1].initial_metrics));
+}
 
-TEST_P(SessionDeltaTest, MatchesRecompute) {
-  const SessionDeltaCase& c = GetParam();
-  if (c.app == "sssp") {
-    CheckSessionDelta<GlobalReportingSssp>(
-        "global_sssp", c.incremental, 3.0, SsspQuery{0},
+class SessionDeltaTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SessionDeltaTest, BoundedAndAblated) {
+  if (GetParam() == "sssp") {
+    CheckSessionDelta<IncEvalInputReporting<SsspApp>>(
+        "input_sssp", SsspQuery{0},
         [](const SsspOutput& o) { return o.dist; });
   } else {
-    CheckSessionDelta<CcApp>("cc", c.incremental, 0.0, CcQuery{},
-                             [](const CcOutput& o) { return o.label; });
+    CheckSessionDelta<IncEvalInputReporting<CcApp>>(
+        "input_cc", CcQuery{}, [](const CcOutput& o) { return o.label; });
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Matrix, SessionDeltaTest,
-    ::testing::Values(SessionDeltaCase{"sssp", true},
-                      SessionDeltaCase{"sssp", false},
-                      SessionDeltaCase{"cc", true},
-                      SessionDeltaCase{"cc", false}),
-    [](const ::testing::TestParamInfo<SessionDeltaCase>& info) {
-      return info.param.app +
-             (info.param.incremental ? "_incremental" : "_ablation");
+    Matrix, SessionDeltaTest, ::testing::Values("sssp", "cc"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
     });
 
 // A non-monotonic aggregator has no order to warm-start along: the delta
@@ -636,27 +646,14 @@ TEST(MutationTest, NonMonotonicDeltaTakesEnforcedFallback) {
   MutationBatch m;
   m.InsertEdge(5, 90, 1.0);
   m.InsertEdge(90, 5, 1.0);
-  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
-  FragmentedGraph fg_new = MakeFragments(updated, "hash", 3);
-  GrapeEngine<PageRankApp> ref(fg_new, PageRankApp{});
-  auto full = ref.Run(PageRankQuery{});
-  ASSERT_TRUE(full.ok()) << full.status();
-
-  FragmentedGraph fg_old = MakeFragments(*g, "hash", 3);
-  auto world = MakeTransport("inproc", 4);
-  ASSERT_TRUE(world.ok()) << world.status();
   EngineOptions eo;
-  eo.transport = world->get();
   eo.remote_app = "pagerank";
-  GrapeEngine<PageRankApp> engine(fg_old, PageRankApp{}, eo);
-  ASSERT_TRUE(engine.SessionRun(PageRankQuery{}).ok());
-  ASSERT_OK(engine.ApplyMutations(m).status());
-  auto inc = engine.RunIncremental(PageRankQuery{}, m);
-  ASSERT_TRUE(inc.ok()) << inc.status();
-  EXPECT_TRUE(engine.metrics().incremental_fallback)
+  SessionDelta<PageRankApp> d;
+  ASSERT_NO_FATAL_FAILURE(RunSessionDelta<PageRankApp>(
+      *g, m, "hash", 3, PageRankQuery{}, eo, &d));
+  EXPECT_TRUE(d.delta_metrics.incremental_fallback)
       << "a non-monotonic aggregator warm-started anyway";
-  EXPECT_TRUE(BitEq(inc->rank, full->rank));
-  engine.EndSession();
+  EXPECT_TRUE(BitEq(d.updated.rank, d.recompute.rank));
 }
 
 // Two sessions of different apps stay live on one world, each warm in its

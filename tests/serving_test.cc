@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -36,16 +35,8 @@
 namespace grape {
 namespace {
 
+using testing::BitEq;
 using testing::MakeFragments;
-
-/// Bitwise equality — exactly what "bit-identical" promises; an
-/// ULP-close-but-different double must fail this.
-template <typename T>
-bool BitEq(const std::vector<T>& a, const std::vector<T>& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
-}
 
 /// A 12x12 weighted road grid: connected, large diameter, so point
 /// queries run enough supersteps for fusion and ordering to matter.
