@@ -9,6 +9,10 @@
 // and re-answers incrementally (kTagSvMutate), against the cost of a full
 // reload + recompute — the "time per mutation batch vs full reload" row.
 //
+// A fourth section prices one fused read wave against its lane count K
+// (1, 2, 4, 8, 16) on a road grid, split into PEval, IncEval and
+// assemble, beside a single-source SsspApp wave on the same world.
+//
 // Flags: --workers --scale --clients --queries (per client)
 //        --batch-window-ms --mutation-batches --json <path>.
 
@@ -16,13 +20,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "apps/ms_sssp.h"
 #include "apps/register_apps.h"
+#include "apps/sssp.h"
 #include "bench/bench_util.h"
+#include "core/engine.h"
+#include "graph/generators.h"
 #include "graph/io.h"
 #include "rt/distributed_load.h"
 #include "serve/client.h"
@@ -98,6 +108,130 @@ void AddRows(const std::string& system, const ServingRun& run,
   add("p50_latency_s", run.p50_s);
   add("p99_latency_s", run.p99_s);
   add("queries_per_sec", run.qps);
+}
+
+/// Medians over the repetitions of one wave shape.
+struct WaveCost {
+  double wave_s = 0;
+  double peval_s = 0;
+  double inceval_s = 0;
+  double assemble_s = 0;
+  uint32_t supersteps = 0;
+  uint64_t messages = 0;
+  uint64_t bytes = 0;
+};
+
+/// Runs `reps` warm session waves of `query` on `engine` and returns the
+/// median of each cost, plus the last answer in `out`.
+template <typename App>
+WaveCost TimeWaves(GrapeEngine<App>& engine,
+                   const typename App::QueryType& query, int reps,
+                   typename App::OutputType* out) {
+  std::vector<double> wave, peval, inceval, assemble;
+  for (int r = 0; r < reps; ++r) {
+    WallTimer t;
+    auto answer = engine.SessionRun(query);
+    GRAPE_CHECK(answer.ok()) << answer.status();
+    wave.push_back(t.ElapsedSeconds());
+    const EngineMetrics& m = engine.metrics();
+    peval.push_back(m.peval_seconds);
+    inceval.push_back(m.inceval_seconds);
+    assemble.push_back(m.assemble_seconds);
+    *out = std::move(answer).value();
+  }
+  for (auto* v : {&wave, &peval, &inceval, &assemble}) {
+    std::sort(v->begin(), v->end());
+  }
+  const EngineMetrics& m = engine.metrics();
+  return WaveCost{Percentile(wave, 0.5),     Percentile(peval, 0.5),
+                  Percentile(inceval, 0.5),  Percentile(assemble, 0.5),
+                  m.supersteps,              m.messages,
+                  m.bytes};
+}
+
+void AddWaveRows(const std::string& shape, const WaveCost& cost,
+                 bool correct, Report* report) {
+  auto add = [&](const std::string& split, double value) {
+    ReportRow row;
+    row.system = "grape_serve/wave";
+    row.category = shape + "/" + split;
+    row.time_s = value;
+    row.comm_mb = static_cast<double>(cost.bytes) / (1024.0 * 1024.0);
+    row.rounds = cost.supersteps;
+    row.messages = cost.messages;
+    row.correct = correct;
+    report->Add(row);
+  };
+  add("wave_s", cost.wave_s);
+  add("peval_s", cost.peval_s);
+  add("inceval_s", cost.inceval_s);
+  add("assemble_s", cost.assemble_s);
+  std::printf("%-22s %12.3f %12.3f %12.3f %12.3f %8u %s\n", shape.c_str(),
+              cost.wave_s * 1e3, cost.peval_s * 1e3, cost.inceval_s * 1e3,
+              cost.assemble_s * 1e3, cost.supersteps,
+              correct ? "" : "WRONG");
+}
+
+/// Wave cost against lane count: a weighted road grid of about 2^scale
+/// vertices (large diameter, so a wave is many supersteps of bounded
+/// IncEval, like serving's point reads), metis-partitioned onto `world`.
+/// The SsspApp session answers every source first; those answers are
+/// both the reference row and the bits each fused lane must carry.
+void RunWaveSweep(Transport* world, FragmentId workers, uint32_t scale,
+                  Report* report) {
+  constexpr int kReps = 9;
+  const std::vector<size_t> lane_counts = {1, 2, 4, 8, 16};
+  const auto side =
+      static_cast<uint32_t>(std::lround(std::sqrt(std::ldexp(1.0, scale))));
+  auto grid = GenerateGridRoad(side, side, /*seed=*/7);
+  GRAPE_CHECK(grid.ok()) << grid.status();
+  const VertexId n = grid->num_vertices();
+  FragmentedGraph fg = Fragmentize(*grid, "metis", workers);
+  std::vector<VertexId> sources;
+  for (size_t k = 0; k < lane_counts.back(); ++k) {
+    sources.push_back(static_cast<VertexId>((k * 2654435761u + 17u) % n));
+  }
+
+  PrintHeader("Wave cost vs lanes (" + std::to_string(side) + "x" +
+              std::to_string(side) + " road grid, metis, " +
+              std::to_string(workers) + " workers, median of " +
+              std::to_string(kReps) + " warm waves)");
+  std::printf("%-22s %12s %12s %12s %12s %8s\n", "Shape", "wave(ms)",
+              "peval(ms)", "inceval(ms)", "assemble(ms)", "Steps");
+
+  EngineOptions eo;
+  eo.transport = world;
+  std::vector<std::vector<double>> want;
+  {
+    eo.remote_app = "sssp";
+    GrapeEngine<SsspApp> sssp(fg, SsspApp{}, eo);
+    SsspOutput out;
+    const WaveCost cost = TimeWaves(sssp, SsspQuery{sources[0]}, kReps, &out);
+    want.push_back(std::move(out.dist));
+    for (size_t k = 1; k < sources.size(); ++k) {
+      auto answer = sssp.SessionRun(SsspQuery{sources[k]});
+      GRAPE_CHECK(answer.ok()) << answer.status();
+      want.push_back(std::move(answer->dist));
+    }
+    sssp.EndSession();
+    AddWaveRows("sssp", cost, true, report);
+  }
+  eo.remote_app = "ms_sssp";
+  GrapeEngine<MsSsspApp> fused(fg, MsSsspApp{}, eo);
+  for (size_t lanes : lane_counts) {
+    MsSsspQuery query;
+    query.sources.assign(sources.begin(), sources.begin() + lanes);
+    MsSsspOutput out;
+    const WaveCost cost = TimeWaves(fused, query, kReps, &out);
+    bool correct = out.dist.size() == lanes;
+    for (size_t k = 0; correct && k < lanes; ++k) {
+      correct = out.dist[k].size() == want[k].size() &&
+                std::memcmp(out.dist[k].data(), want[k].data(),
+                            want[k].size() * sizeof(double)) == 0;
+    }
+    AddWaveRows("lanes=" + std::to_string(lanes), cost, correct, report);
+  }
+  fused.EndSession();
 }
 
 int Run(int argc, char** argv) {
@@ -245,6 +379,8 @@ int Run(int argc, char** argv) {
     full.time_s = reload_s;
     report.Add(full);
   }
+
+  RunWaveSweep(world->get(), workers, scale, &report);
 
   MaybeWriteJson(flags, report);
   return 0;

@@ -5,9 +5,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/aggregators.h"
+#include "apps/multi_source.h"
 #include "core/codec.h"
-#include "core/pie.h"
 
 namespace grape {
 
@@ -28,35 +27,24 @@ struct MsBfsOutput {
   std::vector<std::vector<uint32_t>> depth;
 };
 
-/// Multi-source BFS: MsSsspApp with unit weights — K BfsApp queries fused
-/// into one wave, one value lane per source, each lane running BfsApp's
-/// exact unit-weight Dijkstra independently under element-wise min. Lane
-/// k's depths are bit-identical to a standalone BfsApp run from sources[k].
-class MsBfsApp {
+/// Multi-source BFS: MsSsspApp's lane-major kernel with unit steps and
+/// u32 depths. K BfsApp queries fuse into one wave; each fragment holds
+/// one flat array depth[k * num_local + lid], lane k runs BfsApp's exact
+/// unit-weight Dijkstra over its own row, improved outer vertices cross
+/// the wire as K-vectors of u32 under element-wise min, and the partial
+/// is one flat K × num_inner block. Lane k's depths are bit-identical to
+/// a standalone BfsApp run from sources[k].
+class MsBfsApp : public MultiSourceApp<MsBfsQuery, uint32_t, UnitStep> {
  public:
-  using QueryType = MsBfsQuery;
-  using ValueType = std::vector<uint32_t>;
-  using AggregatorType = ElementwiseMinAggregatorT<uint32_t>;
-  using PartialType = std::vector<std::pair<VertexId, std::vector<uint32_t>>>;
   using OutputType = MsBfsOutput;
-  static constexpr MessageScope kScope = MessageScope::kToOwner;
-  static constexpr bool kResetAfterFlush = false;
 
-  /// Lanes are lazy: a missing tail means unreachable (UINT32_MAX).
-  ValueType InitValue() const { return {}; }
-
-  void PEval(const QueryType& query, const Fragment& frag,
-             ParamStore<ValueType>& params);
-  void IncEval(const QueryType& query, const Fragment& frag,
-               ParamStore<ValueType>& params,
-               const std::vector<LocalId>& updated);
-  PartialType GetPartial(const QueryType& query, const Fragment& frag,
-                         const ParamStore<ValueType>& params) const;
   static OutputType Assemble(const QueryType& query,
-                             std::vector<PartialType>&& partials);
-
-  double GlobalValue() const { return 0.0; }
+                             std::vector<PartialType>&& partials) {
+    return {AssembleLanes(query, std::move(partials))};
+  }
 };
+
+extern template class MultiSourceApp<MsBfsQuery, uint32_t, UnitStep>;
 
 }  // namespace grape
 

@@ -4,9 +4,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/aggregators.h"
+#include "apps/multi_source.h"
 #include "core/codec.h"
-#include "core/pie.h"
 
 namespace grape {
 
@@ -29,39 +28,27 @@ struct MsSsspOutput {
 };
 
 /// Multi-source SSSP: the serving layer's batching vehicle. K single-source
-/// queries fuse into one superstep wave by giving every vertex a K-lane
-/// distance vector; lane k runs SsspApp's exact sequential Dijkstra (same
-/// heap discipline, same left-fold of double additions in the same neighbor
-/// order), and lanes never interact — element-wise min aggregation keeps
-/// each lane an independent monotonic fixed point. Hence lane k's converged
-/// distances are bit-identical to a standalone SsspApp run from sources[k];
-/// only the superstep count (the max over lanes) differs.
-class MsSsspApp {
+/// queries fuse into one superstep wave, one distance lane per source.
+/// Each fragment holds the lanes in one flat lane-major array,
+/// dist[k * num_local + lid], and lane k runs SsspApp's exact sequential
+/// Dijkstra (same heap discipline, same left-fold of double additions in
+/// the same neighbor order) over its own row. Only improved outer vertices
+/// cross the wire, as K-vectors of doubles folded by element-wise min, and
+/// each fragment's partial is one flat K × num_inner block (LanePartial).
+/// Lane k's distances are bit-identical to a standalone SsspApp run from
+/// sources[k]; only the superstep count (the max over lanes) differs. The
+/// kernel is shared with MsBfsApp (apps/multi_source.h).
+class MsSsspApp : public MultiSourceApp<MsSsspQuery, double, WeightedStep> {
  public:
-  using QueryType = MsSsspQuery;
-  using ValueType = std::vector<double>;
-  using AggregatorType = ElementwiseMinAggregatorT<double>;
-  using PartialType = std::vector<std::pair<VertexId, std::vector<double>>>;
   using OutputType = MsSsspOutput;
-  static constexpr MessageScope kScope = MessageScope::kToOwner;
-  static constexpr bool kResetAfterFlush = false;
 
-  /// Lanes are lazy: a missing tail means +inf, so untouched vertices cost
-  /// no K-vector storage or wire bytes.
-  ValueType InitValue() const { return {}; }
-
-  void PEval(const QueryType& query, const Fragment& frag,
-             ParamStore<ValueType>& params);
-  void IncEval(const QueryType& query, const Fragment& frag,
-               ParamStore<ValueType>& params,
-               const std::vector<LocalId>& updated);
-  PartialType GetPartial(const QueryType& query, const Fragment& frag,
-                         const ParamStore<ValueType>& params) const;
   static OutputType Assemble(const QueryType& query,
-                             std::vector<PartialType>&& partials);
-
-  double GlobalValue() const { return 0.0; }
+                             std::vector<PartialType>&& partials) {
+    return {AssembleLanes(query, std::move(partials))};
+  }
 };
+
+extern template class MultiSourceApp<MsSsspQuery, double, WeightedStep>;
 
 }  // namespace grape
 

@@ -390,7 +390,9 @@ class GrapeEngine {
   /// moves values down the order. Non-monotonic aggregators, and any
   /// batch containing deletions, take a full re-run of the query instead
   /// (reported via metrics().incremental_fallback) — never a silently
-  /// stale answer.
+  /// stale answer. So do apps with private state (CheckpointableApp): a
+  /// mutation re-seats each worker's app slot with a fresh App, so only
+  /// the parameter store survives to warm-start from.
   Result<Output> RunIncremental(const Query& query,
                                 const MutationBatch& batch) {
     if constexpr (RemoteCompatibleApp<App>) {
@@ -399,7 +401,8 @@ class GrapeEngine {
             "incremental evaluation answers over a live query session; set "
             "remote_app (the inproc transport hosts the workers in-thread)");
       }
-      if (!Agg::kMonotonic || batch.has_deletions()) {
+      if (!Agg::kMonotonic || batch.has_deletions() ||
+          CheckpointableApp<App>) {
         return FullRunFallback(query);
       }
       return RunOnSession(query, Opening::kIncStart, batch.TouchedVertices());
@@ -982,6 +985,7 @@ class GrapeEngine {
             SendToWorkers(kTagWkIncStart, [&](FragmentId, Encoder& enc) {
               enc.WriteString(options_.remote_app);
               enc.WritePodVector(touched);
+              enc.WriteBool(options_.incremental);
             }));
         GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseIncEval, 1, &round));
       } else {

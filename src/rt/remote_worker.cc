@@ -974,8 +974,10 @@ Status RemoteWorkerHost::HandleIncStart(const std::vector<uint8_t>& payload) {
   Decoder dec(payload);
   std::string app_name;
   std::vector<VertexId> touched;
+  bool incremental = true;
   Status s = dec.ReadString(&app_name);
   if (s.ok()) s = dec.ReadPodVector(&touched);
+  if (s.ok()) s = dec.ReadBool(&incremental);
   if (!s.ok()) return EmitError(s);
   Slot* slot = FindSlot(app_name);
   if (slot == nullptr) {
@@ -997,7 +999,7 @@ Status RemoteWorkerHost::HandleIncStart(const std::vector<uint8_t>& payload) {
     if (lid != kInvalidLocal) lids.push_back(lid);
   }
   slot->server->SeedTouched(lids);
-  return RunPhase(kWkPhaseIncEval, 1, true);
+  return RunPhase(kWkPhaseIncEval, 1, incremental);
 }
 
 Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,

@@ -388,7 +388,8 @@ class RemoteWorkerHost {
   void AbandonMutation();
   Status FailMutation(const Status& error);
   /// kTagWkIncStart: seed M_i with the touched gids and run the warm
-  /// IncEval round 1 (no query frame — the store keeps its warm state).
+  /// IncEval round 1 (no query frame — the store keeps its warm state),
+  /// incremental or as the ablation, as the frame's flag says.
   Status HandleIncStart(const std::vector<uint8_t>& payload);
 
   uint32_t rank_;

@@ -1,6 +1,9 @@
 #include "rt/tcp_transport.h"
 
 #include <arpa/inet.h>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -868,6 +871,14 @@ Status TcpTransport::Init(const TcpOptions& options) {
       for (int fd : rt_internal::FdRegistry()) plan.close_fds.push_back(fd);
       plan.close_fds.push_back(lfd);
     }
+#ifdef __GLIBC__
+    // A forked endpoint starts with this process's resident heap, free
+    // chunks included, as its own resident set. Return the free pages
+    // first, so an endpoint inherits only the live data: otherwise its
+    // footprint is whatever freed memory earlier work happened to leave
+    // resident, and differs from one run of the same workload to the next.
+    malloc_trim(0);
+#endif
     for (uint32_t r = 0; r < forks; ++r) {
       pid_t pid = fork();
       if (pid < 0) return cleanup("fork(endpoint)");

@@ -134,7 +134,9 @@ enum WorkerProtocolTag : uint32_t {
   kTagWkMutVals = 0x11c,    // s -> r: per-slot warm values for r's outers
   kTagWkMutateAck = 0x11d,  // r -> 0: WkBuildAck (new shape under token)
   // 0 -> r: warm-start IncEval round 1 of one slot, seeded with the
-  // batch's touched vertices (payload: app name + pod vector of gids).
+  // batch's touched vertices (payload: app name + pod vector of gids +
+  // bool incremental; false is the ablation, which re-evaluates every
+  // inner vertex from round 1 on, as kTagWkRunIncEval's flag does).
   // Re-answers the slot's last query — it deliberately does NOT reset the
   // parameter store the way kTagWkQuery does.
   kTagWkIncStart = 0x11e,

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "apps/cc.h"
+#include "apps/ms_sssp.h"
 #include "apps/pagerank.h"
 #include "apps/register_apps.h"
 #include "apps/sssp.h"
@@ -405,6 +406,39 @@ TEST(CheckpointRecoveryTest, PageRankRecoversBitIdentical) {
                               [](const PageRankOutput& o) {
                                 return testing::HashVector(o.rank);
                               });
+}
+
+/// ms_sssp keeps its lanes in one private flat array per fragment, so
+/// recovery must restore it through the app's checkpoint hooks. The clean
+/// run's lanes must also equal single-source SSSP runs, so the golden the
+/// matrix compares against is itself right.
+TEST(CheckpointRecoveryTest, MsSsspRecoversBitIdentical) {
+  Graph g = testing::ScenarioGraph("grid");
+  FragmentedGraph fg = testing::ScenarioFragments(g, "hash", 4);
+  MsSsspQuery query;
+  query.sources = {3, 500, 1000};
+  auto hash = [](const std::vector<std::vector<double>>& lanes) {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::vector<double>& lane : lanes) {
+      h = testing::Fnv1a(lane.data(), lane.size() * sizeof(double), h);
+    }
+    return h;
+  };
+  auto hash_out = [&hash](const MsSsspOutput& o) { return hash(o.dist); };
+
+  std::vector<std::vector<double>> want;
+  for (VertexId source : query.sources) {
+    GrapeEngine<SsspApp> ref(fg, SsspApp{}, EngineOptions{});
+    auto single = ref.Run(SsspQuery{source});
+    ASSERT_TRUE(single.ok()) << single.status();
+    want.push_back(single->dist);
+  }
+  RemoteObs clean = RunRemoteFlaky<MsSsspApp>(
+      fg, "ms_sssp", query, FlakyOptions{}, EveryStepPolicy(), hash_out);
+  ASSERT_TRUE(clean.ok) << clean.status;
+  EXPECT_EQ(clean.hash, hash(want)) << "lanes differ from single-source runs";
+
+  RunCrashMatrix<MsSsspApp>("ms_sssp", fg, query, hash_out);
 }
 
 TEST(CheckpointRecoveryTest, DiskBackedCheckpointsRestoreTheSameWay) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "apps/cc.h"
+#include "apps/ms_sssp.h"
 #include "apps/pagerank.h"
 #include "apps/register_apps.h"
 #include "apps/sssp.h"
@@ -577,13 +578,14 @@ Graph SplitGateGrid() {
 }
 
 /// One insert batch answered by two sessions on inproc, one per setting of
-/// EngineOptions::incremental (false is the ablation: every IncEval after
-/// the warm start re-evaluates its whole fragment). Both deltas are bounded
-/// (no fallback) and bit-identical to a from-scratch Run on G ⊕ M, and
-/// each round's global aggregate (the workers' summed IncEval inputs)
-/// equals its updated_params. The ablation re-evaluates every vertex each
-/// round after the warm start; the incremental delta updates strictly
-/// fewer parameters than the ablation and than the initial run.
+/// EngineOptions::incremental (false is the ablation: every IncEval, the
+/// warm start's included, re-evaluates its whole fragment). Both deltas
+/// are bounded (no fallback) and bit-identical to a from-scratch Run on
+/// G ⊕ M, and each round's global aggregate (the workers' summed IncEval
+/// inputs) equals its updated_params. The ablation re-evaluates every
+/// vertex in every round, the first included; the incremental delta
+/// updates strictly fewer parameters than the ablation and than the
+/// initial run.
 template <typename App, typename Query, typename GetVec>
 void CheckSessionDelta(const char* remote_app, const Query& query,
                        GetVec get) {
@@ -606,7 +608,7 @@ void CheckSessionDelta(const char* remote_app, const Query& query,
       EXPECT_EQ(dm.rounds[r].global,
                 static_cast<double>(dm.rounds[r].updated_params))
           << "round " << r + 1;
-      if (!incremental && r > 0) {
+      if (!incremental) {
         EXPECT_EQ(dm.rounds[r].updated_params, g.num_vertices())
             << "round " << r + 1;
       }
@@ -654,6 +656,33 @@ TEST(MutationTest, NonMonotonicDeltaTakesEnforcedFallback) {
   EXPECT_TRUE(d.delta_metrics.incremental_fallback)
       << "a non-monotonic aggregator warm-started anyway";
   EXPECT_TRUE(BitEq(d.updated.rank, d.recompute.rank));
+}
+
+// An app with private state beside its parameter store (ms_sssp's flat
+// lane array) cannot warm-start either: a mutation re-seats its worker
+// slots with a fresh app, so the delta must take the same enforced
+// fallback, and every lane must equal a fresh run on G ⊕ M.
+TEST(MutationTest, PrivateStateDeltaTakesEnforcedFallback) {
+  RegisterBuiltinWorkerApps();
+  const Graph g = SplitGateGrid();
+  const MutationBatch m = GateBatches()[0];
+  ASSERT_FALSE(m.has_deletions());
+  EngineOptions eo;
+  eo.remote_app = "ms_sssp";
+  MsSsspQuery query;
+  query.sources = {0, 3, 140};
+  SessionDelta<MsSsspApp> d;
+  ASSERT_NO_FATAL_FAILURE(
+      RunSessionDelta<MsSsspApp>(g, m, "hash", 3, query, eo, &d));
+  EXPECT_TRUE(d.delta_metrics.incremental_fallback)
+      << "an app with private state warm-started anyway";
+  ASSERT_EQ(d.updated.dist.size(), query.sources.size());
+  for (size_t k = 0; k < query.sources.size(); ++k) {
+    EXPECT_TRUE(BitEq(d.updated.dist[k], d.recompute.dist[k])) << "lane " << k;
+  }
+  // The bridge joins the islands: lane 0 newly reaches vertex 140.
+  EXPECT_EQ(d.initial.dist[0][140], kInfDistance);
+  EXPECT_LT(d.updated.dist[0][140], kInfDistance);
 }
 
 // Two sessions of different apps stay live on one world, each warm in its

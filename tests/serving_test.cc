@@ -15,7 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "apps/bfs.h"
 #include "apps/cc.h"
+#include "apps/ms_bfs.h"
 #include "apps/ms_sssp.h"
 #include "apps/register_apps.h"
 #include "apps/sssp.h"
@@ -50,31 +52,70 @@ const std::vector<VertexId> kSources = {0, 7, 33, 95, 143};
 
 // ---------------------------------------------------------------------------
 // Engine-level golden: every lane of a fused multi-source wave carries
-// the same bits as a standalone single-source SsspApp run.
+// the same bits as a standalone single-source run of the same app.
+
+/// K lanes over the 144-vertex serving grid; a wave of more than one lane
+/// repeats its first source in its last lane.
+std::vector<VertexId> LaneSources(size_t k) {
+  std::vector<VertexId> sources;
+  for (size_t i = 0; i < k; ++i) {
+    sources.push_back(static_cast<VertexId>((i * 37 + 11) % 144));
+  }
+  if (k > 1) sources.back() = sources.front();
+  return sources;
+}
+
+/// Runs one `MsApp` wave over `sources` as a session on `world` and checks
+/// each lane (`lanes_of` the output) bit-equal to a local `App` run from
+/// that lane's source (`answer_of` its output) on the same fragments.
+template <typename MsApp, typename App, typename LanesFn, typename AnswerFn>
+void ExpectLanesMatchSingleSource(const FragmentedGraph& fg, Transport* world,
+                                  const char* remote_app,
+                                  const std::vector<VertexId>& sources,
+                                  LanesFn lanes_of, AnswerFn answer_of) {
+  EngineOptions eo;
+  eo.transport = world;
+  eo.remote_app = remote_app;
+  GrapeEngine<MsApp> ms(fg, MsApp{}, eo);
+  typename MsApp::QueryType query;
+  query.sources = sources;
+  ASSERT_OK_AND_ASSIGN(auto wave, ms.SessionRun(query));
+  ms.EndSession();
+
+  const auto& lanes = lanes_of(wave);
+  ASSERT_EQ(lanes.size(), sources.size());
+  for (size_t k = 0; k < sources.size(); ++k) {
+    GrapeEngine<App> ref(fg, App{}, EngineOptions{});
+    ASSERT_OK_AND_ASSIGN(auto single,
+                         ref.Run(typename App::QueryType{sources[k]}));
+    EXPECT_TRUE(BitEq(lanes[k], answer_of(single)))
+        << remote_app << " lane " << k << " of " << sources.size()
+        << " (source " << sources[k] << ")";
+  }
+}
 
 TEST(ServingTest, MultiSourceLanesMatchSingleSourceBits) {
   RegisterBuiltinWorkerApps();
   Graph graph = ServingGraph();
-  FragmentedGraph fg = MakeFragments(graph, "hash", 3);
-
-  auto world = MakeTransport("inproc", 4);
-  ASSERT_TRUE(world.ok()) << world.status();
-  EngineOptions eo;
-  eo.transport = world->get();
-  eo.remote_app = "ms_sssp";
-  GrapeEngine<MsSsspApp> ms(fg, MsSsspApp{}, eo);
-  MsSsspQuery query;
-  query.sources = kSources;
-  auto wave = ms.SessionRun(query);
-  ASSERT_TRUE(wave.ok()) << wave.status();
-  ms.EndSession();
-
-  ASSERT_EQ(wave->dist.size(), kSources.size());
-  for (size_t k = 0; k < kSources.size(); ++k) {
-    GrapeEngine<SsspApp> ref(fg, SsspApp{}, EngineOptions{});
-    auto single = ref.Run(SsspQuery{kSources[k]});
-    ASSERT_TRUE(single.ok()) << single.status();
-    EXPECT_TRUE(BitEq(wave->dist[k], single->dist)) << "lane " << k;
+  for (const char* partitioner : {"hash", "metis"}) {
+    FragmentedGraph fg = MakeFragments(graph, partitioner, 3);
+    for (const char* transport : {"inproc", "tcp"}) {
+      for (size_t k : {1, 2, 8, 16}) {
+        SCOPED_TRACE(std::string(partitioner) + " / " + transport + " / " +
+                     std::to_string(k) + " lanes");
+        const std::vector<VertexId> sources = LaneSources(k);
+        auto world = MakeTransport(transport, 4);
+        ASSERT_TRUE(world.ok()) << world.status();
+        ExpectLanesMatchSingleSource<MsSsspApp, SsspApp>(
+            fg, world->get(), "ms_sssp", sources,
+            [](const MsSsspOutput& o) -> const auto& { return o.dist; },
+            [](const SsspOutput& o) -> const auto& { return o.dist; });
+        ExpectLanesMatchSingleSource<MsBfsApp, BfsApp>(
+            fg, world->get(), "ms_bfs", sources,
+            [](const MsBfsOutput& o) -> const auto& { return o.depth; },
+            [](const BfsOutput& o) -> const auto& { return o.depth; });
+      }
+    }
   }
 }
 
