@@ -13,6 +13,11 @@
 // (1, 2, 4, 8, 16) on a road grid, split into PEval, IncEval and
 // assemble, beside a single-source SsspApp wave on the same world.
 //
+// A fifth section serves reads and writes together on that road grid:
+// closed-loop SSSP readers beside one writer looping Mutate then
+// ComponentLabels, with every answer checked against the sequential
+// oracle at a graph version its request overlapped.
+//
 // Flags: --workers --scale --clients --queries (per client)
 //        --batch-window-ms --mutation-batches --json <path>.
 
@@ -20,20 +25,25 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "apps/ms_sssp.h"
 #include "apps/register_apps.h"
+#include "apps/seq/seq_algorithms.h"
 #include "apps/sssp.h"
 #include "bench/bench_util.h"
 #include "core/engine.h"
 #include "graph/generators.h"
 #include "graph/io.h"
+#include "graph/mutation.h"
 #include "rt/distributed_load.h"
 #include "serve/client.h"
 #include "serve/serve.h"
@@ -172,6 +182,17 @@ void AddWaveRows(const std::string& shape, const WaveCost& cost,
               correct ? "" : "WRONG");
 }
 
+/// Side of the square road grid of about 2^scale vertices.
+uint32_t GridSide(uint32_t scale) {
+  return static_cast<uint32_t>(std::lround(std::sqrt(std::ldexp(1.0, scale))));
+}
+
+Graph RoadGrid(uint32_t side) {
+  auto grid = GenerateGridRoad(side, side, /*seed=*/7);
+  GRAPE_CHECK(grid.ok()) << grid.status();
+  return std::move(grid).value();
+}
+
 /// Wave cost against lane count: a weighted road grid of about 2^scale
 /// vertices (large diameter, so a wave is many supersteps of bounded
 /// IncEval, like serving's point reads), metis-partitioned onto `world`.
@@ -181,12 +202,10 @@ void RunWaveSweep(Transport* world, FragmentId workers, uint32_t scale,
                   Report* report) {
   constexpr int kReps = 9;
   const std::vector<size_t> lane_counts = {1, 2, 4, 8, 16};
-  const auto side =
-      static_cast<uint32_t>(std::lround(std::sqrt(std::ldexp(1.0, scale))));
-  auto grid = GenerateGridRoad(side, side, /*seed=*/7);
-  GRAPE_CHECK(grid.ok()) << grid.status();
-  const VertexId n = grid->num_vertices();
-  FragmentedGraph fg = Fragmentize(*grid, "metis", workers);
+  const uint32_t side = GridSide(scale);
+  const Graph grid = RoadGrid(side);
+  const VertexId n = grid.num_vertices();
+  FragmentedGraph fg = Fragmentize(grid, "metis", workers);
   std::vector<VertexId> sources;
   for (size_t k = 0; k < lane_counts.back(); ++k) {
     sources.push_back(static_cast<VertexId>((k * 2654435761u + 17u) % n));
@@ -232,6 +251,168 @@ void RunWaveSweep(Transport* world, FragmentId workers, uint32_t scale,
     AddWaveRows("lanes=" + std::to_string(lanes), cost, correct, report);
   }
   fused.EndSession();
+}
+
+/// Insert-only batch `b` for a side x side grid: 8 edges, each joining a
+/// vertex to the one two columns away, in both directions, with an
+/// integer weight so every path length stays exact. An insert is an
+/// upsert, so pairs the graph or an earlier batch already joins are
+/// skipped: raising a weight would break the insert-only contract.
+MutationBatch GridInsertBatch(const Graph& g, uint32_t side, uint32_t b,
+                              std::set<std::pair<VertexId, VertexId>>* used) {
+  MutationBatch m;
+  const VertexId n = g.num_vertices();
+  for (uint32_t i = 0; m.size() < 16; ++i) {
+    const VertexId u = (b * 2654435761u + i * 40503u + 13u) % n;
+    const VertexId v = u % side + 2 < side ? u + 2 : u - 2;
+    const auto nbrs = g.OutNeighbors(u);
+    const bool joined = std::any_of(nbrs.begin(), nbrs.end(),
+                                    [v](const Neighbor& e) { return e.vertex == v; });
+    if (joined || !used->insert(std::minmax(u, v)).second) continue;
+    const double w = 1.0 + (b + i) % 10;
+    m.InsertEdge(u, v, w);
+    m.InsertEdge(v, u, w);
+  }
+  return m;
+}
+
+/// Reads and writes served together: `readers` closed-loop SSSP readers
+/// of `queries` reads each, beside one writer that loops Mutate then
+/// ComponentLabels `writes` times, releasing each write once the readers
+/// have completed `readers` more reads. The graph is the metis road grid
+/// of the wave sweep. A read is correct when its answer equals the
+/// oracle at some version in its bracket: from the last write returned
+/// when it was sent to the last write sent when its answer arrived. A
+/// write is correct when its version is the next one and the labels read
+/// after it equal the oracle at that version.
+void RunMixed(Transport* world, FragmentId workers, uint32_t scale,
+              uint32_t readers, uint32_t queries, uint32_t writes,
+              int window_ms, Report* report) {
+  const uint32_t side = GridSide(scale);
+  const Graph grid = RoadGrid(side);
+  const VertexId n = grid.num_vertices();
+  std::vector<VertexId> sources;
+  for (uint32_t k = 0; k < 8; ++k) {
+    sources.push_back(static_cast<VertexId>((k * 2654435761u + 17u) % n));
+  }
+  // Version k is the grid with batches 1..k applied.
+  std::vector<MutationBatch> batches;
+  std::vector<std::vector<std::vector<double>>> dist;  // [version][source]
+  std::vector<std::vector<VertexId>> labels;           // [version]
+  {
+    std::set<std::pair<VertexId, VertexId>> used;
+    const Graph* g = &grid;
+    Graph mutated;
+    for (uint32_t k = 0;; ++k) {
+      dist.emplace_back();
+      for (VertexId s : sources) dist.back().push_back(SeqDijkstra(*g, s));
+      labels.push_back(SeqConnectedComponents(*g));
+      if (k == writes) break;
+      batches.push_back(GridInsertBatch(grid, side, k, &used));
+      auto next = ApplyMutations(*g, batches.back());
+      GRAPE_CHECK(next.ok()) << next.status();
+      mutated = std::move(next).value();
+      g = &mutated;
+    }
+  }
+
+  ServeOptions opts;
+  opts.transport = world;
+  opts.num_fragments = workers;
+  opts.load_coordinator = [&]() -> Result<FragmentedGraph> {
+    return Fragmentize(grid, "metis", workers);
+  };
+  opts.batch_window_ms = window_ms;
+  ServeServer server(opts);
+  Status started = server.Start();
+  GRAPE_CHECK(started.ok()) << started;
+
+  std::atomic<uint64_t> reads_done{0};
+  std::atomic<uint32_t> writes_sent{0};
+  std::atomic<uint32_t> writes_done{0};
+  std::atomic<bool> reads_correct{true};
+  std::vector<std::vector<double>> read_lat(readers);
+  std::vector<std::thread> threads;
+  for (uint32_t c = 0; c < readers; ++c) {
+    threads.emplace_back([&, c] {
+      auto client = ServeClient::Connect(server.port());
+      GRAPE_CHECK(client.ok()) << client.status();
+      for (uint32_t q = 0; q < queries; ++q) {
+        const size_t k = (c * 3 + q) % sources.size();
+        const uint32_t lo = writes_done.load();
+        WallTimer t;
+        auto answer = client->Sssp(sources[k]);
+        read_lat[c].push_back(t.ElapsedSeconds());
+        const uint32_t hi = writes_sent.load();
+        bool ok = false;
+        for (uint32_t v = lo; answer.ok() && !ok && v <= hi; ++v) {
+          ok = SsspMatches(*answer, dist[v][k]);
+        }
+        if (!ok) reads_correct.store(false);
+        reads_done.fetch_add(1);
+      }
+    });
+  }
+  std::vector<double> write_lat;
+  bool writes_correct = true;
+  {
+    auto client = ServeClient::Connect(server.port());
+    GRAPE_CHECK(client.ok()) << client.status();
+    const uint64_t total_reads = uint64_t{readers} * queries;
+    uint64_t release_at = 0;
+    for (uint32_t k = 1; k <= writes; ++k) {
+      while (reads_done.load() < std::min(release_at, total_reads)) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+      writes_sent.store(k);
+      WallTimer t;
+      auto version = client->Mutate(batches[k - 1]);
+      GRAPE_CHECK(version.ok()) << version.status();
+      writes_done.store(k);
+      auto cc = client->ComponentLabels();
+      write_lat.push_back(t.ElapsedSeconds());
+      writes_correct = writes_correct && cc.ok() &&
+                       (*version & 0xffffffffu) == k && *cc == labels[k];
+      release_at = reads_done.load() + readers;
+    }
+  }
+  for (auto& t : threads) t.join();
+  const ServeStats stats = server.stats();
+  server.Shutdown();
+
+  std::vector<double> all;
+  for (auto& v : read_lat) all.insert(all.end(), v.begin(), v.end());
+  std::sort(all.begin(), all.end());
+  std::sort(write_lat.begin(), write_lat.end());
+  const double read_p50 = Percentile(all, 0.5);
+  const double write_p50 = Percentile(write_lat, 0.5);
+
+  PrintHeader("Reads beside writes (" + std::to_string(side) + "x" +
+              std::to_string(side) + " road grid, metis, " +
+              std::to_string(readers) + " SSSP readers x " +
+              std::to_string(queries) + ", 1 writer x " +
+              std::to_string(writes) + " Mutate + ComponentLabels)");
+  std::printf("%-22s %12s %8s %9s %s\n", "Op", "p50(ms)", "Waves", "Promoted",
+              "");
+  std::printf("%-22s %12.3f %8llu %9s %s\n", "read", read_p50 * 1e3,
+              static_cast<unsigned long long>(stats.waves), "-",
+              reads_correct.load() ? "" : "WRONG");
+  std::printf("%-22s %12.3f %8s %9llu %s\n", "write", write_p50 * 1e3, "-",
+              static_cast<unsigned long long>(stats.promoted_mutations),
+              writes_correct ? "" : "WRONG");
+  auto add = [&](const std::string& category, double value, uint64_t ops,
+                 bool correct) {
+    ReportRow row;
+    row.system = "grape_serve/mixed";
+    row.category = category;
+    row.time_s = value;
+    row.rounds = stats.waves;
+    row.messages = ops;
+    row.correct = correct;
+    report->Add(row);
+  };
+  add("read_p50_s", read_p50, all.size(), reads_correct.load());
+  add("write_p50_s", write_p50, write_lat.size(), writes_correct);
 }
 
 int Run(int argc, char** argv) {
@@ -381,6 +562,9 @@ int Run(int argc, char** argv) {
   }
 
   RunWaveSweep(world->get(), workers, scale, &report);
+  RunMixed(world->get(), workers, scale, clients, queries,
+           static_cast<uint32_t>(flags.GetInt("mutation-batches", 8)),
+           window_ms, &report);
 
   MaybeWriteJson(flags, report);
   return 0;

@@ -5,6 +5,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -429,30 +430,82 @@ struct ServeServer::Impl {
       const uint32_t tag = batch[0].tag;
       const bool batchable = tag == kTagSvSssp || tag == kTagSvBfs ||
                              tag == kTagSvCcLabel || tag == kTagSvPageRank;
-      if (batchable && options_.batch_window_ms > 0 && options_.max_batch > 1) {
+      const bool fuse = batchable && options_.batch_window_ms > 0 &&
+                        options_.max_batch > 1;
+      std::vector<PendingRequest> promoted;
+      if (fuse) {
         // Admission window: same-class arrivals within it fuse into one
-        // wave. Different-class requests stay queued in order.
+        // wave. Different-class requests stay queued in order. A Mutate
+        // allowed to jump ends the window at once.
         const auto deadline =
             std::chrono::steady_clock::now() +
             std::chrono::milliseconds(options_.batch_window_ms);
         for (;;) {
           DrainSameTag(tag, &batch);
-          if (batch.size() >= options_.max_batch || stop_.load()) break;
+          TakePromotable(batch, &promoted);
+          if (!promoted.empty() || batch.size() >= options_.max_batch ||
+              stop_.load()) {
+            break;
+          }
           if (qu_cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
             DrainSameTag(tag, &batch);
             break;
           }
         }
       }
+      // The wave boundary: the wave yields to the Mutates queued now, and
+      // to none that arrive later, so writes cannot starve reads.
+      if (batchable && promoted.empty()) TakePromotable(batch, &promoted);
       lk.unlock();
+      if (!promoted.empty()) {
+        promoted_mutations_.fetch_add(promoted.size());
+        for (PendingRequest& req : promoted) {
+          std::vector<PendingRequest> one;
+          one.push_back(std::move(req));
+          Execute(kTagSvMutate, one);
+        }
+        // The reads queued behind the promoted writes join the wave and,
+        // like the reads already in it, answer over G ⊕ M.
+        if (fuse) {
+          lk.lock();
+          DrainSameTag(tag, &batch);
+          lk.unlock();
+        }
+      }
       Execute(tag, batch);
       lk.lock();
     }
   }
 
+  /// Moves to `promoted`, in queue order, every queued Mutate that may run
+  /// ahead of the read wave `batch`: no request from its connection is in
+  /// the batch or ahead of it in the queue (per-connection order holds),
+  /// and no transition ahead of it is held back (transitions never reorder
+  /// among themselves). A Reload keeps its FIFO place: it costs more than
+  /// the wave it would jump.
+  void TakePromotable(const std::vector<PendingRequest>& batch,
+                      std::vector<PendingRequest>* promoted) {
+    std::vector<const Connection*> waiting;
+    for (const PendingRequest& req : batch) waiting.push_back(req.conn.get());
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      const bool own_earlier =
+          std::find(waiting.begin(), waiting.end(), it->conn.get()) !=
+          waiting.end();
+      if (it->tag == kTagSvMutate && !own_earlier) {
+        promoted->push_back(std::move(*it));
+        it = queue_.erase(it);
+        continue;
+      }
+      if (it->tag == kTagSvMutate || it->tag == kTagSvReload) return;
+      waiting.push_back(it->conn.get());
+      ++it;
+    }
+  }
+
   /// Pulls same-class requests forward into the wave — never past a
-  /// queued transition, so a read admitted after a Mutate or Reload
-  /// answers over the graph that transition leaves.
+  /// queued transition, so a read admitted after a Mutate that did not
+  /// jump, or after a Reload, answers over the graph that transition
+  /// leaves.
   void DrainSameTag(uint32_t tag, std::vector<PendingRequest>* batch) {
     for (auto it = queue_.begin();
          it != queue_.end() && batch->size() < options_.max_batch;) {
@@ -546,8 +599,9 @@ struct ServeServer::Impl {
   /// dispatcher thread, BETWEEN waves: a transition frame that arrives
   /// while a wave executes waits in the admission queue (counted as
   /// deferred), so fragments are never swapped and the epoch never bumps
-  /// under a running engine session. WaveGuard makes the invariant
-  /// observable to the reader threads.
+  /// under a running engine session. A Mutate may run ahead of a wave that
+  /// is admitted but not yet running (TakePromotable), never inside one.
+  /// WaveGuard makes the invariant observable to the reader threads.
   struct WaveGuard {
     explicit WaveGuard(Impl* impl) : impl_(impl) {
       impl_->wave_active_.store(true);
@@ -764,6 +818,7 @@ struct ServeServer::Impl {
   std::atomic<uint64_t> reloads_{0};
   std::atomic<uint64_t> mutations_{0};
   std::atomic<uint64_t> deferred_transitions_{0};
+  std::atomic<uint64_t> promoted_mutations_{0};
   std::atomic<uint64_t> delta_refreshes_{0};
 };
 
@@ -789,6 +844,7 @@ ServeStats ServeServer::stats() const {
   s.reloads = impl_->reloads_.load();
   s.mutations = impl_->mutations_.load();
   s.deferred_transitions = impl_->deferred_transitions_.load();
+  s.promoted_mutations = impl_->promoted_mutations_.load();
   s.delta_refreshes = impl_->delta_refreshes_.load();
   return s;
 }

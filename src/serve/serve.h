@@ -70,8 +70,13 @@ struct ServeStats {
   /// Epoch transitions (reload/mutate) that arrived while a superstep
   /// wave was executing and were therefore held in the admission queue
   /// until the wave finished: the dispatcher never swaps fragments or
-  /// bumps the epoch under a running engine session.
+  /// bumps the epoch under a running engine session. A Mutate that
+  /// arrives during an admission window instead is not deferred; it may
+  /// be promoted.
   uint64_t deferred_transitions = 0;
+  /// Mutates run ahead of a read wave that was admitted but not yet
+  /// running (see ServeServer, "Writes go first").
+  uint64_t promoted_mutations = 0;
   /// CC standing answers refreshed by a bounded incremental delta after
   /// an insert-only mutation (instead of invalidation + full recompute).
   uint64_t delta_refreshes = 0;
@@ -96,6 +101,15 @@ struct ServeStats {
 /// bit-identical to one-at-a-time execution because every lane of a fused
 /// wave runs the single-source algorithm's exact arithmetic
 /// (tests/serving_test.cc pins this on every transport).
+///
+/// Writes go first: when an admission window closes, every queued Mutate
+/// runs before the wave unless its own connection has a request in the
+/// batch or ahead of it in the queue, or a transition ahead of it is held
+/// back. A Reload keeps its FIFO place. A Mutate allowed to jump ends the
+/// window at once; the reads queued behind it join the wave, and the whole
+/// wave answers over G ⊕ M. That is linearizable, since each such read was
+/// still unanswered when the Mutate arrived. Mutates that arrive after the
+/// window closed wait for the wave, so writes cannot starve reads.
 class ServeServer {
  public:
   explicit ServeServer(ServeOptions options);

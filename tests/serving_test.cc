@@ -1,14 +1,16 @@
 // Serving-layer tests (src/serve): the golden guarantee — batched answers
 // are bit-identical to one-at-a-time answers, on every transport — plus
-// concurrent clients, per-epoch cache invalidation across reloads, the
-// graph crossing the world once per epoch, the bounded client decoder's
-// rejection path, and shared-secret rank admission on the tcp rendezvous.
+// concurrent clients, per-epoch cache invalidation across reloads, writes
+// running ahead of a read wave still in admission, the graph crossing the
+// world once per epoch, the bounded client decoder's rejection path, and
+// shared-secret rank admission on the tcp rendezvous.
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <string>
@@ -629,6 +631,43 @@ void AppendRequest(uint32_t id, uint32_t tag,
   wire->insert(wire->end(), payload.begin(), payload.end());
 }
 
+std::vector<uint8_t> SourcePayload(VertexId source) {
+  Encoder enc;
+  enc.WriteU32(source);
+  return enc.TakeBuffer();
+}
+
+std::vector<uint8_t> MutationPayload(const MutationBatch& m) {
+  Encoder enc;
+  m.EncodeTo(enc);
+  return enc.TakeBuffer();
+}
+
+/// Reads the next frame on `client`, which must be the ok answer to
+/// request `id`, and decodes its payload as one vector.
+template <typename T>
+void ReadAnswer(ServeClient& client, uint32_t id, std::vector<T>* out) {
+  uint32_t got_id = 0, tag = 0;
+  std::vector<uint8_t> payload;
+  ASSERT_OK(client.ReadRawFrame(&got_id, &tag, &payload));
+  ASSERT_EQ(got_id, id);
+  ASSERT_EQ(tag, kTagSvOk);
+  Decoder dec(payload);
+  ASSERT_OK(dec.ReadPodVector(out));
+}
+
+/// The island bridge of TwoIslandGraph: SSSP from 0 reaches the second
+/// island only after it.
+MutationBatch Bridge() {
+  MutationBatch bridge;
+  bridge.InsertEdge(65, 77, 2.0);
+  bridge.InsertEdge(77, 65, 2.0);
+  return bridge;
+}
+
+/// Lets a request sent by another connection reach the admission queue.
+void LetAdmit() { std::this_thread::sleep_for(std::chrono::milliseconds(200)); }
+
 class ServingTransportTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ServingTransportTest, StandingAnswersSurviveWrites) {
@@ -710,9 +749,7 @@ TEST_P(ServingTransportTest, FailedMutateRefusesQueriesUntilReload) {
   ASSERT_OK_AND_ASSIGN(auto c0, client.ComponentLabels());
   EXPECT_TRUE(BitEq(c0, cc0));
 
-  MutationBatch bridge;
-  bridge.InsertEdge(65, 77, 2.0);
-  bridge.InsertEdge(77, 65, 2.0);
+  const MutationBatch bridge = Bridge();
   world.FailNextMutateAckFrom(1);
   EXPECT_FALSE(client.Mutate(bridge).ok());
   EXPECT_TRUE(client.ComponentLabels().status().IsFailedPrecondition())
@@ -730,6 +767,182 @@ TEST_P(ServingTransportTest, FailedMutateRefusesQueriesUntilReload) {
   server.Shutdown();
 }
 
+// ---------------------------------------------------------------------------
+// Writes go first: at a wave boundary a Mutate from another connection runs
+// ahead of the read wave still in admission, and the wave answers over
+// G ⊕ M; a Mutate behind its own connection's read, or behind a held
+// Reload, keeps its place.
+
+TEST_P(ServingTransportTest, MutateFromAnotherConnectionJumpsTheWindow) {
+  RegisterBuiltinWorkerApps();
+  const Graph graph = TwoIslandGraph();
+  ASSERT_OK_AND_ASSIGN(Graph bridged, ApplyMutations(graph, Bridge()));
+  const std::vector<double> sssp_g = OracleSssp(graph);
+  const std::vector<double> sssp_gm = OracleSssp(bridged);
+  ASSERT_FALSE(BitEq(sssp_g, sssp_gm));
+  auto world = MakeTransport(GetParam(), kFrags + 1);
+  ASSERT_TRUE(world.ok()) << world.status();
+  ServeOptions opts = LoaderOptions(world->get(), &graph);
+  opts.batch_window_ms = 2000;
+  ServeServer server(opts);
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(ServeClient a, ServeClient::Connect(server.port()));
+  ASSERT_OK_AND_ASSIGN(ServeClient b, ServeClient::Connect(server.port()));
+
+  std::vector<uint8_t> wire;
+  AppendRequest(1, kTagSvSssp, SourcePayload(0), &wire);
+  ASSERT_OK(a.SendRawBytes(wire.data(), wire.size()));
+  LetAdmit();
+  // B's answer arrives while A's read is still in its window: without
+  // the jump it would wait out the window and the wave.
+  const auto sent = std::chrono::steady_clock::now();
+  ASSERT_OK_AND_ASSIGN(uint64_t version, b.Mutate(Bridge()));
+  EXPECT_LT(std::chrono::steady_clock::now() - sent,
+            std::chrono::milliseconds(opts.batch_window_ms));
+  EXPECT_EQ(version, (1ull << 32) | 1u);
+  std::vector<double> dist;
+  ReadAnswer(a, 1, &dist);
+  EXPECT_TRUE(BitEq(dist, sssp_gm)) << "the read did not answer over G ⊕ M";
+
+  const ServeStats stats = server.stats();
+  EXPECT_EQ(stats.promoted_mutations, 1u);
+  EXPECT_EQ(stats.deferred_transitions, 0u);
+  EXPECT_EQ(stats.errors, 0u);
+  server.Shutdown();
+}
+
+TEST_P(ServingTransportTest, MutateBehindItsOwnReadKeepsItsPlace) {
+  RegisterBuiltinWorkerApps();
+  const Graph graph = TwoIslandGraph();
+  const std::vector<double> sssp_g = OracleSssp(graph);
+  auto world = MakeTransport(GetParam(), kFrags + 1);
+  ASSERT_TRUE(world.ok()) << world.status();
+  ServeOptions opts = LoaderOptions(world->get(), &graph);
+  opts.batch_window_ms = 200;
+  ServeServer server(opts);
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(ServeClient client, ServeClient::Connect(server.port()));
+
+  // Both frames leave in one write: the read is admitted first.
+  std::vector<uint8_t> wire;
+  AppendRequest(1, kTagSvSssp, SourcePayload(0), &wire);
+  AppendRequest(2, kTagSvMutate, MutationPayload(Bridge()), &wire);
+  ASSERT_OK(client.SendRawBytes(wire.data(), wire.size()));
+  std::vector<double> dist;
+  ReadAnswer(client, 1, &dist);
+  EXPECT_TRUE(BitEq(dist, sssp_g)) << "the read saw its own later write";
+  uint32_t id = 0, tag = 0;
+  std::vector<uint8_t> payload;
+  ASSERT_OK(client.ReadRawFrame(&id, &tag, &payload));
+  EXPECT_EQ(id, 2u);
+  EXPECT_EQ(tag, kTagSvOk);
+  EXPECT_EQ(server.stats().promoted_mutations, 0u);
+  server.Shutdown();
+}
+
+TEST_P(ServingTransportTest, MutateNeverJumpsAHeldReload) {
+  RegisterBuiltinWorkerApps();
+  // Epoch 1 serves the islands, epoch 2 the bridged graph, so a read's
+  // bits tell which epoch answered it.
+  const Graph islands = TwoIslandGraph();
+  ASSERT_OK_AND_ASSIGN(const Graph bridged, ApplyMutations(islands, Bridge()));
+  const std::vector<double> sssp_g = OracleSssp(islands);
+  auto world = MakeTransport(GetParam(), kFrags + 1);
+  ASSERT_TRUE(world.ok()) << world.status();
+  std::atomic<int> loads{0};
+  ServeOptions opts = LoaderOptions(world->get(), &islands);
+  opts.batch_window_ms = 1000;
+  opts.load_coordinator = [&]() -> Result<FragmentedGraph> {
+    return MakeFragments(++loads == 1 ? islands : bridged, "hash", kFrags);
+  };
+  ServeServer server(opts);
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(ServeClient a, ServeClient::Connect(server.port()));
+  ASSERT_OK_AND_ASSIGN(ServeClient b, ServeClient::Connect(server.port()));
+  ASSERT_OK_AND_ASSIGN(ServeClient c, ServeClient::Connect(server.port()));
+
+  // A's read sits in its window, then B's Reload queues, then C's Mutate
+  // queues behind the Reload.
+  MutationBatch shortcut;
+  shortcut.InsertEdge(3, 140, 1.0);
+  shortcut.InsertEdge(140, 3, 1.0);
+  std::vector<uint8_t> wire;
+  AppendRequest(1, kTagSvSssp, SourcePayload(0), &wire);
+  ASSERT_OK(a.SendRawBytes(wire.data(), wire.size()));
+  LetAdmit();
+  wire.clear();
+  AppendRequest(2, kTagSvReload, {}, &wire);
+  ASSERT_OK(b.SendRawBytes(wire.data(), wire.size()));
+  LetAdmit();
+  wire.clear();
+  AppendRequest(3, kTagSvMutate, MutationPayload(shortcut), &wire);
+  ASSERT_OK(c.SendRawBytes(wire.data(), wire.size()));
+
+  std::vector<double> dist;
+  ReadAnswer(a, 1, &dist);
+  EXPECT_TRUE(BitEq(dist, sssp_g)) << "the Reload ran ahead of the wave";
+  uint32_t id = 0, tag = 0;
+  std::vector<uint8_t> payload;
+  ASSERT_OK(b.ReadRawFrame(&id, &tag, &payload));
+  ASSERT_EQ(tag, kTagSvOk);
+  ASSERT_OK(c.ReadRawFrame(&id, &tag, &payload));
+  ASSERT_EQ(tag, kTagSvOk);
+  Decoder dec(payload);
+  uint64_t version = 0;
+  ASSERT_OK(dec.ReadU64(&version));
+  EXPECT_EQ(version, (2ull << 32) | 1u)
+      << "the Mutate ran before the Reload it queued behind";
+  EXPECT_EQ(server.stats().promoted_mutations, 0u);
+  EXPECT_EQ(server.stats().reloads, 1u);
+  server.Shutdown();
+}
+
+TEST_P(ServingTransportTest, ReadsBehindAPromotedMutateJoinTheWave) {
+  RegisterBuiltinWorkerApps();
+  const Graph graph = TwoIslandGraph();
+  ASSERT_OK_AND_ASSIGN(Graph bridged, ApplyMutations(graph, Bridge()));
+  const std::vector<double> sssp_gm = OracleSssp(bridged);
+  auto world = MakeTransport(GetParam(), kFrags + 1);
+  ASSERT_TRUE(world.ok()) << world.status();
+  ServeOptions opts = LoaderOptions(world->get(), &graph);
+  opts.batch_window_ms = 2000;
+  ServeServer server(opts);
+  ASSERT_OK(server.Start());
+  ASSERT_OK_AND_ASSIGN(ServeClient a, ServeClient::Connect(server.port()));
+  ASSERT_OK_AND_ASSIGN(ServeClient b, ServeClient::Connect(server.port()));
+  const ServeStats before = server.stats();
+
+  std::vector<uint8_t> wire;
+  AppendRequest(1, kTagSvSssp, SourcePayload(0), &wire);
+  ASSERT_OK(a.SendRawBytes(wire.data(), wire.size()));
+  LetAdmit();
+  // B's read queues behind its own Mutate, which jumps A's wave.
+  wire.clear();
+  AppendRequest(2, kTagSvMutate, MutationPayload(Bridge()), &wire);
+  AppendRequest(3, kTagSvSssp, SourcePayload(0), &wire);
+  ASSERT_OK(b.SendRawBytes(wire.data(), wire.size()));
+
+  uint32_t id = 0, tag = 0;
+  std::vector<uint8_t> payload;
+  ASSERT_OK(b.ReadRawFrame(&id, &tag, &payload));
+  EXPECT_EQ(id, 2u);
+  EXPECT_EQ(tag, kTagSvOk);
+  std::vector<double> dist_b;
+  ReadAnswer(b, 3, &dist_b);
+  EXPECT_TRUE(BitEq(dist_b, sssp_gm));
+  std::vector<double> dist_a;
+  ReadAnswer(a, 1, &dist_a);
+  EXPECT_TRUE(BitEq(dist_a, sssp_gm));
+
+  const ServeStats after = server.stats();
+  EXPECT_EQ(after.promoted_mutations - before.promoted_mutations, 1u);
+  EXPECT_EQ(after.waves - before.waves, 1u)
+      << "the read behind the write ran in a wave of its own";
+  EXPECT_EQ(after.fused_queries - before.fused_queries, 2u);
+  EXPECT_EQ(after.errors, 0u);
+  server.Shutdown();
+}
+
 INSTANTIATE_TEST_SUITE_P(Transports, ServingTransportTest,
                          ::testing::Values("inproc", "tcp"));
 
@@ -741,9 +954,7 @@ TEST(ServingTest, AdmissionAnswersKeepConnectionOrder) {
   const Graph graph = TwoIslandGraph();
   auto world = MakeTransport("inproc", kFrags + 1);
   ASSERT_TRUE(world.ok()) << world.status();
-  MutationBatch bridge;
-  bridge.InsertEdge(65, 77, 2.0);
-  bridge.InsertEdge(77, 65, 2.0);
+  const MutationBatch bridge = Bridge();
   ASSERT_OK_AND_ASSIGN(Graph bridged, ApplyMutations(graph, bridge));
   const std::vector<VertexId> cc0 = OracleCc(graph);
   const std::vector<VertexId> cc1 = OracleCc(bridged);
@@ -761,10 +972,8 @@ TEST(ServingTest, AdmissionAnswersKeepConnectionOrder) {
 
   // Both frames leave in one write, so the reader admits them back to
   // back, before the dispatcher can have applied the batch.
-  Encoder mutation;
-  bridge.EncodeTo(mutation);
   std::vector<uint8_t> wire;
-  AppendRequest(100, kTagSvMutate, mutation.buffer(), &wire);
+  AppendRequest(100, kTagSvMutate, MutationPayload(bridge), &wire);
   AppendRequest(101, kTagSvCcLabel, {}, &wire);
   ASSERT_OK(client.SendRawBytes(wire.data(), wire.size()));
   uint32_t id = 0, tag = 0;
@@ -782,10 +991,8 @@ TEST(ServingTest, AdmissionAnswersKeepConnectionOrder) {
 
   // A servable CC read behind a queued SSSP read on the same connection
   // waits its turn instead of overtaking it at admission.
-  Encoder source;
-  source.WriteU32(0);
   wire.clear();
-  AppendRequest(102, kTagSvSssp, source.buffer(), &wire);
+  AppendRequest(102, kTagSvSssp, SourcePayload(0), &wire);
   AppendRequest(103, kTagSvCcLabel, {}, &wire);
   ASSERT_OK(client.SendRawBytes(wire.data(), wire.size()));
   ASSERT_OK(client.ReadRawFrame(&id, &tag, &payload));
