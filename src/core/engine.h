@@ -82,11 +82,11 @@ struct EngineOptions {
   /// results (tests/message_path_golden_test.cc).
   Transport* transport = nullptr;
   /// Remote compute: when non-empty, PEval/IncEval/GetPartial do NOT run
-  /// inline in this (rank-0) process. Each fragment is serialized and
-  /// shipped to its rank's worker host — the endpoint process on the
-  /// tcp backend, an in-process worker thread on inproc — which
-  /// executes the phases against its own store and ships back messages,
-  /// per-phase counters, and a final remote partial (rt/worker_protocol.h).
+  /// inline in this (rank-0) process. Each fragment is resident in its
+  /// rank's worker host — the endpoint process on the tcp backend, an
+  /// in-process worker thread on inproc — which executes the phases
+  /// against its own store and ships back messages, per-phase counters,
+  /// and a final remote partial (rt/worker_protocol.h).
   /// The value names the PIE program in WorkerAppRegistry ("sssp", ...);
   /// endpoint processes must have registered it before the transport
   /// forked them (apps/register_apps.h RegisterBuiltinWorkerApps).
@@ -97,21 +97,6 @@ struct EngineOptions {
   /// gives up with Unavailable (a dead endpoint usually surfaces faster
   /// through the transport's health tracking).
   int remote_timeout_ms = 120000;
-  /// Query sessions (SessionRun) on a coordinator-loaded engine only:
-  /// when non-zero, the session's first load ships each fragment together
-  /// with this token and the worker deposits it in its process-local
-  /// ResidentFragmentStore (kWkLoadStashResident) before loading from the
-  /// deposited copy. Other engines can then attach to the very same
-  /// resident fragments by constructing from a DistributedGraphMeta
-  /// carrying this token, without the graph being serialized again. The
-  /// stashing engine itself does not attach: EVERY cold load it makes
-  /// (after EndSession or a failed query) re-encodes and re-ships the
-  /// whole graph, overwriting the deposit and retiring every other app
-  /// slot seated on the old copy. grape_serve therefore uses it
-  /// for one deposit wave per epoch and serves from attached engines
-  /// only. Ignored by Run() and by distributed-load engines (whose
-  /// fragments are already resident).
-  uint64_t resident_stash_token = 0;
   /// Superstep checkpointing + automatic recovery (remote compute only;
   /// drivers resolve --ckpt-every / --ckpt-dir here).
   CheckpointPolicy checkpoint;
@@ -135,10 +120,10 @@ struct RoundMetrics {
 
 struct EngineMetrics {
   uint32_t supersteps = 0;
-  /// Remote runs only: time from the first kTagWkLoad frame until every
-  /// worker acked its load — fragment ship (coordinator-loaded) or
-  /// resident-token attach (distributed-loaded). Zero on local compute,
-  /// where fragments are resident from engine construction.
+  /// Remote runs only: time from the cold load's first frame until every
+  /// worker acked its load — the token attach, plus the deposit when this
+  /// run made it. Zero on local compute, where fragments are resident from
+  /// engine construction.
   double load_seconds = 0;
   double peval_seconds = 0;
   double inceval_seconds = 0;
@@ -213,7 +198,10 @@ struct EngineMetrics {
 ///    endpoint OS process on tcp, an in-process thread on inproc —
 ///    driven through the control frames of rt/worker_protocol.h. The
 ///    engine keeps only the coordinator role: route, aggregate, decide
-///    termination, assemble; it builds no thread pool and no cores. Run,
+///    termination, assemble; it builds no thread pool and no cores. Every
+///    cold load attaches the fragments resident under a token: fg_ is read
+///    only to deposit them (DepositFragments), once, and again only after
+///    Transport::Recover or a failed ApplyMutations. Run,
 ///    SessionRun and the incremental delta all go through one driver,
 ///    DriveRemote, that differs only in its opening: a cold load, a warm
 ///    query re-seed, or a warm IncEval start (plus Run's checkpoint
@@ -240,6 +228,7 @@ class GrapeEngine {
               EngineOptions options = {})
       : fg_(&fg),
         n_frags_(fg.num_fragments()),
+        total_vertices_(fg.total_vertices),
         options_(options),
         owned_world_(options.transport ? nullptr
                                        : std::make_unique<CommWorld>(
@@ -263,8 +252,7 @@ class GrapeEngine {
 
     coord_batches_.resize(n);
     for (FragmentId i = 0; i < n; ++i) {
-      coord_batches_[i].slot_round.assign(fg_->fragments[i].num_local(), 0);
-      coord_batches_[i].slot_pos.resize(fg_->fragments[i].num_local());
+      SizeSlots(i, fg_->fragments[i].num_local());
     }
   }
 
@@ -272,13 +260,14 @@ class GrapeEngine {
   /// DistributedLoad on the same `options.transport` world; this engine
   /// holds only `meta` — fragment shapes and the build token — and runs
   /// the pure coordinator role. Every query executes remotely
-  /// (options.remote_app must name the app); the load frame ships the
-  /// build token instead of a serialized fragment, and each worker
-  /// attaches to the fragment resident in its own process. Rank 0 never
-  /// constructs, decodes, or serializes a fragment on this path.
+  /// (options.remote_app must name the app); each worker attaches to the
+  /// fragment resident under the meta's token in its own process (a
+  /// DepositFragments meta works the same). Rank 0 never constructs,
+  /// decodes, or serializes a fragment on this path.
   GrapeEngine(const DistributedGraphMeta& meta, EngineOptions options)
       : fg_(nullptr),
         n_frags_(meta.num_fragments),
+        total_vertices_(meta.total_vertices),
         resident_token_(meta.token),
         options_(options),
         owned_world_(nullptr),
@@ -295,10 +284,7 @@ class GrapeEngine {
         << "distributed meta carries " << meta.shapes.size()
         << " fragment shapes for " << n << " fragments";
     coord_batches_.resize(n);
-    for (FragmentId i = 0; i < n; ++i) {
-      coord_batches_[i].slot_round.assign(meta.shapes[i].num_local, 0);
-      coord_batches_[i].slot_pos.resize(meta.shapes[i].num_local);
-    }
+    for (FragmentId i = 0; i < n; ++i) SizeSlots(i, meta.shapes[i].num_local);
   }
 
   GrapeEngine(const GrapeEngine&) = delete;
@@ -337,15 +323,11 @@ class GrapeEngine {
   /// with RunIncremental. Returns each fragment's rebuilt shape. This
   /// engine's routing slots are refreshed here; any OTHER engine attached
   /// to the same resident fragments must be handed the shapes via
-  /// RefreshShapes(). Engines attached by token (distributed-load or
-  /// stashing engines) need no live session of their own: the batch names
-  /// the token, and the endpoints patch the fragment resident under it.
-  /// Plain coordinator-loaded engines patch their live session's fragment.
-  /// The workers patch their own resident state, never fg_. A non-serving
-  /// caller that keeps a coordinator-loaded engine's FragmentedGraph and
-  /// will cold-load from it again owns keeping it consistent
-  /// (FragmentBuilder::MutateFragmentedGraph); grape_serve keeps no rank-0
-  /// copy, so the endpoints' fragments are the only one.
+  /// RefreshShapes(). No live session is needed: the batch names the
+  /// resident token (depositing fg_ first if needed), and every later cold
+  /// load on the token attaches to the patched copy, never to fg_. A
+  /// failure may leave the copies disagreeing: it ends the session, and a
+  /// coordinator-loaded engine re-deposits the unmutated fg_.
   Result<std::vector<WkBuildAck>> ApplyMutations(const MutationBatch& batch) {
     if constexpr (RemoteCompatibleApp<App>) {
       if (options_.remote_app.empty()) {
@@ -354,21 +336,16 @@ class GrapeEngine {
             "engines mutate their graph directly "
             "(FragmentBuilder::MutateFragmentedGraph)");
       }
-      const uint64_t token = ResidentToken();
-      if (!session_live_ && token == 0) {
-        return Status::FailedPrecondition(
-            "ApplyMutations requires a live session (SessionRun first): "
-            "the batch applies to the state resident in the endpoints");
-      }
+      GRAPE_RETURN_NOT_OK(batch.Validate(total_vertices_));
       // Keep the world's in-thread hosts up for the call even without a
       // live session of our own.
       std::shared_ptr<InThreadWorkers> hosts =
           session_live_ ? hosts_ : InThreadWorkers::Share(world_, n_frags_);
-      Result<std::vector<WkBuildAck>> shapes =
-          ApplyMutationsImpl(batch, token);
-      // A half-applied mutation leaves the endpoints inconsistent with
-      // each other; the session is unusable and must cold-start.
-      if (!shapes.ok()) EndSession();
+      Result<std::vector<WkBuildAck>> shapes = ApplyMutationsImpl(batch);
+      if (!shapes.ok()) {
+        EndSession();
+        DropDeposit();
+      }
       return shapes;
     } else {
       return Status::InvalidArgument(
@@ -392,7 +369,8 @@ class GrapeEngine {
   /// (reported via metrics().incremental_fallback) — never a silently
   /// stale answer. So do apps with private state (CheckpointableApp): a
   /// mutation re-seats each worker's app slot with a fresh App, so only
-  /// the parameter store survives to warm-start from.
+  /// the parameter store survives to warm-start from. The full re-run
+  /// reads the patched resident fragments, never fg_.
   Result<Output> RunIncremental(const Query& query,
                                 const MutationBatch& batch) {
     if constexpr (RemoteCompatibleApp<App>) {
@@ -421,38 +399,32 @@ class GrapeEngine {
   /// stale slot_round on its first use).
   void RefreshShapes(const std::vector<WkBuildAck>& shapes) {
     GRAPE_CHECK(shapes.size() == coord_batches_.size());
-    for (FragmentId i = 0; i < n_frags_; ++i) {
-      coord_batches_[i].slot_round.assign(shapes[i].num_local, 0);
-      coord_batches_[i].slot_pos.assign(shapes[i].num_local, 0);
-      coord_batches_[i].round = 0;
-      coord_batches_[i].lids.clear();
-      coord_batches_[i].values.clear();
-    }
+    for (FragmentId i = 0; i < n_frags_; ++i) SizeSlots(i, shapes[i].num_local);
   }
 
   /// Query-session entry point (the serving layer's hot path): like
   /// Run(), but the remote workers stay loaded between calls. The first
-  /// SessionRun performs the full load (shipping fragments or attaching to
-  /// resident ones) into this engine's app slot — keyed by remote_app —
-  /// in every endpoint; every later call re-seeds that slot with just the
-  /// next query over kTagWkQuery — the slot name and the query, no
-  /// fragment bytes — then runs the identical PEval → IncEval* → Assemble
-  /// superstep loop. Answers are bit-identical to Run(): the per-query
-  /// state (parameter store, update sets, message expectations) is rebuilt
-  /// from scratch on both paths; only the fragment survives between
-  /// queries. Sessions reject CheckpointPolicy (a session's unit of retry
-  /// is the query — the caller just re-runs it; on failure the session is
-  /// torn down and the next call cold-starts with a full load).
+  /// SessionRun performs the cold load (attaching to the resident
+  /// fragments) into this engine's app slot — keyed by remote_app — in
+  /// every endpoint; every later call re-seeds that slot with just the
+  /// next query over kTagWkQuery, then runs the identical PEval →
+  /// IncEval* → Assemble superstep loop. Answers are bit-identical to
+  /// Run(): the per-query state (parameter store, update sets, message
+  /// expectations) is rebuilt from scratch on both paths; only the
+  /// fragment survives between queries. Sessions reject CheckpointPolicy
+  /// (a session's unit of retry is the query — the caller just re-runs
+  /// it; on failure the session is torn down and the next call
+  /// cold-starts).
   ///
   /// Sessions of engines with different remote_app names may be live on
   /// one world at once, each warm in its own slot over the endpoints' one
   /// resident fragment; grape_serve keeps one per query class. Their
   /// queries must not overlap in time (one coordinator drives the world
   /// at a time), and they must share the fragment: a cold load that
-  /// brings a different fragment (a plain ship, another token) retires
-  /// every other slot, whose next call then fails and cold-starts. Two
-  /// engines with the same remote_app share a slot, so the later load
-  /// replaces the earlier engine's session.
+  /// attaches another token retires every other slot, whose next call
+  /// then fails and cold-starts. Two engines with the same remote_app
+  /// share a slot, so the later load replaces the earlier engine's
+  /// session.
   Result<Output> SessionRun(const Query& query) {
     if constexpr (RemoteCompatibleApp<App>) {
       if (options_.remote_app.empty()) {
@@ -477,8 +449,9 @@ class GrapeEngine {
   /// (inproc) is released — the last holder stops and joins them. Every
   /// other engine's slot on the world stays warm. The one retirement path
   /// — Run calls it after every attempt, sessions keep their slot until
-  /// it runs. Idempotent; also runs on destruction and before any Run()
-  /// on this engine.
+  /// it runs. The resident fragments stay, for the next cold load.
+  /// Idempotent; also runs on destruction and before any Run() on this
+  /// engine.
   void EndSession() {
     if (session_live_) {
       (void)SendToWorkers(kTagWkShutdown, [&](FragmentId, Encoder& enc) {
@@ -489,7 +462,10 @@ class GrapeEngine {
     session_live_ = false;
   }
 
-  ~GrapeEngine() { EndSession(); }
+  ~GrapeEngine() {
+    DropDeposit();
+    EndSession();
+  }
 
   const EngineMetrics& metrics() const { return metrics_; }
 
@@ -506,11 +482,35 @@ class GrapeEngine {
   /// Rank of worker i in the comm world (rank 0 is the coordinator).
   static uint32_t RankOf(FragmentId i) { return i + 1; }
 
-  /// ResidentFragmentStore token the endpoints hold this engine's graph
-  /// under: the distributed build's, a stashing engine's, or 0 for plain
-  /// fragment ships.
-  uint64_t ResidentToken() const {
-    return fg_ == nullptr ? resident_token_ : options_.resident_stash_token;
+  /// Sizes the coordinator's routing slots for fragment i's num_local.
+  void SizeSlots(FragmentId i, LocalId num_local) {
+    CoordBatch& batch = coord_batches_[i];
+    batch.slot_round.assign(num_local, 0);
+    batch.slot_pos.assign(num_local, 0);
+    batch.round = 0;
+    batch.lids.clear();
+    batch.values.clear();
+  }
+
+  /// Deposits fg_ unless a token is resident; a re-deposit after mutations
+  /// returns the routing slots to fg_'s shapes.
+  Status EnsureDeposited() {
+    if (resident_token_ != 0 || fg_ == nullptr) return Status::OK();
+    DistributedGraphMeta meta;
+    GRAPE_ASSIGN_OR_RETURN(
+        meta, DepositFragments(world_, *fg_, options_.remote_timeout_ms));
+    for (FragmentId i = 0; i < n_frags_; ++i) {
+      SizeSlots(i, meta.shapes[i].num_local);
+    }
+    resident_token_ = meta.token;
+    return Status::OK();
+  }
+
+  /// Releases this engine's own deposit; EnsureDeposited makes a new one.
+  void DropDeposit() {
+    if (fg_ == nullptr || resident_token_ == 0) return;
+    ReleaseResident(world_, resident_token_);
+    resident_token_ = 0;
   }
 
   /// The enforced contract's answer when a warm start would be unsound: a
@@ -926,6 +926,8 @@ class GrapeEngine {
       if (Status r = world_->Recover(); !r.ok()) {
         return out;  // rebuild failed: surface the original death
       }
+      // Respawned endpoints start with empty stores.
+      DropDeposit();
       ++run_recoveries_;
     }
   }
@@ -944,8 +946,7 @@ class GrapeEngine {
           "the query, ApplyMutations the batch, then RunIncremental "
           "re-answers that same query");
     }
-    Result<Output> out =
-        DriveRemote(query, opening, touched, options_.resident_stash_token);
+    Result<Output> out = DriveRemote(query, opening, touched);
     if (!out.ok()) EndSession();
     return out;
   }
@@ -954,12 +955,10 @@ class GrapeEngine {
   /// completed superstep 1 — or, for kRestore, back to the last checkpoint
   /// barrier. Every later superstep is the same: termination check, route,
   /// IncEval command, RecordRound, checkpoint, on_superstep. GetPartial +
-  /// Assemble close the query. Cold loads ship `stash_token` with each
-  /// fragment when non-zero (kWkLoadStashResident). Worker retirement is
-  /// left to the caller (EndSession).
+  /// Assemble close the query. A cold load deposits fg_ first if needed.
+  /// Worker retirement is left to the caller (EndSession).
   Result<Output> DriveRemote(const Query& query, Opening opening,
-                             const std::vector<VertexId>& touched = {},
-                             uint64_t stash_token = 0)
+                             const std::vector<VertexId>& touched = {})
     requires RemoteCompatibleApp<App>
   {
     WallTimer total_timer;
@@ -994,15 +993,13 @@ class GrapeEngine {
           // like a load.
           ScopedTimer t(&metrics_.load_seconds);
           const bool cold = opening == Opening::kLoad;
+          if (cold) GRAPE_RETURN_NOT_OK(EnsureDeposited());
           GRAPE_RETURN_NOT_OK(SendToWorkers(
-              cold ? kTagWkLoad : kTagWkQuery,
-              [&](FragmentId i, Encoder& enc) {
-                if (cold) {
-                  EncodeLoadFrame(i, query, stash_token, enc);
-                } else {
-                  enc.WriteString(options_.remote_app);
-                  EncodeValue(enc, query);
-                }
+              cold ? kTagWkLoad : kTagWkQuery, [&](FragmentId, Encoder& enc) {
+                enc.WriteString(options_.remote_app);
+                if (cold) enc.WriteU8(WorkerFlags());
+                EncodeValue(enc, query);
+                if (cold) enc.WriteU64(resident_token_);
               }));
           RemoteRound load;
           GRAPE_RETURN_NOT_OK(AwaitPhase(kWkPhaseLoad, 0, &load));
@@ -1118,34 +1115,6 @@ class GrapeEngine {
     return options_.check_monotonicity ? kWkLoadCheckMonotonicity : 0;
   }
 
-  /// Worker i's kTagWkLoad frame: app name, flags, query, then the
-  /// fragment source.
-  /// Coordinator-loaded engines serialize the fragment — preceded by
-  /// `stash_token` when the worker should also deposit it in its
-  /// ResidentFragmentStore. Distributed-load engines ship only the build
-  /// token, and each worker attaches to the fragment already resident in
-  /// its own process — the graph never transits rank 0.
-  void EncodeLoadFrame(FragmentId i, const Query& query, uint64_t stash_token,
-                       Encoder& enc) const
-    requires RemoteCompatibleApp<App>
-  {
-    uint8_t flags = WorkerFlags();
-    if (fg_ == nullptr) {
-      flags |= kWkLoadUseResident;
-    } else if (stash_token != 0) {
-      flags |= kWkLoadStashResident;
-    }
-    enc.WriteString(options_.remote_app);
-    enc.WriteU8(flags);
-    EncodeValue(enc, query);
-    if (fg_ == nullptr) {
-      enc.WriteU64(resident_token_);
-      return;
-    }
-    if (stash_token != 0) enc.WriteU64(stash_token);
-    fg_->fragments[i].EncodeTo(enc);
-  }
-
   /// Sends one control frame to every worker, encoding worker i's payload
   /// with `encode(i, enc)`.
   template <typename EncodeFn>
@@ -1185,14 +1154,11 @@ class GrapeEngine {
   /// after the worker finished its peer-to-peer mirror/warm-value
   /// exchange, so a complete ack set means every routing plan is resolved
   /// and every outer copy holds its owner's converged value.
-  Result<std::vector<WkBuildAck>> ApplyMutationsImpl(const MutationBatch& b,
-                                                     uint64_t token) {
-    if (fg_ != nullptr) {
-      GRAPE_RETURN_NOT_OK(b.Validate(fg_->total_vertices));
-    }
+  Result<std::vector<WkBuildAck>> ApplyMutationsImpl(const MutationBatch& b) {
+    GRAPE_RETURN_NOT_OK(EnsureDeposited());
     GRAPE_RETURN_NOT_OK(
         SendToWorkers(kTagWkMutate, [&](FragmentId, Encoder& enc) {
-          enc.WriteU64(token);
+          enc.WriteU64(resident_token_);
           b.EncodeTo(enc);
         }));
     std::vector<WkBuildAck> shapes(n_frags_);
@@ -1449,11 +1415,12 @@ class GrapeEngine {
     return Status::OK();
   }
 
-  /// The coordinator-loaded graph, or nullptr for a distributed-load
-  /// engine (which holds only shapes and the resident-build token).
+  /// The coordinator-loaded graph, or nullptr for an engine built from a
+  /// DistributedGraphMeta (which holds only shapes and the token).
   const FragmentedGraph* fg_;
   FragmentId n_frags_;
-  /// ResidentFragmentStore key of the distributed build (fg_ == nullptr).
+  VertexId total_vertices_;
+  /// Token the workers attach by: the meta's, or fg_'s deposit (0: none).
   uint64_t resident_token_ = 0;
   EngineOptions options_;
   std::unique_ptr<Transport> owned_world_;  // only when no external substrate

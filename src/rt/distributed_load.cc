@@ -84,6 +84,37 @@ Status AwaitFromAllWorkers(Transport* world, uint32_t n, uint32_t want_tag,
   return Status::OK();
 }
 
+/// Drains stale worker frames at rank 0, so they cannot fail this run's
+/// awaits, holds the world's in-thread hosts, and mints a token.
+DistributedGraphMeta OpenResident(Transport* world, uint32_t n,
+                                  std::shared_ptr<InThreadWorkers>* hosts) {
+  DrainWorkerFrames(world, 0, 0);
+  *hosts = InThreadWorkers::Share(world, n);
+  DistributedGraphMeta meta;
+  meta.token = TokenCounter().fetch_add(1, std::memory_order_relaxed);
+  meta.num_fragments = n;
+  meta.shapes.resize(n);
+  return meta;
+}
+
+/// Collects every worker's kTagWkBuildAck for meta->token into
+/// meta->shapes.
+Status AwaitShapes(Transport* world, int timeout_ms, const char* what,
+                   DistributedGraphMeta* meta) {
+  return AwaitFromAllWorkers(
+      world, meta->num_fragments, kTagWkBuildAck, timeout_ms, what,
+      &meta->coordinator_data_frames, [=](uint32_t frag, Decoder& dec) {
+        WkBuildAck ack;
+        GRAPE_RETURN_NOT_OK(WkBuildAck::DecodeFrom(dec, &ack));
+        if (ack.token != meta->token) {
+          return Status::Internal(std::string(what) + ": different token");
+        }
+        meta->shapes[frag] =
+            FragmentShape{ack.num_inner, ack.num_local, ack.num_arcs};
+        return Status::OK();
+      });
+}
+
 }  // namespace
 
 Result<DistributedGraphMeta> DistributedLoad(
@@ -122,19 +153,9 @@ Result<DistributedGraphMeta> DistributedLoad(
   std::vector<ShardRange> ranges;
   GRAPE_ASSIGN_OR_RETURN(ranges, ComputeShardRanges(options.path, n));
 
-  // A previous build or run on this world may have left worker frames
-  // behind; drain them so they cannot alias into this build. The in-thread
-  // hosts (inproc) are the world's shared set: a live session's hosts
-  // run the build too.
-  DrainWorkerFrames(world, 0, 0);
-  std::shared_ptr<InThreadWorkers> in_thread =
-      InThreadWorkers::Share(world, n);
-
-  DistributedGraphMeta meta;
-  meta.token = TokenCounter().fetch_add(1, std::memory_order_relaxed);
-  meta.num_fragments = n;
+  std::shared_ptr<InThreadWorkers> in_thread;
+  DistributedGraphMeta meta = OpenResident(world, n, &in_thread);
   meta.directed = options.format.directed;
-  meta.shapes.resize(n);
 
   // Phase 1: shard scan. Every worker reads its byte range and reports
   // (max gid, edge count); no edge travels here.
@@ -197,25 +218,51 @@ Result<DistributedGraphMeta> DistributedLoad(
     GRAPE_RETURN_NOT_OK(
         world->Send(kCoordinatorRank, i + 1, kTagWkBuild, enc.TakeBuffer()));
   }
-  GRAPE_RETURN_NOT_OK(AwaitFromAllWorkers(
-      world, n, kTagWkBuildAck, options.timeout_ms, "build acks",
-      &meta.coordinator_data_frames, [&](uint32_t frag, Decoder& dec) {
-        WkBuildAck ack;
-        GRAPE_RETURN_NOT_OK(WkBuildAck::DecodeFrom(dec, &ack));
-        if (ack.token != meta.token) {
-          return Status::Internal("build ack for a different build");
-        }
-        meta.shapes[frag].num_inner = ack.num_inner;
-        meta.shapes[frag].num_local = ack.num_local;
-        meta.shapes[frag].num_arcs = ack.num_arcs;
-        return Status::OK();
-      }));
+  GRAPE_RETURN_NOT_OK(
+      AwaitShapes(world, options.timeout_ms, "build acks", &meta));
   meta.build_seconds = build_timer.ElapsedSeconds();
   if (options.verbose) {
     GRAPE_LOG(kInfo) << "distributed load: fragments resident ("
                      << meta.build_seconds << "s exchange+assembly)";
   }
   return meta;
+}
+
+Result<DistributedGraphMeta> DepositFragments(Transport* world,
+                                              const FragmentedGraph& fg,
+                                              int timeout_ms) {
+  const uint32_t n = fg.num_fragments();
+  if (world == nullptr || world->size() != n + 1) {
+    return Status::InvalidArgument("a deposit needs num_fragments()+1 ranks");
+  }
+  std::shared_ptr<InThreadWorkers> in_thread;
+  DistributedGraphMeta meta = OpenResident(world, n, &in_thread);
+  meta.total_vertices = fg.total_vertices;
+  meta.directed = fg.directed;
+  Status s = Status::OK();
+  for (uint32_t i = 0; i < n && s.ok(); ++i) {
+    Encoder enc(world->buffer_pool().Acquire());
+    enc.WriteU64(meta.token);
+    fg.fragments[i].EncodeTo(enc);
+    s = world->Send(kCoordinatorRank, i + 1, kTagWkDeposit, enc.TakeBuffer());
+  }
+  if (s.ok()) s = AwaitShapes(world, timeout_ms, "deposit acks", &meta);
+  if (!s.ok()) {
+    ReleaseResident(world, meta.token);
+    return s;
+  }
+  return meta;
+}
+
+void ReleaseResident(Transport* world, uint64_t token) {
+  for (uint32_t rank = 1; rank < world->size(); ++rank) {
+    Encoder enc(world->buffer_pool().Acquire());
+    enc.WriteU64(token);
+    // Best effort: a dead endpoint took its store with it.
+    (void)world->Send(kCoordinatorRank, rank, kTagWkRelease,
+                      enc.TakeBuffer());
+  }
+  ResidentFragmentStore::Global().Erase(token);
 }
 
 }  // namespace grape

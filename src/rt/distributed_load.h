@@ -7,6 +7,7 @@
 
 #include "graph/io.h"
 #include "graph/types.h"
+#include "partition/fragment.h"
 #include "rt/transport.h"
 #include "util/result.h"
 
@@ -40,9 +41,10 @@ struct FragmentShape {
   uint64_t num_arcs = 0;
 };
 
-/// What the coordinator holds after a distributed build: metadata only.
-/// The fragments themselves are resident in the worker endpoints'
-/// ResidentFragmentStore under `token`, keyed additionally by rank.
+/// What the coordinator holds after a distributed build or a deposit:
+/// metadata only. The fragments themselves are resident in the worker
+/// endpoints' ResidentFragmentStore under `token`, keyed additionally by
+/// rank.
 struct DistributedGraphMeta {
   uint64_t token = 0;
   FragmentId num_fragments = 0;
@@ -88,6 +90,21 @@ struct DistributedGraphMeta {
 /// the function spawns in-thread workers for the duration of the build.
 Result<DistributedGraphMeta> DistributedLoad(
     Transport* world, const DistributedLoadOptions& options);
+
+/// Coordinator loading: ships each fragment of `fg` to its worker once
+/// (kTagWkDeposit, acked with its shape) and returns the metadata a
+/// distributed build would, under a fresh token (timings and total_edges
+/// stay zero). The caller owns the deposit: ReleaseResident frees it, as
+/// does a failure here. `world` must be sized fg.num_fragments()+1.
+Result<DistributedGraphMeta> DepositFragments(Transport* world,
+                                              const FragmentedGraph& fg,
+                                              int timeout_ms = 120000);
+
+/// Frees the fragments resident under `token`: a fire-and-forget
+/// kTagWkRelease to every worker, and an erase from this process's store
+/// (the workers' own on inproc). Engines still attached to the token fail
+/// their next cold load with NotFound.
+void ReleaseResident(Transport* world, uint64_t token);
 
 }  // namespace grape
 

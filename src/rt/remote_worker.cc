@@ -166,18 +166,14 @@ void RemoteWorkerHost::AdoptFragment(std::shared_ptr<const Fragment> fragment,
 }
 
 Status RemoteWorkerHost::AttachResident(uint64_t token) {
+  if (fragment_ != nullptr && token == token_) return Status::OK();
   std::shared_ptr<const Fragment> resident =
       ResidentFragmentStore::Global().Get(token, rank_);
   if (resident == nullptr) {
     return Status::NotFound(
         "no resident fragment for build token " + std::to_string(token) +
         " at rank " + std::to_string(rank_) +
-        " (was the distributed load run on this world?)");
-  }
-  if (resident->fid() + 1 != rank_) {
-    return Status::InvalidArgument(
-        "resident fragment " + std::to_string(resident->fid()) +
-        " found at rank " + std::to_string(rank_));
+        " (never built or deposited on this world, or released)");
   }
   AdoptFragment(std::move(resident), token);
   return Status::OK();
@@ -203,41 +199,58 @@ Status RemoteWorkerHost::HandleLoad(const std::vector<uint8_t>& payload) {
   if (!factory.ok()) return EmitError(factory.status());
   std::unique_ptr<WorkerAppServerBase> server = (*factory)();
   if (Status s = server->DecodeQuery(dec); !s.ok()) return EmitError(s);
-
-  // The fragment source: a token to attach by, a shipped fragment to
-  // deposit under a token (ship-and-stash, so every later load on this
-  // world — another query class's engine, a post-reload session —
-  // attaches instead of re-shipping the graph), or a plain ship.
-  if ((flags & kWkLoadUseResident) != 0) {
-    uint64_t token = 0;
-    Status s = dec.ReadU64(&token);
-    if (s.ok() && (fragment_ == nullptr || token != token_)) {
-      s = AttachResident(token);
-    }
-    if (!s.ok()) return EmitError(s);
-  } else {
-    uint64_t token = 0;
-    if ((flags & kWkLoadStashResident) != 0) {
-      if (Status s = dec.ReadU64(&token); !s.ok()) return EmitError(s);
-    }
-    auto owned = std::make_shared<Fragment>();
-    if (Status s = Fragment::DecodeFrom(dec, owned.get()); !s.ok()) {
-      return EmitError(s);
-    }
-    if (token != 0) ResidentFragmentStore::Global().Put(token, rank_, owned);
-    if (owned->fid() + 1 != rank_) {
-      return EmitError(Status::InvalidArgument(
-          "fragment " + std::to_string(owned->fid()) + " shipped to rank " +
-          std::to_string(rank_) + " (worker rank must be fid + 1)"));
-    }
-    AdoptFragment(std::move(owned), token);
-  }
+  uint64_t token = 0;
+  Status s = dec.ReadU64(&token);
+  if (s.ok()) s = AttachResident(token);
+  if (!s.ok()) return EmitError(s);
   Slot& slot = slots_[app_name];
   slot.server = std::move(server);
   slot.check_monotonicity = (flags & kWkLoadCheckMonotonicity) != 0;
   slot.server->Seat(*fragment_, slot.check_monotonicity);
   current_ = &slot;
   return EmitOpenAck(kWkPhaseLoad, 0);
+}
+
+Status RemoteWorkerHost::HandleDeposit(const std::vector<uint8_t>& payload) {
+  Decoder dec(payload);
+  uint64_t token = 0;
+  auto owned = std::make_shared<Fragment>();
+  Status s = dec.ReadU64(&token);
+  if (s.ok()) s = Fragment::DecodeFrom(dec, owned.get());
+  if (s.ok() && owned->fid() + 1 != rank_) {
+    s = Status::InvalidArgument(
+        "fragment " + std::to_string(owned->fid()) + " deposited at rank " +
+        std::to_string(rank_) + " (worker rank must be fid + 1)");
+  }
+  if (!s.ok()) return EmitError(s);
+  return KeepAndAck(kTagWkBuildAck, token, std::move(owned));
+}
+
+Status RemoteWorkerHost::KeepAndAck(uint32_t tag, uint64_t token,
+                                    std::shared_ptr<const Fragment> frag) {
+  WkBuildAck ack;
+  ack.token = token;
+  ack.num_inner = frag->num_inner();
+  ack.num_local = frag->num_local();
+  ack.num_arcs = frag->num_edges();
+  if (token != 0) {
+    ResidentFragmentStore::Global().Put(token, rank_, std::move(frag));
+  }
+  Encoder enc(pool_->Acquire());
+  ack.EncodeTo(enc);
+  return emit_(kCoordinatorRank, tag, enc.TakeBuffer());
+}
+
+void RemoteWorkerHost::HandleRelease(const std::vector<uint8_t>& payload) {
+  // Never answered, so an unparseable frame is dropped (as in Shutdown).
+  Decoder dec(payload);
+  uint64_t token = 0;
+  if (!dec.ReadU64(&token).ok()) return;
+  ResidentFragmentStore::Global().Erase(token);
+  if (fragment_ != nullptr && token == token_) {
+    AbandonMutation();
+    AdoptFragment(nullptr, 0);
+  }
 }
 
 Status RemoteWorkerHost::HandleQuery(const std::vector<uint8_t>& payload) {
@@ -735,16 +748,10 @@ Status RemoteWorkerHost::MaybeFinishBuild() {
     build_.reset();
     return EmitError(s);
   }
-  WkBuildAck ack;
-  ack.token = b.token;
-  ack.num_inner = b.fragment->num_inner();
-  ack.num_local = b.fragment->num_local();
-  ack.num_arcs = b.fragment->num_edges();
-  ResidentFragmentStore::Global().Put(b.token, rank_, std::move(b.fragment));
-  Encoder enc(pool_->Acquire());
-  ack.EncodeTo(enc);
+  const uint64_t token = b.token;
+  std::shared_ptr<const Fragment> built = std::move(b.fragment);
   build_.reset();
-  return emit_(kCoordinatorRank, kTagWkBuildAck, enc.TakeBuffer());
+  return KeepAndAck(kTagWkBuildAck, token, std::move(built));
 }
 
 // ------------------------------------------------- streaming mutation steps
@@ -775,15 +782,10 @@ Status RemoteWorkerHost::HandleMutate(const std::vector<uint8_t>& payload) {
   MutationBatch batch;
   Status s = dec.ReadU64(&token);
   if (s.ok()) s = MutationBatch::DecodeFrom(dec, &batch);
-  // A token names the resident fragment to patch, so a host with no live
-  // slot (or a fresh in-thread host) can still carry the batch into the
-  // store every later attach reads.
-  if (s.ok() && token != 0 && (fragment_ == nullptr || token != token_)) {
-    s = AttachResident(token);
-  }
-  if (s.ok() && fragment_ == nullptr) {
-    s = Status::FailedPrecondition("mutation before a successful load");
-  }
+  // The token names the resident fragment to patch, so a host with no
+  // live slot (or a fresh in-thread host) can still carry the batch into
+  // the store every later attach reads.
+  if (s.ok()) s = AttachResident(token);
   Result<Fragment> rebuilt =
       s.ok() ? FragmentBuilder::MutateFragment(*fragment_, batch)
              : Result<Fragment>(s);
@@ -957,17 +959,7 @@ Status RemoteWorkerHost::MaybeFinishMutate() {
     }
   }
   fragment_ = std::move(frozen);
-  if (token_ != 0) {
-    ResidentFragmentStore::Global().Put(token_, rank_, fragment_);
-  }
-  WkBuildAck ack;
-  ack.token = token_;
-  ack.num_inner = fragment_->num_inner();
-  ack.num_local = fragment_->num_local();
-  ack.num_arcs = fragment_->num_edges();
-  Encoder enc(pool_->Acquire());
-  ack.EncodeTo(enc);
-  return emit_(kCoordinatorRank, kTagWkMutateAck, enc.TakeBuffer());
+  return KeepAndAck(kTagWkMutateAck, token_, fragment_);
 }
 
 Status RemoteWorkerHost::HandleIncStart(const std::vector<uint8_t>& payload) {
@@ -1117,6 +1109,16 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
     }
     case kTagWkShutdown: {
       HandleShutdown(payload);
+      pool_->Release(std::move(payload));
+      return Status::OK();
+    }
+    case kTagWkDeposit: {
+      Status s = HandleDeposit(payload);
+      pool_->Release(std::move(payload));
+      return s;
+    }
+    case kTagWkRelease: {
+      HandleRelease(payload);
       pool_->Release(std::move(payload));
       return Status::OK();
     }

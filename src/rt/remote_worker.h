@@ -38,12 +38,12 @@ struct WorkerPhaseOutput {
   double global = 0.0;
 };
 
-/// Process-wide store of fragments assembled by distributed builds
-/// (rt/distributed_load.h), keyed by (build token, worker rank). A
-/// kTagWkLoad frame flagged kWkLoadUseResident attaches to an entry
-/// instead of decoding a shipped fragment, so the graph never leaves the
-/// endpoint process. Entries are shared_ptrs: a loaded WorkerCore keeps
-/// its fragment alive even across later builds.
+/// Process-wide store of resident fragments, keyed by (token, worker
+/// rank): what a distributed build assembled or a coordinator deposit
+/// shipped (rt/distributed_load.h). Every kTagWkLoad attaches to an entry
+/// by token, so a fragment crosses the world at most once. Entries are
+/// shared_ptrs: a seated host keeps its fragment alive until a release
+/// (kTagWkRelease) or a load of another token drops it.
 class ResidentFragmentStore {
  public:
   static ResidentFragmentStore& Global();
@@ -285,13 +285,13 @@ void RegisterRemoteWorker(const std::string& name) {
 /// single-threaded inside a tcp endpoint's poll loop or an in-process
 /// worker thread.
 ///
-/// The host owns the rank's one resident fragment and keeps one warm
-/// server per app slot over it, keyed by the app name the kTagWkLoad
-/// frame carries. Only the frames that open or retire a slot's query name
-/// it (kTagWkLoad, kTagWkQuery, kTagWkIncStart, kTagWkRestore,
+/// The host is seated on one resident fragment and keeps one warm server
+/// per app slot over it, keyed by the app name the kTagWkLoad frame
+/// carries. Only the frames that open or retire a slot's query name it
+/// (kTagWkLoad, kTagWkQuery, kTagWkIncStart, kTagWkRestore,
 /// kTagWkShutdown); every per-superstep frame goes to the slot the
-/// current query opened. A load that brings a different fragment retires
-/// every other slot (they were seated on the old one); kTagWkMutate
+/// current query opened. A load that attaches a different token retires
+/// every other slot (they were seated on the old fragment); kTagWkMutate
 /// patches the fragment once and re-seats every live slot.
 ///
 /// Protocol violations (unknown app, corrupt frame, command out of order
@@ -327,6 +327,10 @@ class RemoteWorkerHost {
   };
 
   Status HandleLoad(const std::vector<uint8_t>& payload);
+  /// kTagWkDeposit: keep a shipped fragment in the store under its token.
+  Status HandleDeposit(const std::vector<uint8_t>& payload);
+  /// kTagWkRelease: forget a token, and the fragment if seated on it.
+  void HandleRelease(const std::vector<uint8_t>& payload);
   /// kTagWkQuery: re-seed one loaded slot for its session's next query.
   Status HandleQuery(const std::vector<uint8_t>& payload);
   void HandleShutdown(const std::vector<uint8_t>& payload);
@@ -339,6 +343,9 @@ class RemoteWorkerHost {
   /// message frontier and execution continues unchanged afterwards.
   Status MaybeCheckpoint();
   Status HandleRestore(const std::vector<uint8_t>& payload);
+  /// Keeps `frag` under `token` (unless 0) and acks its shape with `tag`.
+  Status KeepAndAck(uint32_t tag, uint64_t token,
+                    std::shared_ptr<const Fragment> frag);
   /// Reports a worker-side failure to the engine (code + message).
   Status EmitError(const Status& error);
   Status EmitAck(const WorkerAck& ack);
@@ -350,11 +357,11 @@ class RemoteWorkerHost {
   /// Forgets the current query: its slot selection and its buffered round
   /// state, which can only belong to an abandoned round now.
   void ClearRound();
-  /// Makes `fragment` the resident one. A different fragment retires
-  /// every slot, since each was seated on the old one.
+  /// Seats the host on `fragment` (nullptr: on none). A different
+  /// fragment retires every slot, since each was seated on the old one.
   void AdoptFragment(std::shared_ptr<const Fragment> fragment, uint64_t token);
-  /// Adopts the fragment a distributed build or a stashing load deposited
-  /// under `token` at this rank.
+  /// Adopts the fragment a distributed build or a deposit left under
+  /// `token` at this rank (no-op when already seated on it).
   Status AttachResident(uint64_t token);
 
   // Distributed build steps (kTagWkShard .. kTagWkBuildAck).
@@ -398,9 +405,9 @@ class RemoteWorkerHost {
   BufferPool* pool_;
 
   /// The resident fragment every slot is seated on, and its
-  /// ResidentFragmentStore token (0 for a plain fragment ship) —
-  /// FinishMutation re-deposits under it, so every later attach on this
-  /// world sees the mutated graph without a new epoch.
+  /// ResidentFragmentStore token (0 for a checkpoint restore's private
+  /// copy) — MaybeFinishMutate re-deposits under it, so every later attach
+  /// on this world sees the mutated graph without a new epoch.
   std::shared_ptr<const Fragment> fragment_;
   uint64_t token_ = 0;
   std::map<std::string, Slot> slots_;

@@ -25,9 +25,14 @@ namespace grape {
 //
 //   engine (rank 0)                      worker host (rank r = fragment r-1)
 //   ───────────────                      ──────────────────────────────────
+//   kTagWkDeposit {token, fragment+
+//                  routing plan} ──────▶ decode fragment, keep it in the
+//                                        process's ResidentFragmentStore
+//                        ◀─ kTagWkBuildAck (token + shape)
 //   kTagWkLoad {app, flags, query,
-//               fragment+routing plan}─▶ instantiate app by name, decode
-//                                        fragment, init ParamStore
+//               token} ────────────────▶ instantiate app by name, attach
+//                                        the resident fragment, init
+//                                        ParamStore
 //                        ◀─ kTagWkAck (phase=load)
 //   kTagWkRunPEval ────────────────────▶ PEval + flush
 //                        ◀─ kTagWkData (param updates for rank 0)
@@ -40,6 +45,8 @@ namespace grape {
 //   kTagWkGetPartial ──────────────────▶ GetPartial
 //                        ◀─ kTagWkPartial {encoded partial}
 //   kTagWkShutdown {app} ──────────────▶ the app's slot retires
+//   kTagWkRelease {token} ─────────────▶ the store forgets the token; a
+//                                        host seated on it drops it too
 //
 // App slots: a worker host keeps one warm server per app name over its
 // one resident fragment (rt/remote_worker.h RemoteWorkerHost), so several
@@ -108,11 +115,10 @@ enum WorkerProtocolTag : uint32_t {
   kTagWkPong = 0x118,           // r -> 0: probe reply (payload echoed)
 
   // Query sessions (core/engine.h SessionRun, the serving layer's hot
-  // path): a loaded slot is handed the NEXT query without re-shipping
-  // the fragment — the server re-seeds its parameter store from the
-  // already-resident fragment. Acked with phase=load, exactly like the
-  // full load it replaces. Control frame, invisible to CommStats like
-  // every other tag here.
+  // path): a loaded slot is handed the NEXT query without a new attach —
+  // the server re-seeds its parameter store over the fragment it is
+  // seated on. Acked with phase=load, exactly like the load it replaces.
+  // Control frame, invisible to CommStats like every other tag here.
   kTagWkQuery = 0x119,  // 0 -> r: payload = app name + encoded query
 
   // Streaming mutations (the incremental serving path): the engine ships
@@ -124,9 +130,8 @@ enum WorkerProtocolTag : uint32_t {
   // outer set from the owners — so a following kTagWkIncStart of any
   // live slot runs IncEval against exactly the state a local warm start
   // would hold. All control frames, invisible to CommStats.
-  //   kTagWkMutate payload: u64 resident token (0: the fragment the host
-  //   holds; otherwise the host attaches to the fragment deposited under
-  //   it first) + encoded MutationBatch.
+  //   kTagWkMutate payload: u64 resident token (the host attaches to the
+  //   fragment resident under it first) + encoded MutationBatch.
   //   kTagWkMutVals payload: varint slot count, then per slot its app name
   //   and a length-prefixed record block.
   kTagWkMutate = 0x11a,     // 0 -> r: token + encoded MutationBatch
@@ -140,6 +145,10 @@ enum WorkerProtocolTag : uint32_t {
   // Re-answers the slot's last query — it deliberately does NOT reset the
   // parameter store the way kTagWkQuery does.
   kTagWkIncStart = 0x11e,
+
+  // Residency (rt/distributed_load.h DepositFragments, ReleaseResident).
+  kTagWkDeposit = 0x11f,  // 0 -> r: token + fragment; acked by kTagWkBuildAck
+  kTagWkRelease = 0x120,  // 0 -> r: token; never answered
 
   kTagWkEnd_,  // exclusive upper bound
 };
@@ -169,21 +178,8 @@ inline constexpr uint8_t kWkPhaseIncEval = 3;
 /// from a checkpoint image and re-buffered the image's pending frames.
 inline constexpr uint8_t kWkPhaseRestore = 4;
 
-/// Flag bits inside kTagWkLoad.
+/// Flag bits inside kTagWkLoad and kTagWkRestore. Bits 1 to 3 are unused.
 inline constexpr uint8_t kWkLoadCheckMonotonicity = 1u << 0;
-/// The load frame carries a resident-fragment token (u64) instead of a
-/// serialized fragment: the worker attaches to the fragment a distributed
-/// build (kTagWkShard..kTagWkBuildAck) left in its process-local store.
-inline constexpr uint8_t kWkLoadUseResident = 1u << 1;
-// Bit 1u << 2 is unused: the remaining flag bits keep their wire values.
-/// The load frame carries BOTH a token (u64) and a serialized fragment:
-/// the worker decodes the fragment, deposits it in its process-local
-/// ResidentFragmentStore under the token, and loads from the deposited
-/// copy. This is how a coordinator-loaded serving session makes its
-/// fragments resident, so every later session on the same world (another
-/// query class, a post-switch reload) attaches by token instead of
-/// re-shipping the graph. Mutually exclusive with kWkLoadUseResident.
-inline constexpr uint8_t kWkLoadStashResident = 1u << 3;
 
 /// Vertex-ownership policies a distributed build can apply locally.
 inline constexpr uint8_t kWkPartitionHash = 0;      // SplitMix64(gid) % n

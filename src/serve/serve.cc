@@ -25,18 +25,8 @@
 #include "core/engine.h"
 #include "rt/frame_decoder.h"
 #include "rt/net_util.h"
-#include "rt/remote_worker.h"
 
 namespace grape {
-
-namespace {
-
-/// Stash-token namespace for coordinator-loaded epochs, far away from the
-/// tokens distributed builds mint, so a serve epoch can never collide with
-/// a build that ran earlier on the same world.
-constexpr uint64_t kSvResidentTokenBase = 0x5345525645ull << 16;  // "SERVE"
-
-}  // namespace
 
 struct ServeServer::Impl {
   // ------------------------------------------------------------ plumbing
@@ -157,63 +147,42 @@ struct ServeServer::Impl {
         conn->fd = -1;
       }
     }
-    ResetEngines();  // retire every class's worker session
+    RetireEpoch();
   }
 
   // ---------------------------------------------------------- graph epoch
 
-  /// Loads the next epoch: tears the per-class engines down, runs the
-  /// loader, rebuilds, primes residency. On failure the server keeps its
-  /// (bumped) epoch but no engines — queries error until a reload works.
+  /// Loads the next epoch: retires the last one, runs the loader, rebuilds,
+  /// primes residency. On failure the server keeps its (bumped) epoch but
+  /// no engines — queries error until a reload works.
   Status LoadEpoch() {
-    ResetEngines();
+    // Before the next graph arrives, so an endpoint never holds two epochs.
+    RetireEpoch();
     graph_unknown_ = false;
     PublishAnswers(nullptr, nullptr);
     mut_seq_ = 0;  // versions are (epoch << 32) | seq; a new epoch restarts seq
-    const uint64_t old_token = token_;
-
-    EngineOptions base;
-    base.transport = options_.transport;
 
     if (options_.load_coordinator) {
       auto fg = options_.load_coordinator();
       GRAPE_RETURN_NOT_OK(fg.status());
       epoch_.fetch_add(1);
-      token_ = kSvResidentTokenBase + epoch_.load();
-      meta_ = DistributedGraphMeta{};
-      meta_.token = token_;
-      meta_.num_fragments = fg->num_fragments();
-      meta_.total_vertices = fg->total_vertices;
-      meta_.directed = fg->directed;
-      for (const Fragment& f : fg->fragments) {
-        meta_.shapes.push_back(
-            FragmentShape{f.num_inner(), f.num_local(), f.num_edges()});
-      }
-      // The one time this epoch's graph crosses the world: a zero-lane
-      // wave on a scoped stashing engine ships each fragment with the
-      // epoch token and the worker deposits it in its
-      // ResidentFragmentStore. The loader's graph dies with this scope;
-      // from here on rank 0 holds only meta_, exactly as under
-      // distributed loading.
-      EngineOptions eo = base;
-      eo.remote_app = "ms_sssp";
-      eo.resident_stash_token = token_;
-      GrapeEngine<MsSsspApp> stasher(*fg, MsSsspApp{}, eo);
-      GRAPE_RETURN_NOT_OK(stasher.SessionRun(MsSsspQuery{}).status());
-      stasher.EndSession();
+      // The one time this epoch's graph crosses the world. The loader's
+      // graph dies with this scope; from here on rank 0 holds only meta_,
+      // exactly as under distributed loading.
+      GRAPE_ASSIGN_OR_RETURN(meta_,
+                             DepositFragments(options_.transport, *fg));
     } else {
-      auto meta = options_.load_distributed(options_.transport);
-      GRAPE_RETURN_NOT_OK(meta.status());
-      meta_ = std::move(meta).value();
+      GRAPE_ASSIGN_OR_RETURN(meta_,
+                             options_.load_distributed(options_.transport));
       epoch_.fetch_add(1);
-      token_ = meta_.token;
     }
 
     // Every engine attaches to the resident fragments by token, each into
     // its own app slot in every endpoint, and every class's session stays
     // warm beside the others; a cold session (the first of its class, or
-    // after a failed wave) loads that way, never by re-shipping the graph.
-    EngineOptions eo = base;
+    // after a failed wave) attaches again, never re-ships the graph.
+    EngineOptions eo;
+    eo.transport = options_.transport;
     eo.remote_app = "ms_sssp";
     sssp_ = std::make_unique<GrapeEngine<MsSsspApp>>(meta_, eo);
     eo.remote_app = "ms_bfs";
@@ -227,27 +196,26 @@ struct ServeServer::Impl {
     // first real query.
     auto primed = sssp_->SessionRun(MsSsspQuery{});
     GRAPE_RETURN_NOT_OK(primed.status());
-
-    // The previous epoch's fragments are dead weight now. Erase reaches
-    // in-process stores (inproc worlds); forked endpoints free theirs when
-    // the next load at each rank drops the last shared_ptr.
-    if (old_token != 0) ResidentFragmentStore::Global().Erase(old_token);
     if (options_.verbose) {
       std::fprintf(stderr,
                    "grape_serve: epoch %llu loaded (%u fragments, token %llx)\n",
                    static_cast<unsigned long long>(epoch_.load()),
                    meta_.num_fragments,
-                   static_cast<unsigned long long>(token_));
+                   static_cast<unsigned long long>(meta_.token));
     }
     return Status::OK();
   }
 
-  /// Destroys the per-class engines; each retires its own app slot.
-  void ResetEngines() {
+  /// Destroys the per-class engines, each retiring its own app slot, then
+  /// frees the epoch's resident fragments in every endpoint (the server
+  /// owns them under either loader).
+  void RetireEpoch() {
     sssp_.reset();
     bfs_.reset();
     cc_.reset();
     pr_.reset();
+    if (meta_.token != 0) ReleaseResident(options_.transport, meta_.token);
+    meta_ = DistributedGraphMeta{};
   }
 
   /// Installs the standing answers (nullptr: not current). Under qu_mu_,
@@ -660,13 +628,9 @@ struct ServeServer::Impl {
       return shapes.status();
     }
 
-    // Every fragment was rebuilt: new shapes for the metadata and for
-    // every engine's routing slots. The carrier refreshed its own inside
-    // ApplyMutations; the call is idempotent, so refresh all four.
-    for (FragmentId i = 0; i < meta_.num_fragments; ++i) {
-      const WkBuildAck& a = (*shapes)[i];
-      meta_.shapes[i] = FragmentShape{a.num_inner, a.num_local, a.num_arcs};
-    }
+    // Every fragment was rebuilt: new shapes for every engine's routing
+    // slots. The carrier refreshed its own inside ApplyMutations; the call
+    // is idempotent, so refresh all four.
     sssp_->RefreshShapes(*shapes);
     if (bfs_) bfs_->RefreshShapes(*shapes);
     if (cc_) cc_->RefreshShapes(*shapes);
@@ -767,7 +731,6 @@ struct ServeServer::Impl {
 
   // Graph epoch state (dispatcher-owned after Start).
   DistributedGraphMeta meta_;
-  uint64_t token_ = 0;
   std::atomic<uint64_t> epoch_{0};
   std::unique_ptr<GrapeEngine<MsSsspApp>> sssp_;
   std::unique_ptr<GrapeEngine<MsBfsApp>> bfs_;

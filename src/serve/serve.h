@@ -26,14 +26,13 @@ struct ServeOptions {
   /// every kTagSvReload, defining a new graph epoch each time.
   ///
   /// Coordinator loading: rank 0 materializes the whole FragmentedGraph
-  /// only inside the load. One zero-lane deposit wave ships each fragment
-  /// to its worker together with the epoch token (kWkLoadStashResident),
-  /// then rank 0 drops the graph and keeps only its DistributedGraphMeta.
-  /// Every query class's session attaches to the resident copies by
-  /// token, into its own app slot in each endpoint, and stays warm beside
-  /// the others: the graph crosses the world exactly once per epoch, and
-  /// mutations patch the endpoints' copies, which are the only ones, and
-  /// re-seat every class's slot on them.
+  /// only inside the load: DepositFragments ships each fragment once,
+  /// then rank 0 keeps only the returned DistributedGraphMeta. Every query
+  /// class's session attaches to the resident copies by token, into its
+  /// own app slot in each endpoint, and stays warm beside the others;
+  /// mutations patch the endpoints' copies, the only ones, and re-seat
+  /// every class's slot on them. Under either loader, a reload (and
+  /// Shutdown) releases the previous epoch's fragments in every endpoint.
   std::function<Result<FragmentedGraph>()> load_coordinator;
   /// Distributed loading: the workers build their fragments themselves
   /// (rt/distributed_load.h) and rank 0 only ever holds the returned

@@ -294,13 +294,14 @@ TEST(ClusterTest, RemoteComputeRunsInsideEndpointProcesses) {
   EngineOptions options;
   options.transport = world.get();
   options.remote_app = "sssp";
-  GrapeEngine<SsspApp> engine(fg, SsspApp{}, options);
-  auto remote = engine.Run(SsspQuery{3});
+  auto engine = std::make_unique<GrapeEngine<SsspApp>>(fg, SsspApp{},
+                                                       options);
+  auto remote = engine->Run(SsspQuery{3});
   ASSERT_TRUE(remote.ok()) << remote.status();
   EXPECT_EQ(remote->dist, local->dist)
       << "remote compute diverged from local compute";
 
-  const EngineMetrics& m = engine.metrics();
+  const EngineMetrics m = engine->metrics();
   ASSERT_EQ(m.remote_peval_runs.size(), kRanks - 1);
   ASSERT_EQ(m.remote_inceval_runs.size(), kRanks - 1);
   ASSERT_EQ(m.remote_worker_pids.size(), kRanks - 1);
@@ -323,7 +324,9 @@ TEST(ClusterTest, RemoteComputeRunsInsideEndpointProcesses) {
   EXPECT_EQ(worker_pids, expected)
       << "worker pids are not the forked endpoint processes";
 
-  // Coordinated shutdown: endpoints drain and exit 0.
+  // Coordinated shutdown: endpoints drain and exit 0. The engine goes
+  // first, since it releases its deposit on the world it ran on.
+  engine.reset();
   world.reset();
   for (pid_t pid : endpoint_pids) {
     int status = 0;

@@ -26,6 +26,7 @@
 #include "rt/distributed_load.h"
 #include "rt/remote_worker.h"
 #include "tests/message_path_scenarios.h"
+#include "tests/test_util.h"
 
 namespace grape {
 namespace {
@@ -131,7 +132,7 @@ TEST(DistributedLoadTest, FragmentsBitIdenticalToCoordinatorBuild) {
           << s.name << ": fragment " << i
           << " is not bit-identical to the coordinator build";
     }
-    ResidentFragmentStore::Global().Erase(meta->token);
+    ReleaseResident(world->get(), meta->token);
     std::remove(path.c_str());
   }
 }
@@ -215,7 +216,7 @@ testing::MessagePathObservation RunDistributedScenario(
     obs.bytes = engine.metrics().bytes;
     obs.supersteps = engine.metrics().supersteps;
   }
-  ResidentFragmentStore::Global().Erase(meta->token);
+  ReleaseResident(world->get(), meta->token);
   std::remove(path.c_str());
   return obs;
 }
@@ -383,6 +384,79 @@ TEST(DistributedLoadTest, ResidentLoadWithoutBuildIsNotFound) {
   auto out = engine.Run(SsspQuery{3});
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsNotFound()) << out.status();
+}
+
+// The residency frames, fed straight into one worker host: a deposit is
+// kept only when it decodes whole and belongs to the host's rank, a bad one
+// is answered with kTagWkError, and a release is never answered — not even
+// an unparseable one.
+TEST(DistributedLoadTest, HostRejectsBadDepositsAndDropsBadReleases) {
+  EXPECT_TRUE(IsWorkerTag(kTagWkDeposit)) << "tcp endpoints would relay it";
+  EXPECT_TRUE(IsWorkerTag(kTagWkRelease));
+  Graph g = testing::ScenarioGraph("grid");
+  FragmentedGraph fg = testing::ScenarioFragments(g, "hash", 4);
+  struct Emitted {
+    uint32_t to;
+    uint32_t tag;
+    std::vector<uint8_t> payload;
+  };
+  std::vector<Emitted> out;
+  const uint32_t rank = 2;  // fragment 1
+  RemoteWorkerHost host(rank, [&out](uint32_t to, uint32_t tag,
+                                     std::vector<uint8_t> payload) {
+    out.push_back(Emitted{to, tag, std::move(payload)});
+    return Status::OK();
+  });
+  auto deposit = [](uint64_t token, const Fragment& frag) {
+    Encoder enc;
+    enc.WriteU64(token);
+    frag.EncodeTo(enc);
+    return enc.TakeBuffer();
+  };
+  const uint64_t truncated_token = 0x7472756e63ull;
+  const uint64_t wrong_fid_token = 0x77666964ull;
+  const uint64_t good_token = 0x676f6f64ull;
+
+  std::vector<uint8_t> truncated = deposit(truncated_token, fg.fragments[1]);
+  truncated.resize(truncated.size() / 2);
+  ASSERT_OK(host.OnFrame(0, kTagWkDeposit, std::move(truncated)));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].to, kCoordinatorRank);
+  ASSERT_EQ(out[0].tag, kTagWkError);
+  EXPECT_TRUE(DecodeWorkerError(out[0].payload).IsCorruption())
+      << DecodeWorkerError(out[0].payload);
+  EXPECT_EQ(ResidentFragmentStore::Global().Get(truncated_token, rank),
+            nullptr);
+
+  ASSERT_OK(host.OnFrame(0, kTagWkDeposit,
+                         deposit(wrong_fid_token, fg.fragments[0])));
+  ASSERT_EQ(out.size(), 2u);
+  ASSERT_EQ(out[1].tag, kTagWkError);
+  EXPECT_TRUE(DecodeWorkerError(out[1].payload).IsInvalidArgument())
+      << DecodeWorkerError(out[1].payload);
+  EXPECT_EQ(ResidentFragmentStore::Global().Get(wrong_fid_token, rank),
+            nullptr);
+
+  ASSERT_OK(host.OnFrame(0, kTagWkRelease, {}));
+  EXPECT_EQ(out.size(), 2u) << "an empty release was answered";
+
+  // The control: a whole deposit is kept and acked with its shape, and its
+  // release forgets it, silently.
+  ASSERT_OK(host.OnFrame(0, kTagWkDeposit,
+                         deposit(good_token, fg.fragments[1])));
+  ASSERT_EQ(out.size(), 3u);
+  ASSERT_EQ(out[2].tag, kTagWkBuildAck);
+  Decoder dec(out[2].payload);
+  WkBuildAck ack;
+  ASSERT_OK(WkBuildAck::DecodeFrom(dec, &ack));
+  EXPECT_EQ(ack.token, good_token);
+  EXPECT_EQ(ack.num_local, fg.fragments[1].num_local());
+  EXPECT_NE(ResidentFragmentStore::Global().Get(good_token, rank), nullptr);
+  Encoder release;
+  release.WriteU64(good_token);
+  ASSERT_OK(host.OnFrame(0, kTagWkRelease, release.TakeBuffer()));
+  EXPECT_EQ(out.size(), 3u);
+  EXPECT_EQ(ResidentFragmentStore::Global().Get(good_token, rank), nullptr);
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include "rt/remote_worker.h"
 #include "rt/transport.h"
 #include "tests/message_path_scenarios.h"
+#include "tests/probing_transport.h"
 
 namespace grape {
 namespace {
@@ -143,16 +144,19 @@ TEST(MessagePathGoldenTest, RemoteRunsAreDeterministic) {
 // Worlds are multi-query: local compute has always supported repeated
 // Run() calls over one transport, and remote compute must too — worker
 // hosts reload on each run's kTagWkLoad and a retired in-thread worker
-// must not leave frames behind that poison the next run.
+// must not leave frames behind that poison the next run. The graph
+// crosses the world once: the engine deposits its fragments at the first
+// cold load, and every later Run attaches to them by token.
 TEST(MessagePathGoldenTest, RemoteWorldsAreReusableAcrossRuns) {
   for (const std::string& transport : TransportNames()) {
     RegisterBuiltinWorkerApps();
-    auto world = MakeTransport(transport, 5);
-    ASSERT_TRUE(world.ok()) << world.status();
+    auto inner = MakeTransport(transport, 5);
+    ASSERT_TRUE(inner.ok()) << inner.status();
+    testing::ProbingTransport world(std::move(inner).value());
     Graph g = testing::ScenarioGraph("grid");
     FragmentedGraph fg = testing::ScenarioFragments(g, "hash", 4);
     EngineOptions options;
-    options.transport = world->get();
+    options.transport = &world;
     options.remote_app = "sssp";
     GrapeEngine<SsspApp> engine(fg, SsspApp{}, options);
     auto first = engine.Run(SsspQuery{3});
@@ -163,6 +167,8 @@ TEST(MessagePathGoldenTest, RemoteWorldsAreReusableAcrossRuns) {
         << second.status();
     EXPECT_EQ(first->dist, second->dist)
         << transport << ": reruns over one world diverged";
+    EXPECT_EQ(world.deposits(), 4u) << transport << ": deposited per run";
+    EXPECT_EQ(world.loads(), 8u) << transport;
   }
 }
 

@@ -466,14 +466,17 @@ void RunRemoteGate(const RemoteGateCase& c, const Query& query, GetVec get) {
     engine.emplace(meta, eo);
   } else {
     fg = MakeFragments(graph, "hash", 3);
-    // Inproc endpoints share this process's ResidentFragmentStore: stash
-    // the shipped fragments so the check below can read what each worker
-    // patched.
-    if (c.transport == "inproc") eo.resident_stash_token = 0x6d75746174650001;
-    engine.emplace(fg, App{}, eo);
+    if (c.transport == "inproc") {
+      // Inproc endpoints share this process's ResidentFragmentStore: a
+      // deposit the test owns lets the check below read what each worker
+      // patched.
+      ASSERT_OK_AND_ASSIGN(meta, DepositFragments(world->get(), fg));
+      engine.emplace(meta, eo);
+    } else {
+      engine.emplace(fg, App{}, eo);
+    }
   }
-  const uint64_t token =
-      c.distributed ? meta.token : eo.resident_stash_token;
+  const uint64_t token = meta.token;  // 0: the engine deposits fg itself
 
   auto base = engine->SessionRun(query);
   ASSERT_TRUE(base.ok()) << base.status();
@@ -485,12 +488,6 @@ void RunRemoteGate(const RemoteGateCase& c, const Query& query, GetVec get) {
   const std::vector<MutationBatch> batches = GateBatches();
   for (size_t bi = 0; bi < batches.size(); ++bi) {
     const MutationBatch& m = batches[bi];
-    if (!c.distributed) {
-      // This engine stashes, so a later cold load would re-ship fg: keep
-      // rank 0's fragments in lockstep so it cannot roll the endpoints
-      // back (a non-serving caller's duty, see ApplyMutations).
-      ASSERT_OK(FragmentBuilder::MutateFragmentedGraph(&fg, m));
-    }
     ASSERT_OK(engine->ApplyMutations(m).status());
     auto inc = engine->RunIncremental(query, m);
     ASSERT_TRUE(inc.ok()) << "batch " << bi << ": " << inc.status();
@@ -522,7 +519,7 @@ void RunRemoteGate(const RemoteGateCase& c, const Query& query, GetVec get) {
     }
   }
   engine->EndSession();
-  if (token != 0) ResidentFragmentStore::Global().Erase(token);
+  if (token != 0) ReleaseResident(world->get(), token);
   if (!path.empty()) std::remove(path.c_str());
 }
 
@@ -703,31 +700,20 @@ TEST(MutationTest, TwoLiveSessionsShareOneWorld) {
   auto want_cc = ref_cc.Run(CcQuery{});
   ASSERT_TRUE(want_cc.ok()) << want_cc.status();
 
-  uint64_t token = 0x74776f736573730ull;  // "twosess"
   for (const char* transport : {"inproc", "tcp"}) {
     SCOPED_TRACE(transport);
-    ++token;
     FragmentedGraph fg = MakeFragments(*g, "hash", 3);
     auto world = MakeTransport(transport, 4);
     ASSERT_TRUE(world.ok()) << world.status();
 
-    // The SSSP engine ships the fragments and stashes them under the
-    // token; the CC engine attaches to those very fragments.
+    // One deposit; both engines attach to those very fragments.
+    ASSERT_OK_AND_ASSIGN(DistributedGraphMeta meta,
+                         DepositFragments(world->get(), fg));
     EngineOptions so;
     so.transport = world->get();
     so.remote_app = "sssp";
-    so.resident_stash_token = token;
-    GrapeEngine<SsspApp> sssp(fg, SsspApp{}, so);
+    GrapeEngine<SsspApp> sssp(meta, so);
     ASSERT_TRUE(sssp.SessionRun(SsspQuery{0}).ok());
-    DistributedGraphMeta meta;
-    meta.token = token;
-    meta.num_fragments = fg.num_fragments();
-    meta.total_vertices = fg.total_vertices;
-    meta.directed = fg.directed;
-    for (const Fragment& f : fg.fragments) {
-      meta.shapes.push_back(
-          FragmentShape{f.num_inner(), f.num_local(), f.num_edges()});
-    }
     EngineOptions co;
     co.transport = world->get();
     co.remote_app = "cc";
@@ -752,13 +738,14 @@ TEST(MutationTest, TwoLiveSessionsShareOneWorld) {
     ASSERT_TRUE(cc_again.ok()) << cc_again.status();
     EXPECT_TRUE(BitEq(cc_again->label, want_cc->label));
     cc.EndSession();
-    ResidentFragmentStore::Global().Erase(token);
+    ReleaseResident(world->get(), meta.token);
   }
 }
 
-// Guard-rail: the mutation API stays session-scoped — using it without a
-// live session is an error, not a crash or a silent local mutation.
-TEST(MutationTest, ApplyMutationsRequiresLiveSession) {
+// The mutation API needs no live session, only resident fragments: a
+// coordinator-loaded engine deposits them first, and its next cold load
+// attaches to the patched copy. Local engines reject it outright.
+TEST(MutationTest, ApplyMutationsPatchesTheResidentCopy) {
   RegisterBuiltinWorkerApps();
   auto g = GenerateGridRoad(6, 6, 5);
   ASSERT_TRUE(g.ok());
@@ -771,7 +758,23 @@ TEST(MutationTest, ApplyMutationsRequiresLiveSession) {
   GrapeEngine<SsspApp> engine(fg, SsspApp{}, eo);
   MutationBatch m;
   m.InsertEdge(0, 35, 1.0);
-  EXPECT_TRUE(engine.ApplyMutations(m).status().IsFailedPrecondition());
+  MutationBatch out_of_range;
+  out_of_range.InsertEdge(0, 36, 1.0);
+  EXPECT_TRUE(engine.ApplyMutations(out_of_range).status().IsInvalidArgument());
+  ASSERT_OK(engine.ApplyMutations(m).status());
+  auto patched = engine.SessionRun(SsspQuery{0});
+  ASSERT_TRUE(patched.ok()) << patched.status();
+  ASSERT_OK_AND_ASSIGN(Graph updated, ApplyMutations(*g, m));
+  FragmentedGraph fg_new = MakeFragments(updated, "hash", 3);
+  GrapeEngine<SsspApp> ref(fg_new, SsspApp{});
+  auto want = ref.Run(SsspQuery{0});
+  ASSERT_TRUE(want.ok()) << want.status();
+  EXPECT_TRUE(BitEq(patched->dist, want->dist));
+  GrapeEngine<SsspApp> before(fg, SsspApp{});
+  auto unpatched = before.Run(SsspQuery{0});
+  ASSERT_TRUE(unpatched.ok()) << unpatched.status();
+  EXPECT_FALSE(BitEq(patched->dist, unpatched->dist))
+      << "the shortcut 0 -> 35 must move SSSP(0)";
 
   GrapeEngine<SsspApp> local(fg, SsspApp{});
   EXPECT_TRUE(local.ApplyMutations(m).status().IsInvalidArgument());

@@ -34,6 +34,7 @@
 #include "rt/worker_protocol.h"
 #include "serve/client.h"
 #include "serve/serve.h"
+#include "tests/probing_transport.h"
 #include "tests/test_util.h"
 
 namespace grape {
@@ -41,6 +42,7 @@ namespace {
 
 using testing::BitEq;
 using testing::MakeFragments;
+using testing::ProbingTransport;
 
 /// A 12x12 weighted road grid: connected, large diameter, so point
 /// queries run enough supersteps for fusion and ordering to matter.
@@ -405,74 +407,6 @@ TEST(ServingTest, MutateStreamsIntoResidentGraph) {
 // instead of re-shipping them, and sees every mutation the endpoints
 // applied.
 
-/// Forwards everything to an inner transport, counts the kTagWkLoad
-/// frames (all of them, and those that ship a fragment for deposit under
-/// kWkLoadStashResident), and on demand turns one rank's next
-/// kTagWkMutateAck into a kTagWkError on its way to the coordinator.
-class ProbingTransport final : public Transport {
- public:
-  explicit ProbingTransport(std::unique_ptr<Transport> inner)
-      : inner_(std::move(inner)) {}
-
-  uint64_t loads() const { return loads_.load(); }
-  uint64_t stash_loads() const { return stash_loads_.load(); }
-  void FailNextMutateAckFrom(uint32_t rank) { fail_ack_from_.store(rank); }
-
-  uint32_t size() const override { return inner_->size(); }
-  std::string name() const override { return "counting+" + inner_->name(); }
-  Status Send(uint32_t from, uint32_t to, uint32_t tag,
-              std::vector<uint8_t> payload) override {
-    if (tag == kTagWkLoad) {
-      loads_.fetch_add(1);
-      Decoder dec(payload);
-      std::string app;
-      uint8_t flags = 0;
-      if (dec.ReadString(&app).ok() && dec.ReadU8(&flags).ok() &&
-          (flags & kWkLoadStashResident) != 0) {
-        stash_loads_.fetch_add(1);
-      }
-    }
-    return inner_->Send(from, to, tag, std::move(payload));
-  }
-  std::optional<RtMessage> TryRecv(uint32_t rank) override {
-    std::optional<RtMessage> msg = inner_->TryRecv(rank);
-    if (msg && rank == kCoordinatorRank && msg->tag == kTagWkMutateAck &&
-        fail_ack_from_.load() == msg->from) {
-      fail_ack_from_.store(0);
-      Encoder enc;
-      EncodeWorkerError(enc, Status::Internal("injected mutation failure"));
-      msg->tag = kTagWkError;
-      msg->payload = enc.TakeBuffer();
-    }
-    return msg;
-  }
-  std::optional<RtMessage> TryRecv(uint32_t rank, uint32_t tag) override {
-    return inner_->TryRecv(rank, tag);
-  }
-  Result<RtMessage> Recv(uint32_t rank) override { return inner_->Recv(rank); }
-  std::vector<RtMessage> DrainAll(uint32_t rank) override {
-    return inner_->DrainAll(rank);
-  }
-  size_t PendingCount(uint32_t rank) const override {
-    return inner_->PendingCount(rank);
-  }
-  Status Flush() override { return inner_->Flush(); }
-  void Close() override { inner_->Close(); }
-  bool healthy() const override { return inner_->healthy(); }
-  bool has_remote_endpoints() const override {
-    return inner_->has_remote_endpoints();
-  }
-  CommStats stats() const override { return inner_->stats(); }
-  void ResetStats() override { inner_->ResetStats(); }
-  BufferPool& buffer_pool() override { return inner_->buffer_pool(); }
-
- private:
-  std::unique_ptr<Transport> inner_;
-  std::atomic<uint64_t> loads_{0};
-  std::atomic<uint64_t> stash_loads_{0};
-  std::atomic<uint32_t> fail_ack_from_{0};
-};
-
 constexpr uint32_t kFrags = 3;
 
 TEST(ServingTest, GraphShipsOncePerEpoch) {
@@ -520,7 +454,8 @@ TEST(ServingTest, GraphShipsOncePerEpoch) {
 
   ServeServer server(opts);
   ASSERT_OK(server.Start());
-  EXPECT_EQ(world.stash_loads(), kFrags) << "Start deposits each fragment";
+  EXPECT_EQ(world.deposits(), kFrags) << "Start deposits each fragment once";
+  EXPECT_EQ(world.loads(), kFrags) << "Start primes one class by attaching";
   ASSERT_OK_AND_ASSIGN(ServeClient client, ServeClient::Connect(server.port()));
 
   ASSERT_OK_AND_ASSIGN(auto d1, client.Sssp(0));
@@ -530,6 +465,10 @@ TEST(ServingTest, GraphShipsOncePerEpoch) {
   // SSSP after a CC read: each class kept its own warm slot.
   ASSERT_OK_AND_ASSIGN(auto d2, client.Sssp(0));
   EXPECT_TRUE(BitEq(d2, sssp_g));
+  // The two other classes' cold sessions attach too.
+  ASSERT_OK(client.Bfs(0).status());
+  ASSERT_OK(client.PageRank().status());
+  EXPECT_EQ(world.loads(), 4 * kFrags) << "one cold load per class";
   ASSERT_OK(client.Mutate(m).status());
   ASSERT_OK_AND_ASSIGN(auto c2, client.ComponentLabels());
   EXPECT_TRUE(BitEq(c2, cc_gm));
@@ -537,17 +476,20 @@ TEST(ServingTest, GraphShipsOncePerEpoch) {
   // patched resident fragment, no re-ship involved.
   ASSERT_OK_AND_ASSIGN(auto d3, client.Sssp(0));
   EXPECT_TRUE(BitEq(d3, sssp_gm));
-  EXPECT_EQ(world.stash_loads(), kFrags)
-      << "a cold session re-shipped the graph within the epoch";
+  EXPECT_EQ(world.deposits(), kFrags)
+      << "a cold session or a query re-shipped the graph within the epoch";
 
-  // A reload is a new epoch: exactly one more deposit wave, of the
-  // loader's (unmutated) graph.
+  // A reload is a new epoch: exactly one more deposit, of the loader's
+  // (unmutated) graph, under a new token.
   ASSERT_OK_AND_ASSIGN(uint64_t epoch, client.Reload());
   EXPECT_EQ(epoch, 2u);
-  EXPECT_EQ(world.stash_loads(), 2 * kFrags);
+  EXPECT_EQ(world.deposits(), 2 * kFrags);
+  EXPECT_EQ(world.deposit_tokens().size(), 2u);
   ASSERT_OK_AND_ASSIGN(auto d4, client.Sssp(0));
   EXPECT_TRUE(BitEq(d4, sssp_g));
-  EXPECT_EQ(world.stash_loads(), 2 * kFrags);
+  ASSERT_OK_AND_ASSIGN(auto c3, client.ComponentLabels());
+  EXPECT_TRUE(BitEq(c3, cc_g));
+  EXPECT_EQ(world.deposits(), 2 * kFrags);
   EXPECT_EQ(server.stats().errors, 0u);
   server.Shutdown();
 }
@@ -765,6 +707,94 @@ TEST_P(ServingTransportTest, FailedMutateRefusesQueriesUntilReload) {
   ASSERT_OK_AND_ASSIGN(auto d1, client.Sssp(0));
   EXPECT_TRUE(BitEq(d1, sssp0));
   server.Shutdown();
+}
+
+/// Metadata of the hash fragments LoaderOptions deposits, under `token`.
+DistributedGraphMeta MetaFor(const Graph& graph, uint64_t token) {
+  FragmentedGraph fg = MakeFragments(graph, "hash", kFrags);
+  DistributedGraphMeta meta;
+  meta.token = token;
+  meta.num_fragments = kFrags;
+  meta.total_vertices = fg.total_vertices;
+  meta.directed = fg.directed;
+  for (const Fragment& f : fg.fragments) {
+    meta.shapes.push_back(
+        FragmentShape{f.num_inner(), f.num_local(), f.num_edges()});
+  }
+  return meta;
+}
+
+// A reload frees the previous epoch's fragments in every endpoint, forked
+// or in-thread: an engine still holding the old token finds nothing to
+// attach to, while the same engine attached fine before the reload.
+TEST_P(ServingTransportTest, ReloadReleasesTheOldEpochEverywhere) {
+  RegisterBuiltinWorkerApps();
+  const Graph graph = TwoIslandGraph();
+  auto inner = MakeTransport(GetParam(), kFrags + 1);
+  ASSERT_TRUE(inner.ok()) << inner.status();
+  ProbingTransport world(std::move(inner).value());
+  ServeServer server(LoaderOptions(&world, &graph));
+  ASSERT_OK(server.Start());
+  ASSERT_EQ(world.deposit_tokens().size(), 1u);
+  const DistributedGraphMeta old_meta =
+      MetaFor(graph, world.deposit_tokens()[0]);
+  EngineOptions eo;
+  eo.transport = &world;
+  eo.remote_app = "sssp";
+  {
+    GrapeEngine<SsspApp> attached(old_meta, eo);
+    auto out = attached.SessionRun(SsspQuery{0});
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_TRUE(BitEq(out->dist, OracleSssp(graph)));
+  }
+
+  ASSERT_OK_AND_ASSIGN(ServeClient client, ServeClient::Connect(server.port()));
+  ASSERT_OK_AND_ASSIGN(uint64_t epoch, client.Reload());
+  EXPECT_EQ(epoch, 2u);
+  GrapeEngine<SsspApp> stale(old_meta, eo);
+  auto out = stale.SessionRun(SsspQuery{0});
+  ASSERT_FALSE(out.ok()) << "the old epoch's fragments are still resident";
+  EXPECT_TRUE(out.status().IsNotFound()) << out.status();
+  EXPECT_NE(out.status().message().find("no resident fragment for build token"),
+            std::string::npos)
+      << out.status();
+  // The other ranks' NotFound errors trail the first one the probe saw:
+  // drop them before they reach the server's next wave.
+  LetAdmit();
+  DrainWorkerFrames(&world, kCoordinatorRank, kCoordinatorRank);
+  ASSERT_OK_AND_ASSIGN(auto d, client.Sssp(0));
+  EXPECT_TRUE(BitEq(d, OracleSssp(graph)));
+  server.Shutdown();
+}
+
+// A coordinator-loaded engine whose ApplyMutations failed cannot trust the
+// endpoints' copies: its next cold load deposits fg_ again and answers
+// exactly as a fresh engine over fg_ does.
+TEST_P(ServingTransportTest, FailedApplyMutationsDepositsAgain) {
+  RegisterBuiltinWorkerApps();
+  const Graph graph = TwoIslandGraph();
+  const FragmentedGraph fg = MakeFragments(graph, "hash", kFrags);
+  auto inner = MakeTransport(GetParam(), kFrags + 1);
+  ASSERT_TRUE(inner.ok()) << inner.status();
+  ProbingTransport world(std::move(inner).value());
+  EngineOptions eo;
+  eo.transport = &world;
+  eo.remote_app = "sssp";
+  GrapeEngine<SsspApp> engine(fg, SsspApp{}, eo);
+  ASSERT_TRUE(engine.SessionRun(SsspQuery{0}).ok());
+  ASSERT_EQ(world.deposits(), kFrags);
+
+  world.FailNextMutateAckFrom(1);
+  EXPECT_FALSE(engine.ApplyMutations(Bridge()).ok());
+  EXPECT_EQ(world.deposits(), kFrags) << "the failure itself re-deposited";
+  auto out = engine.SessionRun(SsspQuery{0});
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(world.deposits(), 2 * kFrags)
+      << "the cold load after a failed mutation attached the old deposit";
+  EXPECT_EQ(world.deposit_tokens().size(), 2u);
+  EXPECT_TRUE(BitEq(out->dist, OracleSssp(graph)));
+  ASSERT_TRUE(engine.SessionRun(SsspQuery{0}).ok());
+  EXPECT_EQ(world.deposits(), 2 * kFrags);
 }
 
 // ---------------------------------------------------------------------------
