@@ -1,55 +1,126 @@
 #include "apps/multi_source.h"
 
 #include <algorithm>
+#include <atomic>
 #include <functional>
 #include <string>
+#include <system_error>
+#include <thread>
 
 #include "apps/ms_bfs.h"
 #include "apps/ms_sssp.h"
 
 namespace grape {
 
+namespace {
+
+/// Below this many local vertices a lane's Dijkstra takes about as long as
+/// starting a thread, so the fragment drains its lanes inline. Measured
+/// with bench_serving's wave sweep on 3 metis fragments: 8 lanes over
+/// ~700 local vertices each ran slower on threads, over ~2,800 faster.
+constexpr LocalId kMinThreadedLocal = 2048;
+
+}  // namespace
+
+template <typename Query, typename Dist, typename StepFn>
+void MultiSourceApp<Query, Dist, StepFn>::PrepareLanes(const Fragment& frag) {
+  num_inner_ = frag.num_inner();
+  const LocalId num_outer = frag.num_outer();
+  scratch_.resize(lanes_);
+  for (LaneScratch& lane : scratch_) {
+    // The heap can outgrow this in principle (lazy deletion keeps stale
+    // entries); a Dijkstra frontier stays far below it in practice.
+    lane.heap.reserve(num_local_);
+    lane.outer.reserve(num_outer);
+    lane.outer_listed.resize(num_outer);  // all zero between calls
+  }
+}
+
 template <typename Query, typename Dist, typename StepFn>
 void MultiSourceApp<Query, Dist, StepFn>::Improve(const Fragment& frag,
+                                                  LaneScratch& lane,
                                                   Dist* row, LocalId lid,
                                                   Dist d) {
   row[lid] = d;
-  heap_.emplace_back(d, lid);
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  if (frag.IsOuter(lid) && !dirty_flag_[lid]) {
-    dirty_flag_[lid] = 1;
-    dirty_.push_back(lid);
+  lane.heap.emplace_back(d, lid);
+  std::push_heap(lane.heap.begin(), lane.heap.end(), std::greater<>{});
+  if (frag.IsOuter(lid) && !lane.outer_listed[lid - num_inner_]) {
+    lane.outer_listed[lid - num_inner_] = 1;
+    lane.outer.push_back(lid);
   }
 }
 
 template <typename Query, typename Dist, typename StepFn>
 void MultiSourceApp<Query, Dist, StepFn>::RunLane(const Fragment& frag,
                                                   uint32_t k) {
+  LaneScratch& lane = scratch_[k];
+  std::vector<std::pair<Dist, LocalId>>& heap = lane.heap;
   Dist* row = Row(k);
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const auto [d, v] = heap_.back();
-    heap_.pop_back();
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const auto [d, v] = heap.back();
+    heap.pop_back();
     if (d > row[v]) continue;
     for (const FragNeighbor& nb : frag.OutNeighbors(v)) {
       const Dist nd = StepFn::Step(d, nb);
-      if (nd < row[nb.local]) Improve(frag, row, nb.local, nd);
+      if (nd < row[nb.local]) Improve(frag, lane, row, nb.local, nd);
     }
   }
 }
 
 template <typename Query, typename Dist, typename StepFn>
+void MultiSourceApp<Query, Dist, StepFn>::RunLanes(const Fragment& frag) {
+  std::vector<uint32_t> busy;
+  for (uint32_t k = 0; k < lanes_; ++k) {
+    if (!scratch_[k].heap.empty()) busy.push_back(k);
+  }
+  if (busy.size() <= 1 || num_local_ < kMinThreadedLocal) {
+    for (uint32_t k : busy) RunLane(frag, k);
+    return;
+  }
+  static const size_t kCores =
+      std::max(1u, std::thread::hardware_concurrency());
+  const size_t helpers = std::min(busy.size(), kCores) - 1;
+  std::atomic<size_t> next{0};
+  const auto drain = [&] {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < busy.size(); i = next.fetch_add(1, std::memory_order_relaxed)) {
+      RunLane(frag, busy[i]);
+    }
+  };
+  std::vector<std::jthread> threads;  // joined on every way out
+  threads.reserve(helpers);
+  for (size_t t = 0; t < helpers; ++t) {
+    try {
+      threads.emplace_back(drain);
+    } catch (const std::system_error&) {
+      break;  // out of threads: the ones running and the caller finish
+    }
+  }
+  drain();
+}
+
+template <typename Query, typename Dist, typename StepFn>
 void MultiSourceApp<Query, Dist, StepFn>::PublishOuter(
     ParamStore<ValueType>& params) {
-  for (LocalId lid : dirty_) {
-    dirty_flag_[lid] = 0;
-    uint32_t width = lanes_;
-    while (Row(width - 1)[lid] == kUnreached) --width;
-    ValueType& value = params.Mutate(lid);
-    value.resize(width);
-    for (uint32_t k = 0; k < width; ++k) value[k] = Row(k)[lid];
+  // Lane order, then each lane's first-improvement order: the order the
+  // lanes run back to back would list the outer vertices in.
+  for (LaneScratch& lane : scratch_) {
+    for (LocalId lid : lane.outer) {
+      lane.outer_listed[lid - num_inner_] = 0;
+      if (dirty_flag_[lid]) continue;
+      dirty_flag_[lid] = 1;
+      uint32_t width = lanes_;
+      while (Row(width - 1)[lid] == kUnreached) --width;
+      ValueType& value = params.Mutate(lid);
+      value.resize(width);
+      for (uint32_t k = 0; k < width; ++k) value[k] = Row(k)[lid];
+    }
   }
-  dirty_.clear();
+  for (LaneScratch& lane : scratch_) {
+    for (LocalId lid : lane.outer) dirty_flag_[lid] = 0;
+    lane.outer.clear();
+  }
 }
 
 template <typename Query, typename Dist, typename StepFn>
@@ -59,16 +130,16 @@ void MultiSourceApp<Query, Dist, StepFn>::PEval(
   num_local_ = frag.num_local();
   dist_.assign(size_t{lanes_} * num_local_, kUnreached);
   dirty_flag_.assign(num_local_, 0);
-  dirty_.clear();
+  PrepareLanes(frag);
   for (uint32_t k = 0; k < lanes_; ++k) {
     const LocalId lid = frag.Lid(query.sources[k]);
     // Only the owner seeds, as in the single-source apps: a mirror would
     // relay a stale unreached value, and its true one arrives by message.
     if (lid != kInvalidLocal && frag.IsInner(lid)) {
-      Improve(frag, Row(k), lid, Dist{0});
+      Improve(frag, scratch_[k], Row(k), lid, Dist{0});
     }
-    RunLane(frag, k);
   }
+  RunLanes(frag);
   PublishOuter(params);
 }
 
@@ -77,14 +148,17 @@ void MultiSourceApp<Query, Dist, StepFn>::IncEval(
     const Query& query, const Fragment& frag, ParamStore<ValueType>& params,
     const std::vector<LocalId>& updated) {
   (void)query;
+  PrepareLanes(frag);
   for (uint32_t k = 0; k < lanes_; ++k) {
     Dist* row = Row(k);
     for (LocalId lid : updated) {
       const ValueType& in = params.Get(lid);
-      if (k < in.size() && in[k] < row[lid]) Improve(frag, row, lid, in[k]);
+      if (k < in.size() && in[k] < row[lid]) {
+        Improve(frag, scratch_[k], row, lid, in[k]);
+      }
     }
-    RunLane(frag, k);
   }
+  RunLanes(frag);
   PublishOuter(params);
 }
 
@@ -144,8 +218,7 @@ Status MultiSourceApp<Query, Dist, StepFn>::DecodeState(Decoder& dec) {
                               " lanes x " + std::to_string(num_local_));
   }
   dirty_flag_.assign(num_local_, 0);
-  dirty_.clear();
-  heap_.clear();
+  scratch_.clear();  // IncEval sizes it afresh
   return Status::OK();
 }
 

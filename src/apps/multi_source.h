@@ -56,16 +56,26 @@ struct UnitStep {
 /// fl(d + w) is monotone in d, so every relaxation order reaches the same
 /// fixed point.
 ///
+/// Concurrency: each query stays sequential, but the K lanes of one
+/// PEval/IncEval call are independent, so the call seeds every lane and
+/// then drains them concurrently (RunLanes; a fragment too small to pay
+/// for a thread start drains them inline). Each lane owns its scratch —
+/// a heap and the list of outer vertices it improved — and writes only
+/// its own row, so a lane relaxes in exactly the order it would alone.
+/// The threads are short-lived and joined before the call returns: a
+/// persistent pool would be alive when TcpTransport forks its endpoints.
+///
 /// What crosses the wire: only outer vertices carry K-vectors in the
-/// ParamStore. At the end of each PEval/IncEval the app writes every outer
-/// vertex it improved, once, as its lanes up to the last reached one (a
-/// missing tail means unreached); the coordinator folds them with
-/// element-wise min. IncEval reads the aggregated vectors of the
-/// `updated` border vertices and seeds only the lanes that beat the flat
-/// row. The partial is a LanePartial; Assemble scatters each lane in one
-/// pass. The flat array is private state, so it is checkpointed through
-/// EncodeState/DecodeState, and a warm start from the ParamStore alone is
-/// unsound: RunIncremental takes the enforced full-run fallback.
+/// ParamStore. At the end of each PEval/IncEval the app merges the lane
+/// lists in lane order and writes every improved outer vertex, once, as
+/// its lanes up to the last reached one (a missing tail means
+/// unreached); the coordinator folds them with element-wise min. IncEval
+/// reads the aggregated vectors of the `updated` border vertices and
+/// seeds only the lanes that beat the flat row. The partial is a
+/// LanePartial; Assemble scatters each lane in one pass. The flat array
+/// is private state, so it is checkpointed through EncodeState/
+/// DecodeState, and a warm start from the ParamStore alone is unsound:
+/// RunIncremental takes the enforced full-run fallback.
 template <typename Query, typename Dist, typename StepFn>
 class MultiSourceApp {
  public:
@@ -111,19 +121,36 @@ class MultiSourceApp {
   const Dist* Row(uint32_t k) const {
     return dist_.data() + size_t{k} * num_local_;
   }
-  /// Lowers one lane's `row` at `lid` to `d` and queues it for relaxation.
-  void Improve(const Fragment& frag, Dist* row, LocalId lid, Dist d);
-  /// Drains the heap over lane k's row.
+  /// One lane's private working set: only the thread draining the lane
+  /// touches it.
+  struct LaneScratch {
+    std::vector<std::pair<Dist, LocalId>> heap;
+    std::vector<LocalId> outer;         // improved outer vertices, in order
+    std::vector<uint8_t> outer_listed;  // by lid - num_inner_: in `outer`
+  };
+
+  /// Sizes one scratch per lane on the calling thread, so the lane
+  /// threads do not allocate (a new thread's first malloc opens an arena).
+  void PrepareLanes(const Fragment& frag);
+  /// Lowers `lane`'s `row` at `lid` to `d` and queues it for relaxation.
+  void Improve(const Fragment& frag, LaneScratch& lane, Dist* row,
+               LocalId lid, Dist d);
+  /// Drains lane k's heap over its row.
   void RunLane(const Fragment& frag, uint32_t k);
-  /// Writes every improved outer vertex's lanes into the store, once.
+  /// Drains every seeded lane: inline when only one has work or the
+  /// fragment is small, otherwise on up to one thread per core, the
+  /// caller included.
+  void RunLanes(const Fragment& frag);
+  /// Writes every improved outer vertex's lanes into the store, once, in
+  /// the order the lanes run back to back would first improve them.
   void PublishOuter(ParamStore<ValueType>& params);
 
   uint32_t lanes_ = 0;
   LocalId num_local_ = 0;
+  LocalId num_inner_ = 0;
   std::vector<Dist> dist_;           // dist_[k * num_local_ + lid]
-  std::vector<uint8_t> dirty_flag_;  // by lid: outer vertex in dirty_
-  std::vector<LocalId> dirty_;       // improved outer vertices
-  std::vector<std::pair<Dist, LocalId>> heap_;
+  std::vector<uint8_t> dirty_flag_;  // by lid: outer vertex published
+  std::vector<LaneScratch> scratch_;  // by lane
 };
 
 }  // namespace grape

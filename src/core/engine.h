@@ -1355,9 +1355,12 @@ class GrapeEngine {
   /// sees each frame from a worker rank — `replied` tells whether that
   /// worker already answered this wait — claims what it wants by moving
   /// it out, and returns true when the frame is the worker's answer.
-  /// The skeleton owns everything else. A kTagWkError fails the wait.
-  /// Unclaimed frames — stale acks, partials or pongs left behind
-  /// by duplicated control frames — go back to the pool. Any frame is
+  /// The skeleton owns everything else. A kTagWkError fails the wait with
+  /// the first error, but only once every outstanding worker has
+  /// answered: an error from a worker that has not answered yet is that
+  /// worker's answer, so no rank's error trails the wait into the next
+  /// engine's. Unclaimed frames — stale acks, partials or pongs left
+  /// behind by duplicated control frames — go back to the pool. Any frame is
   /// proof of life for the lease monitor. Never blocks in Recv: while
   /// idle it fails fast on a dead transport, fails with Unavailable past
   /// remote_timeout_ms (a dropped control frame on a flaky-but-alive
@@ -1369,6 +1372,7 @@ class GrapeEngine {
   Status AwaitWorkers(const char* what, FragmentId replies,
                       OnFrame&& on_frame) {
     std::vector<uint8_t> replied(n_frags_, 0);
+    Status error;  // the first kTagWkError
     uint32_t idle = 0;
     const auto deadline = std::chrono::steady_clock::now() +
                           std::chrono::milliseconds(options_.remote_timeout_ms);
@@ -1376,10 +1380,12 @@ class GrapeEngine {
       std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
       if (!msg) {
         if (!world_->healthy()) {
+          if (!error.ok()) return error;
           return Status::Unavailable(
               std::string("transport died while awaiting remote ") + what);
         }
         if (std::chrono::steady_clock::now() > deadline) {
+          if (!error.ok()) return error;
           return Status::Unavailable(
               std::string("timed out awaiting remote ") + what + " after " +
               std::to_string(options_.remote_timeout_ms) + "ms");
@@ -1398,21 +1404,27 @@ class GrapeEngine {
         continue;
       }
       idle = 0;
-      if (msg->tag == kTagWkError) return DecodeWorkerError(msg->payload);
       if (msg->from >= 1 && msg->from <= n_frags_) {
         const FragmentId frag = msg->from - 1;
         monitor_.Heard(frag);
         bool answered = false;
-        GRAPE_ASSIGN_OR_RETURN(answered,
-                               on_frame(frag, replied[frag] != 0, *msg));
+        if (msg->tag == kTagWkError) {
+          if (error.ok()) error = DecodeWorkerError(msg->payload);
+          answered = replied[frag] == 0;
+        } else {
+          GRAPE_ASSIGN_OR_RETURN(answered,
+                                 on_frame(frag, replied[frag] != 0, *msg));
+        }
         if (answered) {
           replied[frag] = 1;
           --replies;
         }
+      } else if (msg->tag == kTagWkError && error.ok()) {
+        error = DecodeWorkerError(msg->payload);
       }
       world_->buffer_pool().Release(std::move(msg->payload));
     }
-    return Status::OK();
+    return error;
   }
 
   /// The coordinator-loaded graph, or nullptr for an engine built from a

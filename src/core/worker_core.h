@@ -42,12 +42,14 @@ struct WorkerSend {
 /// The per-fragment half of the GRAPE engine (Sec. 2.2): one worker P_i's
 /// update-parameter store, its PEval/IncEval invocations, message
 /// application, and the flush that turns changed parameters into staged
-/// record blocks. The plug-in's PEval/IncEval run sequentially, one call
-/// per fragment: GRAPE's parallelism is across fragments, never inside
-/// one. Extracted from GrapeEngine so the exact same code runs
-/// in BOTH execution modes — inline in the rank-0 engine process (local
-/// compute) and inside a remote worker host in the rank's endpoint
-/// process (remote compute). Observable behaviour (payload bytes, send
+/// record blocks. The plug-in's PEval/IncEval run one call per fragment,
+/// and each query stays sequential inside its fragment: GRAPE's
+/// parallelism is across fragments. A fused multi-source wave is K
+/// independent queries, so its app (MultiSourceApp) drains the K lanes of
+/// one call concurrently. Extracted from GrapeEngine so the exact same
+/// code runs in BOTH execution modes — inline in the rank-0 engine
+/// process (local compute) and inside a remote worker host in the rank's
+/// endpoint process (remote compute). Observable behaviour (payload bytes, send
 /// order, merge order, update sets) must not depend on where it runs;
 /// tests/message_path_golden_test.cc freezes that equivalence.
 template <PIEProgram App>

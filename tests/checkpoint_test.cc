@@ -408,6 +408,15 @@ TEST(CheckpointRecoveryTest, PageRankRecoversBitIdentical) {
                               });
 }
 
+/// One hash over every lane of a multi-source answer.
+uint64_t HashLanes(const std::vector<std::vector<double>>& lanes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::vector<double>& lane : lanes) {
+    h = testing::Fnv1a(lane.data(), lane.size() * sizeof(double), h);
+  }
+  return h;
+}
+
 /// ms_sssp keeps its lanes in one private flat array per fragment, so
 /// recovery must restore it through the app's checkpoint hooks. The clean
 /// run's lanes must also equal single-source SSSP runs, so the golden the
@@ -417,14 +426,7 @@ TEST(CheckpointRecoveryTest, MsSsspRecoversBitIdentical) {
   FragmentedGraph fg = testing::ScenarioFragments(g, "hash", 4);
   MsSsspQuery query;
   query.sources = {3, 500, 1000};
-  auto hash = [](const std::vector<std::vector<double>>& lanes) {
-    uint64_t h = 0xcbf29ce484222325ULL;
-    for (const std::vector<double>& lane : lanes) {
-      h = testing::Fnv1a(lane.data(), lane.size() * sizeof(double), h);
-    }
-    return h;
-  };
-  auto hash_out = [&hash](const MsSsspOutput& o) { return hash(o.dist); };
+  auto hash_out = [](const MsSsspOutput& o) { return HashLanes(o.dist); };
 
   std::vector<std::vector<double>> want;
   for (VertexId source : query.sources) {
@@ -436,9 +438,23 @@ TEST(CheckpointRecoveryTest, MsSsspRecoversBitIdentical) {
   RemoteObs clean = RunRemoteFlaky<MsSsspApp>(
       fg, "ms_sssp", query, FlakyOptions{}, EveryStepPolicy(), hash_out);
   ASSERT_TRUE(clean.ok) << clean.status;
-  EXPECT_EQ(clean.hash, hash(want)) << "lanes differ from single-source runs";
+  EXPECT_EQ(clean.hash, HashLanes(want))
+      << "lanes differ from single-source runs";
 
   RunCrashMatrix<MsSsspApp>("ms_sssp", fg, query, hash_out);
+}
+
+// Fragments large enough that every PEval/IncEval call drains its lanes
+// on threads: recovery restores the lane array (DecodeState) under them.
+TEST(CheckpointRecoveryTest, MsSsspThreadedLanesRecoverBitIdentical) {
+  auto g = GenerateGridRoad(72, 72, /*seed=*/7);
+  ASSERT_TRUE(g.ok()) << g.status();
+  FragmentedGraph fg = testing::ScenarioFragments(*g, "metis", 2);
+  MsSsspQuery query;
+  query.sources = {3, 1300, 2600, 5000};
+  RunCrashMatrix<MsSsspApp>("ms_sssp", fg, query, [](const MsSsspOutput& o) {
+    return HashLanes(o.dist);
+  });
 }
 
 TEST(CheckpointRecoveryTest, DiskBackedCheckpointsRestoreTheSameWay) {

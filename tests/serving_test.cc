@@ -1,5 +1,6 @@
 // Serving-layer tests (src/serve): the golden guarantee — batched answers
-// are bit-identical to one-at-a-time answers, on every transport — plus
+// are bit-identical to one-at-a-time answers, on every transport, and a
+// fused wave's concurrently drained lanes are repeatable — plus
 // concurrent clients, per-epoch cache invalidation across reloads, writes
 // running ahead of a read wave still in admission, the graph crossing the
 // world once per epoch, the bounded client decoder's rejection path, and
@@ -15,6 +16,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "apps/bfs.h"
@@ -28,7 +30,6 @@
 #include "graph/graph.h"
 #include "graph/mutation.h"
 #include "gtest/gtest.h"
-#include "rt/remote_worker.h"
 #include "rt/tcp_transport.h"
 #include "rt/transport.h"
 #include "rt/worker_protocol.h"
@@ -69,32 +70,53 @@ std::vector<VertexId> LaneSources(size_t k) {
   return sources;
 }
 
-/// Runs one `MsApp` wave over `sources` as a session on `world` and checks
-/// each lane (`lanes_of` the output) bit-equal to a local `App` run from
-/// that lane's source (`answer_of` its output) on the same fragments.
+/// Runs one `MsApp` wave over `sources` as a session on `world`, `repeats`
+/// times from a fresh engine, and checks each lane (`lanes_of` the
+/// output) bit-equal to a local `App` run from that lane's source
+/// (`answer_of` its output) on the same fragments, and every repeat's
+/// messages, bytes and supersteps equal to the first's.
 template <typename MsApp, typename App, typename LanesFn, typename AnswerFn>
 void ExpectLanesMatchSingleSource(const FragmentedGraph& fg, Transport* world,
                                   const char* remote_app,
                                   const std::vector<VertexId>& sources,
-                                  LanesFn lanes_of, AnswerFn answer_of) {
+                                  LanesFn lanes_of, AnswerFn answer_of,
+                                  int repeats = 1) {
+  using Answer = std::decay_t<
+      std::invoke_result_t<AnswerFn, const typename App::OutputType&>>;
+  std::vector<Answer> want;
+  for (VertexId source : sources) {
+    GrapeEngine<App> ref(fg, App{}, EngineOptions{});
+    ASSERT_OK_AND_ASSIGN(auto single,
+                         ref.Run(typename App::QueryType{source}));
+    want.push_back(answer_of(single));
+  }
   EngineOptions eo;
   eo.transport = world;
   eo.remote_app = remote_app;
-  GrapeEngine<MsApp> ms(fg, MsApp{}, eo);
   typename MsApp::QueryType query;
   query.sources = sources;
-  ASSERT_OK_AND_ASSIGN(auto wave, ms.SessionRun(query));
-  ms.EndSession();
+  std::optional<EngineMetrics> first;
+  for (int r = 0; r < repeats; ++r) {
+    GrapeEngine<MsApp> ms(fg, MsApp{}, eo);
+    ASSERT_OK_AND_ASSIGN(auto wave, ms.SessionRun(query));
+    const EngineMetrics m = ms.metrics();
+    ms.EndSession();
 
-  const auto& lanes = lanes_of(wave);
-  ASSERT_EQ(lanes.size(), sources.size());
-  for (size_t k = 0; k < sources.size(); ++k) {
-    GrapeEngine<App> ref(fg, App{}, EngineOptions{});
-    ASSERT_OK_AND_ASSIGN(auto single,
-                         ref.Run(typename App::QueryType{sources[k]}));
-    EXPECT_TRUE(BitEq(lanes[k], answer_of(single)))
-        << remote_app << " lane " << k << " of " << sources.size()
-        << " (source " << sources[k] << ")";
+    const auto& lanes = lanes_of(wave);
+    ASSERT_EQ(lanes.size(), sources.size());
+    for (size_t k = 0; k < sources.size(); ++k) {
+      EXPECT_TRUE(BitEq(lanes[k], want[k]))
+          << remote_app << " repeat " << r << " lane " << k << " of "
+          << sources.size() << " (source " << sources[k] << ")";
+    }
+    if (!first) {
+      first = m;
+      continue;
+    }
+    EXPECT_EQ(m.messages, first->messages) << remote_app << " repeat " << r;
+    EXPECT_EQ(m.bytes, first->bytes) << remote_app << " repeat " << r;
+    EXPECT_EQ(m.supersteps, first->supersteps)
+        << remote_app << " repeat " << r;
   }
 }
 
@@ -119,6 +141,47 @@ TEST(ServingTest, MultiSourceLanesMatchSingleSourceBits) {
             [](const MsBfsOutput& o) -> const auto& { return o.depth; },
             [](const BfsOutput& o) -> const auto& { return o.depth; });
       }
+    }
+  }
+}
+
+/// `lanes` sources spread over `frag`'s inner vertices.
+std::vector<VertexId> OneFragmentSources(const Fragment& frag, size_t lanes) {
+  const size_t stride = frag.num_inner() / lanes;
+  std::vector<VertexId> sources;
+  for (size_t k = 0; k < lanes; ++k) {
+    sources.push_back(frag.Gid(static_cast<LocalId>(k * stride)));
+  }
+  return sources;
+}
+
+// With every source in one fragment, that fragment's endpoint drains all
+// K PEval lanes at once: the lanes' threads interleave differently from
+// run to run, and neither the answers nor the traffic may show it. The
+// 90x90 grid gives each fragment enough vertices to drain on threads.
+TEST(ServingTest, ConcurrentLanesInOneFragmentAreRepeatable) {
+  RegisterBuiltinWorkerApps();
+  auto graph = GenerateGridRoad(90, 90, /*seed=*/5);
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  const FragmentedGraph fg = MakeFragments(*graph, "metis", 3);
+  for (const char* transport : {"inproc", "tcp"}) {
+    auto world = MakeTransport(transport, 4);
+    ASSERT_TRUE(world.ok()) << world.status();
+    for (size_t k : {4, 16}) {
+      SCOPED_TRACE(std::string(transport) + " / " + std::to_string(k) +
+                   " lanes");
+      const std::vector<VertexId> sources =
+          OneFragmentSources(fg.fragments[0], k);
+      ExpectLanesMatchSingleSource<MsSsspApp, SsspApp>(
+          fg, world->get(), "ms_sssp", sources,
+          [](const MsSsspOutput& o) -> const auto& { return o.dist; },
+          [](const SsspOutput& o) -> const auto& { return o.dist; },
+          /*repeats=*/10);
+      ExpectLanesMatchSingleSource<MsBfsApp, BfsApp>(
+          fg, world->get(), "ms_bfs", sources,
+          [](const MsBfsOutput& o) -> const auto& { return o.depth; },
+          [](const BfsOutput& o) -> const auto& { return o.depth; },
+          /*repeats=*/10);
     }
   }
 }
@@ -758,10 +821,8 @@ TEST_P(ServingTransportTest, ReloadReleasesTheOldEpochEverywhere) {
   EXPECT_NE(out.status().message().find("no resident fragment for build token"),
             std::string::npos)
       << out.status();
-  // The other ranks' NotFound errors trail the first one the probe saw:
-  // drop them before they reach the server's next wave.
-  LetAdmit();
-  DrainWorkerFrames(&world, kCoordinatorRank, kCoordinatorRank);
+  // The probe's wait took every rank's NotFound, so none of them is left
+  // to fail the server's next wave.
   ASSERT_OK_AND_ASSIGN(auto d, client.Sssp(0));
   EXPECT_TRUE(BitEq(d, OracleSssp(graph)));
   server.Shutdown();
