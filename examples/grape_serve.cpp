@@ -26,8 +26,10 @@
 // the same queries from concurrent clients, then streams a mutation
 // batch (insert a shortcut, watch the answers move, delete it, watch the
 // original bits come back) — and exits 0 only if every check agrees
-// bit-for-bit and the CC read after the insert was a delta-refreshed
-// cache hit. This is what CI's serve smoke job runs.
+// bit-for-bit, the insert (sent from a second connection while a read
+// sat in its admission window) ran ahead of that read's wave, and the CC
+// read after the insert was a delta-refreshed cache hit. This is what
+// CI's serve smoke job runs.
 //
 // Daemon mode prints "serving on 127.0.0.1:<port>" and blocks until
 // SIGINT/SIGTERM. Cluster flags (--rank/--hosts/--cluster-token) work as
@@ -36,7 +38,9 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -60,11 +64,43 @@ std::atomic<bool> g_stop{false};
 
 void HandleSignal(int) { g_stop.store(true); }
 
+/// Writes go first: sends `batch` from `writer` while `reader`'s SSSP
+/// read from `source` sits in its admission window, so the dispatcher runs
+/// the write ahead of the read's wave. The window is short, so an attempt
+/// whose write misses it is repeated (the batch is an upsert). Returns the
+/// write's version, and the read's answer in *read, once a write was
+/// promoted; an error otherwise.
+grape::Result<uint64_t> PromotedMutate(grape::ServeServer& server,
+                                       grape::ServeClient& reader,
+                                       grape::ServeClient& writer,
+                                       const grape::MutationBatch& batch,
+                                       grape::VertexId source, int window_ms,
+                                       std::vector<double>* read) {
+  using namespace grape;
+  const auto head_start =
+      std::chrono::microseconds(std::max(window_ms, 1) * 500);
+  for (int attempt = 0; attempt < 20; ++attempt) {
+    const uint64_t promoted = server.stats().promoted_mutations;
+    Result<std::vector<double>> got = Status::Internal("read never ran");
+    std::thread read_thread([&] { got = reader.Sssp(source); });
+    std::this_thread::sleep_for(head_start);
+    Result<uint64_t> version = writer.Mutate(batch);
+    read_thread.join();
+    GRAPE_RETURN_NOT_OK(version.status());
+    GRAPE_RETURN_NOT_OK(got.status());
+    if (server.stats().promoted_mutations > promoted) {
+      *read = std::move(got).value();
+      return version;
+    }
+  }
+  return Status::Unavailable("no write landed inside a read's window");
+}
+
 /// Sequential pass vs concurrent pass over the same mixed query set;
 /// returns false (after printing what diverged) unless every answer pair
 /// is bit-identical and the cached classes actually hit their cache.
 bool RunSelfTest(grape::ServeServer& server, uint32_t num_clients,
-                 grape::VertexId num_vertices) {
+                 grape::VertexId num_vertices, int window_ms) {
   using namespace grape;
   const uint16_t port = server.port();
   const std::vector<VertexId> sources = {0, 7, 13, 42, 99, 128};
@@ -150,15 +186,31 @@ bool RunSelfTest(grape::ServeServer& server, uint32_t num_clients,
 
   // Mutation smoke: stream a shortcut into the resident graph, watch the
   // answers move, delete it again, watch the original bits come back.
+  // The insert jumps a read's wave, and that read answers over G ⊕ M.
   const VertexId far_corner = num_vertices - 1;
   MutationBatch add;
   add.InsertEdge(0, far_corner, 0.0625);
   add.InsertEdge(far_corner, 0, 0.0625);
   const ServeStats before_write = server.stats();
-  auto v1 = ref->Mutate(add);
+  auto reader = ServeClient::Connect(port);
+  auto writer = ServeClient::Connect(port);
+  if (!reader.ok() || !writer.ok()) {
+    std::fprintf(stderr, "selftest connect: %s / %s\n",
+                 reader.status().ToString().c_str(),
+                 writer.status().ToString().c_str());
+    return false;
+  }
+  std::vector<double> jumped;
+  auto v1 = PromotedMutate(server, *reader, *writer, add, /*source=*/0,
+                           window_ms, &jumped);
   if (!v1.ok()) {
-    std::fprintf(stderr, "selftest mutate(insert) failed: %s\n",
+    std::fprintf(stderr, "selftest FAILED: promoted mutate(insert): %s\n",
                  v1.status().ToString().c_str());
+    return false;
+  }
+  if (jumped[far_corner] != 0.0625) {
+    std::fprintf(stderr,
+                 "selftest FAILED: the read a write jumped did not see it\n");
     return false;
   }
   // The standing CC answer survives the write: the insert-only batch
@@ -209,8 +261,10 @@ bool RunSelfTest(grape::ServeServer& server, uint32_t num_clients,
                  "original distances bit-for-bit\n");
     return false;
   }
-  std::printf("selftest: mutation stream ok (version %llu -> %llu)\n",
-              (unsigned long long)*v1, (unsigned long long)*v2);
+  std::printf(
+      "selftest: mutation stream ok (version %llu -> %llu, %llu promoted)\n",
+      (unsigned long long)*v1, (unsigned long long)*v2,
+      (unsigned long long)server.stats().promoted_mutations);
 
   std::printf("selftest PASSED: concurrent == sequential, bit for bit\n");
   return true;
@@ -304,7 +358,7 @@ int main(int argc, char** argv) {
   int rc = 0;
   if (selftest) {
     rc = RunSelfTest(server, /*num_clients=*/4,
-                     static_cast<VertexId>(rows) * cols)
+                     static_cast<VertexId>(rows) * cols, window_ms)
              ? 0
              : 1;
   } else {

@@ -1,8 +1,6 @@
 #ifndef GRAPE_CORE_ENGINE_H_
 #define GRAPE_CORE_ENGINE_H_
 
-#include <sys/wait.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -21,7 +19,6 @@
 #include "rt/checkpoint.h"
 #include "rt/comm_world.h"
 #include "rt/distributed_load.h"
-#include "rt/liveness.h"
 #include "rt/remote_worker.h"
 #include "rt/transport.h"
 #include "rt/worker_protocol.h"
@@ -34,12 +31,13 @@ namespace grape {
 /// Fault-tolerance policy for remote compute. Off by default (every_k ==
 /// 0), in which case the engine behaves — and counts — exactly as it did
 /// without this subsystem: no control frames beyond the existing protocol,
-/// no pings, no retries. When enabled, the remote superstep loop
-/// checkpoints every k supersteps, monitors worker liveness (leases +
-/// pid probes, rt/liveness.h), and on an Unavailable failure rebuilds the
-/// world in place (Transport::Recover) and resumes from the last completed
-/// checkpoint — bit-identically, because each worker image carries the
-/// exact buffered message frontier alongside its state.
+/// no retries. When enabled, the remote superstep loop checkpoints every
+/// k supersteps, and on an Unavailable failure rebuilds the world in place
+/// (Transport::Recover) and resumes from the last completed checkpoint —
+/// bit-identically, because each worker image carries the exact buffered
+/// message frontier alongside its state. There is no failure detector of
+/// its own: a killed endpoint breaks its transport link, which wakes the
+/// coordinator's blocked await (AwaitWorkers) with Unavailable.
 struct CheckpointPolicy {
   /// Checkpoint every k supersteps; 0 disables checkpointing AND recovery.
   uint32_t every_k = 0;
@@ -50,10 +48,6 @@ struct CheckpointPolicy {
   std::string dir;
   /// Give up after this many world rebuilds within one Run.
   uint32_t max_recoveries = 3;
-  /// Quiet time before the coordinator pings a worker (rt/liveness.h).
-  /// Keep well above a superstep's compute time; pings only fire while an
-  /// await loop is idle, so a busy worker is never flooded.
-  uint32_t lease_ms = 1000;
 
   bool enabled() const { return every_k > 0; }
 };
@@ -94,8 +88,8 @@ struct EngineOptions {
   /// compute — frozen by tests/message_path_golden_test.cc.
   std::string remote_app;
   /// Per-phase budget for remote workers to answer before the engine
-  /// gives up with Unavailable (a dead endpoint usually surfaces faster
-  /// through the transport's health tracking).
+  /// gives up with Unavailable. A dead endpoint surfaces sooner: its
+  /// broken link wakes the blocked await at once.
   int remote_timeout_ms = 120000;
   /// Superstep checkpointing + automatic recovery (remote compute only;
   /// drivers resolve --ckpt-every / --ckpt-dir here).
@@ -882,8 +876,8 @@ class GrapeEngine {
 
   /// Remote compute with fault tolerance: each attempt runs the full
   /// pipeline; when a CheckpointPolicy is enabled and an attempt dies with
-  /// Unavailable (endpoint SIGKILLed, transport broken, liveness probe
-  /// fired), the world is rebuilt in place (Transport::Recover) and the
+  /// Unavailable (endpoint SIGKILLed, transport broken or timed out), the
+  /// world is rebuilt in place (Transport::Recover) and the
   /// next attempt resumes from the last completed checkpoint. With the
   /// policy off this degenerates to exactly one attempt with no added
   /// control traffic.
@@ -1059,7 +1053,7 @@ class GrapeEngine {
       GRAPE_RETURN_NOT_OK(SendToWorkers(kTagWkGetPartial));
       std::vector<Partial> partials(n);
       GRAPE_RETURN_NOT_OK(AwaitWorkers(
-          "partials", n,
+          world_, n_frags_, n, options_.remote_timeout_ms, "partials",
           [&](FragmentId frag, bool replied, RtMessage& msg) -> Result<bool> {
             if (msg.tag != kTagWkPartial || replied) return false;
             Decoder dec(msg.payload);
@@ -1072,29 +1066,13 @@ class GrapeEngine {
     return output;
   }
 
-  /// Readies the worker hosts for a cold load or a restore: arms the
-  /// failure detector (CheckpointPolicy only), makes sure the app is
-  /// registered, drains stale worker frames addressed to the coordinator,
-  /// and joins the world's in-thread hosts on backends without endpoint
-  /// processes.
+  /// Readies the worker hosts for a cold load or a restore: makes sure
+  /// the app is registered, drains stale worker frames addressed to the
+  /// coordinator, and joins the world's in-thread hosts on backends
+  /// without endpoint processes.
   void StartWorkers()
     requires RemoteCompatibleApp<App>
   {
-    const CheckpointPolicy& cp = options_.checkpoint;
-    if (cp.enabled()) {
-      monitor_.Reset(n_frags_, cp.lease_ms);
-      const std::vector<int64_t> pids = world_->endpoint_process_ids();
-      monitor_.set_pid_probe([pids](uint32_t frag) {
-        const uint32_t rank = frag + 1;
-        if (rank >= pids.size() || pids[rank] <= 0) return false;
-        // waitpid over kill(pid, 0): a SIGKILLed child stays a zombie
-        // until reaped and kill(zombie, 0) still succeeds. WNOHANG
-        // returning the pid (just died) or -1/ECHILD (already reaped)
-        // both mean dead; 0 means alive.
-        int st = 0;
-        return ::waitpid(static_cast<pid_t>(pids[rank]), &st, WNOHANG) != 0;
-      });
-    }
     // Cover the in-thread host path even when nobody pre-registered this
     // app; endpoint processes snapshot the registry at fork, so for
     // tcp the registration must already have happened there.
@@ -1163,7 +1141,8 @@ class GrapeEngine {
         }));
     std::vector<WkBuildAck> shapes(n_frags_);
     GRAPE_RETURN_NOT_OK(AwaitWorkers(
-        "mutation acks", n_frags_,
+        world_, n_frags_, n_frags_, options_.remote_timeout_ms,
+        "mutation acks",
         [&](FragmentId frag, bool replied, RtMessage& msg) -> Result<bool> {
           if (msg.tag != kTagWkMutateAck || replied) return false;
           Decoder dec(msg.payload);
@@ -1199,7 +1178,8 @@ class GrapeEngine {
           cmd.EncodeTo(enc);
         }));
     GRAPE_RETURN_NOT_OK(AwaitWorkers(
-        "checkpoint acks", n_frags_,
+        world_, n_frags_, n_frags_, options_.remote_timeout_ms,
+        "checkpoint acks",
         [&](FragmentId, bool replied, RtMessage& msg) -> Result<bool> {
           if (msg.tag != kTagWkCheckpointAck || replied) return false;
           Decoder dec(msg.payload);
@@ -1312,7 +1292,7 @@ class GrapeEngine {
     out->mono_by_frag.assign(n, 0);
     out->direct_matrix.assign(n, std::vector<uint32_t>(n, 0));
     return AwaitWorkers(
-        "phase acks", n,
+        world_, n, n, options_.remote_timeout_ms, "phase acks",
         [&](FragmentId frag, bool replied, RtMessage& msg) -> Result<bool> {
           if (msg.tag == kTagWkData) {
             remote_inbox_.push_back(std::move(msg));
@@ -1348,83 +1328,6 @@ class GrapeEngine {
           }
           return true;
         });
-  }
-
-  /// The await skeleton behind every remote wait: pulls rank-0 frames
-  /// until `replies` workers have answered. `on_frame(frag, replied, msg)`
-  /// sees each frame from a worker rank — `replied` tells whether that
-  /// worker already answered this wait — claims what it wants by moving
-  /// it out, and returns true when the frame is the worker's answer.
-  /// The skeleton owns everything else. A kTagWkError fails the wait with
-  /// the first error, but only once every outstanding worker has
-  /// answered: an error from a worker that has not answered yet is that
-  /// worker's answer, so no rank's error trails the wait into the next
-  /// engine's. Unclaimed frames — stale acks, partials or pongs left
-  /// behind by duplicated control frames — go back to the pool. Any frame is
-  /// proof of life for the lease monitor. Never blocks in Recv: while
-  /// idle it fails fast on a dead transport, fails with Unavailable past
-  /// remote_timeout_ms (a dropped control frame on a flaky-but-alive
-  /// substrate), runs the failure detector under a CheckpointPolicy
-  /// (expired leases get a ping, a control frame invisible to CommStats;
-  /// the pid probe turns a SIGKILLed local endpoint into Unavailable
-  /// within one poll), and otherwise backs off (IdleWait).
-  template <typename OnFrame>
-  Status AwaitWorkers(const char* what, FragmentId replies,
-                      OnFrame&& on_frame) {
-    std::vector<uint8_t> replied(n_frags_, 0);
-    Status error;  // the first kTagWkError
-    uint32_t idle = 0;
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(options_.remote_timeout_ms);
-    while (replies > 0) {
-      std::optional<RtMessage> msg = world_->TryRecv(kCoordinatorRank);
-      if (!msg) {
-        if (!world_->healthy()) {
-          if (!error.ok()) return error;
-          return Status::Unavailable(
-              std::string("transport died while awaiting remote ") + what);
-        }
-        if (std::chrono::steady_clock::now() > deadline) {
-          if (!error.ok()) return error;
-          return Status::Unavailable(
-              std::string("timed out awaiting remote ") + what + " after " +
-              std::to_string(options_.remote_timeout_ms) + "ms");
-        }
-        if (options_.checkpoint.enabled()) {
-          for (FragmentId i = 0; i < n_frags_; ++i) {
-            // Best effort: a failed ping send means the world is dying,
-            // and the healthy() check surfaces that next pass.
-            if (monitor_.ShouldPing(i)) {
-              (void)world_->Send(kCoordinatorRank, RankOf(i), kTagWkPing, {});
-            }
-          }
-          GRAPE_RETURN_NOT_OK(monitor_.Check());
-        }
-        IdleWait(&idle);
-        continue;
-      }
-      idle = 0;
-      if (msg->from >= 1 && msg->from <= n_frags_) {
-        const FragmentId frag = msg->from - 1;
-        monitor_.Heard(frag);
-        bool answered = false;
-        if (msg->tag == kTagWkError) {
-          if (error.ok()) error = DecodeWorkerError(msg->payload);
-          answered = replied[frag] == 0;
-        } else {
-          GRAPE_ASSIGN_OR_RETURN(answered,
-                                 on_frame(frag, replied[frag] != 0, *msg));
-        }
-        if (answered) {
-          replied[frag] = 1;
-          --replies;
-        }
-      } else if (msg->tag == kTagWkError && error.ok()) {
-        error = DecodeWorkerError(msg->payload);
-      }
-      world_->buffer_pool().Release(std::move(msg->payload));
-    }
-    return error;
   }
 
   /// The coordinator-loaded graph, or nullptr for an engine built from a
@@ -1478,11 +1381,10 @@ class GrapeEngine {
   std::shared_ptr<InThreadWorkers> hosts_;
   bool session_live_ = false;
 
-  // Fault tolerance (CheckpointPolicy): failure detector, worker image
-  // store, the coordinator snapshot the retry loop resumes from, and
-  // counter bases restoring CommStats continuity after a world rebuild.
-  // All inert — and the counters zero — while the policy is off.
-  WorkerLivenessMonitor monitor_;
+  // Fault tolerance (CheckpointPolicy): worker image store, the
+  // coordinator snapshot the retry loop resumes from, and counter bases
+  // restoring CommStats continuity after a world rebuild. All inert — and
+  // the counters zero — while the policy is off.
   CheckpointStore ckpt_store_;
   CoordSnapshot snapshot_;
   uint32_t run_recoveries_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <utility>
 
 #include "rt/message.h"
@@ -23,65 +22,29 @@ std::atomic<uint64_t>& TokenCounter() {
   return counter;
 }
 
-/// One coordinator await step (like the engine's await skeleton): fail
-/// fast on a dead transport, Unavailable past the deadline, otherwise
-/// back off (IdleWait).
-Status AwaitStep(Transport* world,
-                 const std::chrono::steady_clock::time_point& deadline,
-                 const char* what, uint32_t* idle) {
-  if (!world->healthy()) {
-    return Status::Unavailable(
-        std::string("transport died while awaiting ") + what);
-  }
-  if (std::chrono::steady_clock::now() > deadline) {
-    return Status::Unavailable(std::string("timed out awaiting ") + what);
-  }
-  IdleWait(idle);
-  return Status::OK();
-}
-
-/// Collects one `want_tag` frame from every worker rank, invoking
-/// `on_frame(fragment, decoder)` for each. Errors (kTagWkError) abort;
-/// edge- or mirror-bearing frames addressed to rank 0 are a protocol
-/// violation, counted into *data_frames for the purity assertion.
+/// Collects one `want_tag` frame from every worker rank through the
+/// shared await skeleton (AwaitWorkers), invoking `on_frame(fragment,
+/// decoder)` for each. Edge- or mirror-bearing frames addressed to rank 0
+/// are a protocol violation, counted into *data_frames for the purity
+/// assertion.
 template <typename OnFrame>
 Status AwaitFromAllWorkers(Transport* world, uint32_t n, uint32_t want_tag,
                            int timeout_ms, const char* what,
                            uint64_t* data_frames, OnFrame on_frame) {
-  std::vector<uint8_t> seen(n, 0);
-  uint32_t have = 0;
-  uint32_t idle = 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  while (have < n) {
-    std::optional<RtMessage> msg = world->TryRecv(kCoordinatorRank);
-    if (!msg) {
-      GRAPE_RETURN_NOT_OK(AwaitStep(world, deadline, what, &idle));
-      continue;
-    }
-    idle = 0;
-    if (msg->tag == kTagWkError) {
-      return DecodeWorkerError(msg->payload);
-    }
-    if (msg->tag == kTagWkExchange || msg->tag == kTagWkMirror) {
-      ++*data_frames;  // never happens on a conformant world; see header
-      world->buffer_pool().Release(std::move(msg->payload));
-      continue;
-    }
-    if (msg->tag != want_tag || msg->from < 1 || msg->from > n ||
-        seen[msg->from - 1]) {
-      // Stale frame of an earlier build (or a duplicate): drop.
-      world->buffer_pool().Release(std::move(msg->payload));
-      continue;
-    }
-    Decoder dec(msg->payload);
-    Status s = on_frame(msg->from - 1, dec);
-    world->buffer_pool().Release(std::move(msg->payload));
-    GRAPE_RETURN_NOT_OK(s);
-    seen[msg->from - 1] = 1;
-    have++;
-  }
-  return Status::OK();
+  return AwaitWorkers(
+      world, n, n, timeout_ms, what,
+      [&](uint32_t frag, bool replied, RtMessage& msg) -> Result<bool> {
+        if (msg.tag == kTagWkExchange || msg.tag == kTagWkMirror) {
+          ++*data_frames;  // never happens on a conformant world
+          return false;
+        }
+        // Anything else is a stale frame of an earlier build or a
+        // duplicate.
+        if (msg.tag != want_tag || replied) return false;
+        Decoder dec(msg.payload);
+        GRAPE_RETURN_NOT_OK(on_frame(frag, dec));
+        return true;
+      });
 }
 
 /// Drains stale worker frames at rank 0, so they cannot fail this run's

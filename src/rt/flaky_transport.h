@@ -29,9 +29,11 @@ struct FlakyOptions {
   /// (what a killed tcp endpoint process looks like from the
   /// engine), so the barrier propagation path gets its own coverage.
   uint64_t fail_flush_after = 0;
-  /// Deterministic crash knob (ISSUE 7): after this many accepted sends
-  /// the whole world "dies" — Send and Flush fail with Unavailable and
-  /// healthy() goes false — until Recover() heals it. One-shot: recovery
+  /// Deterministic crash knob: after this many accepted sends the whole
+  /// world "dies" — Send and Flush fail with Unavailable, healthy() goes
+  /// false, and every blocked Recv wakes with Unavailable once its
+  /// mailbox is drained, as on a real broken transport — until Recover()
+  /// heals it. One-shot: recovery
   /// disarms the knob, so the retried run proceeds cleanly. This is the
   /// SIGKILL-without-the-timing-race primitive the recovery tests build
   /// their superstep-k crash matrix on.
@@ -80,6 +82,9 @@ class FlakyTransport final : public Transport {
     if (options_.kill_after_frames != 0 &&
         accepted_ >= options_.kill_after_frames) {
       killed_ = true;
+      for (uint32_t rank = 0; rank < inner_->size(); ++rank) {
+        inner_->Wake(rank);
+      }
       return Status::Unavailable("injected world death after " +
                                  std::to_string(accepted_) + " frames");
     }
@@ -146,7 +151,19 @@ class FlakyTransport final : public Transport {
   std::optional<RtMessage> TryRecv(uint32_t rank, uint32_t tag) override {
     return inner_->TryRecv(rank, tag);
   }
-  Result<RtMessage> Recv(uint32_t rank) override { return inner_->Recv(rank); }
+  /// A killed world still hands out what was delivered before the kill,
+  /// then reports the death instead of blocking.
+  Result<RtMessage> Recv(uint32_t rank, RecvDeadline deadline) override {
+    if (!killed()) {
+      Result<RtMessage> msg = inner_->Recv(rank, deadline);
+      if (msg.ok() || !killed()) return msg;
+    }
+    if (std::optional<RtMessage> msg = inner_->TryRecv(rank)) {
+      return std::move(*msg);
+    }
+    return Status::Unavailable("injected world death (kill_after_frames)");
+  }
+  void Wake(uint32_t rank) override { inner_->Wake(rank); }
   std::vector<RtMessage> DrainAll(uint32_t rank) override {
     return inner_->DrainAll(rank);
   }
@@ -154,13 +171,7 @@ class FlakyTransport final : public Transport {
     return inner_->PendingCount(rank);
   }
   void Close() override { inner_->Close(); }
-  bool healthy() const override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (killed_) return false;
-    }
-    return inner_->healthy();
-  }
+  bool healthy() const override { return !killed() && inner_->healthy(); }
   bool supports_recovery() const override {
     return inner_->supports_recovery();
   }
@@ -197,6 +208,11 @@ class FlakyTransport final : public Transport {
   }
 
  private:
+  bool killed() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return killed_;
+  }
+
   Transport* inner_;  // not owned; must outlive this decorator
   FlakyOptions options_;
   mutable std::mutex mu_;

@@ -1102,11 +1102,6 @@ Status RemoteWorkerHost::OnFrame(uint32_t from, uint32_t tag,
       pool_->Release(std::move(payload));
       return s;
     }
-    case kTagWkPing: {
-      // Liveness probe: echo the payload back so the monitor can match
-      // request and reply if it ever wants to.
-      return emit_(kCoordinatorRank, kTagWkPong, std::move(payload));
-    }
     case kTagWkShutdown: {
       HandleShutdown(payload);
       pool_->Release(std::move(payload));
@@ -1162,42 +1157,48 @@ std::shared_ptr<InThreadWorkers> InThreadWorkers::Share(Transport* world,
   return spawned;
 }
 
-InThreadWorkers::InThreadWorkers(Transport* world, uint32_t num_workers) {
+InThreadWorkers::InThreadWorkers(Transport* world, uint32_t num_workers)
+    : world_(world) {
   threads_.reserve(num_workers);
   for (uint32_t rank = 1; rank <= num_workers; ++rank) {
-    threads_.emplace_back([this, world, rank] { Loop(world, rank); });
+    threads_.emplace_back([this, rank] { Loop(rank); });
   }
 }
 
 InThreadWorkers::~InThreadWorkers() {
   stop_.store(true, std::memory_order_release);
+  // A wake, not a frame: a lossy decorator may drop frames, never wakes.
+  for (uint32_t rank = 1; rank <= threads_.size(); ++rank) {
+    world_->Wake(rank);
+  }
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
   }
 }
 
-void InThreadWorkers::Loop(Transport* world, uint32_t rank) {
+void InThreadWorkers::Loop(uint32_t rank) {
+  Transport* world = world_;
   RemoteWorkerHost host(
       rank,
       [world, rank](uint32_t to, uint32_t tag, std::vector<uint8_t> payload) {
         return world->Send(rank, to, tag, std::move(payload));
       },
       &world->buffer_pool());
-  uint32_t idle = 0;
   for (;;) {
-    std::optional<RtMessage> msg = world->TryRecv(rank);
-    if (!msg) {
-      // Drain-then-stop: only exit on the stop flag once the mailbox is
-      // empty, so the shutdown frames the last holder sent just before
-      // releasing the set are consumed now instead of greeting the next
-      // set's host.
+    Result<RtMessage> msg = world->Recv(rank, kNoDeadline);
+    if (!msg.ok()) {
+      // Drain-then-stop: Recv only comes back empty-handed once the
+      // mailbox is empty, so the shutdown frames the last holder sent
+      // just before releasing the set are consumed now instead of
+      // greeting the next set's host. A wake left over from an earlier
+      // set finds stop_ clear and is ignored.
       if (stop_.load(std::memory_order_acquire) || !world->healthy()) break;
-      IdleWait(&idle);
       continue;
     }
-    idle = 0;
-    if (!IsWorkerTag(msg->tag)) continue;  // stray frame; not ours
-    if (!host.OnFrame(msg->from, msg->tag, std::move(msg->payload)).ok()) {
+    if (!IsWorkerTag(msg.value().tag)) continue;  // stray frame; not ours
+    if (!host.OnFrame(msg.value().from, msg.value().tag,
+                      std::move(msg.value().payload))
+             .ok()) {
       break;  // the world is gone; nothing left to serve
     }
   }

@@ -485,18 +485,61 @@ void EncodeMirrorAnswers(Encoder& enc,
                          const std::vector<MirrorLidEntry>& answers);
 Status DecodeMirrorAnswers(Decoder& dec, std::vector<MirrorLidEntry>* answers);
 
-/// One idle step of a remote await loop — the engine's coordinator side
-/// and the in-thread worker hosts alike: 50 µs sleeps for the first 40
-/// empty polls, so a phase that is actively completing stays snappy, then
-/// 1 ms sleeps, so a compute-bound wait does not burn a core on polling.
-/// Callers zero *idle on every received frame.
-inline void IdleWait(uint32_t* idle) {
-  if (*idle < 40) {
-    ++*idle;
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-  } else {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+/// The coordinator's await skeleton behind every remote wait, the
+/// engine's and the distributed build's alike: blocks in Recv on rank 0
+/// until `replies` of the `num_workers` workers have answered.
+/// `on_frame(frag, replied, msg)` sees each frame from a worker rank —
+/// `replied` tells whether that worker already answered this wait —
+/// claims what it wants by moving it out, and returns true when the frame
+/// is the worker's answer. The skeleton owns everything else. A
+/// kTagWkError fails the wait with the first error, but only once every
+/// outstanding worker has answered: an error from a worker that has not
+/// answered yet is that worker's answer, so no rank's error trails the
+/// wait into the next one. Unclaimed frames — stale acks or partials left
+/// behind by duplicated control frames — go back to the pool. A Recv that
+/// returns empty-handed ends the wait with Unavailable when the transport
+/// died (a broken link, a closed or killed world) or `timeout_ms` passed
+/// (a dropped control frame on a flaky-but-alive substrate); a worker's
+/// error, if one came in, wins over either.
+template <typename OnFrame>
+Status AwaitWorkers(Transport* world, uint32_t num_workers, uint32_t replies,
+                    int timeout_ms, const char* what, OnFrame&& on_frame) {
+  std::vector<uint8_t> replied(num_workers, 0);
+  Status error;  // the first kTagWkError
+  const RecvDeadline deadline = std::chrono::steady_clock::now() +
+                                std::chrono::milliseconds(timeout_ms);
+  while (replies > 0) {
+    Result<RtMessage> got = world->Recv(kCoordinatorRank, deadline);
+    if (!got.ok()) {
+      const bool died = !world->healthy();
+      if (!died && std::chrono::steady_clock::now() < deadline) continue;
+      if (!error.ok()) return error;
+      return Status::Unavailable(
+          died ? std::string("transport died while awaiting remote ") + what
+               : std::string("timed out awaiting remote ") + what +
+                     " after " + std::to_string(timeout_ms) + "ms");
+    }
+    RtMessage& msg = got.value();
+    if (msg.from >= 1 && msg.from <= num_workers) {
+      const uint32_t frag = msg.from - 1;
+      bool answered = false;
+      if (msg.tag == kTagWkError) {
+        if (error.ok()) error = DecodeWorkerError(msg.payload);
+        answered = replied[frag] == 0;
+      } else {
+        GRAPE_ASSIGN_OR_RETURN(answered, on_frame(frag, replied[frag] != 0,
+                                                  msg));
+      }
+      if (answered) {
+        replied[frag] = 1;
+        --replies;
+      }
+    } else if (msg.tag == kTagWkError && error.ok()) {
+      error = DecodeWorkerError(msg.payload);
+    }
+    world->buffer_pool().Release(std::move(msg.payload));
   }
+  return error;
 }
 
 /// Drops every worker-protocol frame waiting in the mailboxes of ranks
@@ -524,8 +567,9 @@ class InThreadWorkers {
 
  private:
   InThreadWorkers(Transport* world, uint32_t num_workers);
-  void Loop(Transport* world, uint32_t rank);
+  void Loop(uint32_t rank);
 
+  Transport* world_;
   std::atomic<bool> stop_{false};
   std::vector<std::thread> threads_;
 };

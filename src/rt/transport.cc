@@ -56,16 +56,38 @@ std::optional<RtMessage> MailboxTransport::TryRecv(uint32_t rank,
   return std::nullopt;
 }
 
-Result<RtMessage> MailboxTransport::Recv(uint32_t rank) {
+Result<RtMessage> MailboxTransport::Recv(uint32_t rank,
+                                         RecvDeadline deadline) {
   Mailbox& box = *mailboxes_[rank];
   std::unique_lock<std::mutex> lock(box.mu);
-  box.cv.wait(lock, [&box, this] { return !box.queue.empty() || closed(); });
-  if (box.queue.empty()) {
+  auto ready = [&box, this] {
+    return !box.queue.empty() || box.woken || closed();
+  };
+  if (deadline == kNoDeadline) {
+    box.cv.wait(lock, ready);
+  } else {
+    box.cv.wait_until(lock, deadline, ready);
+  }
+  if (!box.queue.empty()) {
+    RtMessage msg = std::move(box.queue.front());
+    box.queue.pop_front();
+    return msg;
+  }
+  if (closed()) {
     return Status::Cancelled("transport closed while waiting in Recv");
   }
-  RtMessage msg = std::move(box.queue.front());
-  box.queue.pop_front();
-  return msg;
+  if (box.woken) {
+    box.woken = false;
+    return Status::Cancelled("Recv woken");
+  }
+  return Status::Unavailable("no message before the Recv deadline");
+}
+
+void MailboxTransport::Wake(uint32_t rank) {
+  Mailbox& box = *mailboxes_[rank];
+  std::lock_guard<std::mutex> lock(box.mu);
+  box.woken = true;
+  box.cv.notify_all();
 }
 
 std::vector<RtMessage> MailboxTransport::DrainAll(uint32_t rank) {
@@ -108,6 +130,7 @@ void MailboxTransport::ResetForRecovery() {
       pool_.Release(std::move(msg.payload));
     }
     box->queue.clear();
+    box->woken = false;
   }
   closed_.store(false, std::memory_order_release);
 }

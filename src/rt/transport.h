@@ -2,6 +2,7 @@
 #define GRAPE_RT_TRANSPORT_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -16,6 +17,10 @@
 #include "util/status.h"
 
 namespace grape {
+
+/// When a blocking Recv gives up; kNoDeadline waits without limit.
+using RecvDeadline = std::chrono::steady_clock::time_point;
+inline constexpr RecvDeadline kNoDeadline = RecvDeadline::max();
 
 /// Aggregate communication counters. Every byte crossing a rank boundary is
 /// counted here; benchmark "Comm." columns read these. All backends count
@@ -47,12 +52,15 @@ struct CommStats {
 ///    destination. The in-process backend delivers synchronously, so its
 ///    Flush is a no-op; callers must still invoke it to be
 ///    backend-agnostic (the engine flushes between supersteps).
-///  * TryRecv/DrainAll never block. Recv blocks until a message arrives or
-///    the transport is closed, in which case it returns a Cancelled status
-///    instead of hanging forever.
+///  * TryRecv/DrainAll never block. Recv blocks until a message arrives,
+///    the transport is closed or broken (an endpoint died), Wake is
+///    called for its rank, or its deadline passes, whichever comes first;
+///    only a delivered message makes it return OK. Awaits block here
+///    instead of polling, so a dead endpoint reaches them as a woken
+///    Recv, not as a missed poll.
 ///  * Close() is idempotent, wakes every blocked Recv with Cancelled, and
 ///    fails subsequent Sends with Cancelled. Messages already delivered
-///    remain drainable after Close.
+///    remain drainable after Close, and Recv returns them first.
 ///  * stats() counts at Send time: +1 message, +payload+16 bytes.
 class Transport {
  public:
@@ -72,9 +80,19 @@ class Transport {
   virtual std::optional<RtMessage> TryRecv(uint32_t rank) = 0;
   virtual std::optional<RtMessage> TryRecv(uint32_t rank, uint32_t tag) = 0;
 
-  /// Blocking receive; returns Cancelled once Close() is called and the
-  /// mailbox is empty.
-  virtual Result<RtMessage> Recv(uint32_t rank) = 0;
+  /// Blocking receive: pops the oldest delivered message for `rank`,
+  /// waiting for one until `deadline` (kNoDeadline: without limit). With
+  /// the mailbox empty it returns Cancelled once the transport is closed
+  /// or broken, or when Wake(rank) was called; Unavailable once the
+  /// deadline passes. Callers tell these apart by healthy() and the clock.
+  virtual Result<RtMessage> Recv(uint32_t rank, RecvDeadline deadline) = 0;
+
+  /// Wakes a Recv blocked on `rank`'s mailbox, or the next one to block
+  /// there if none is: a wake is kept until a Recv consumes it, so a wake
+  /// that races the receiver's own stop check is never lost. Decorators
+  /// forward it. Lets a receiver that waits without a deadline be stopped
+  /// even when the frames it would otherwise be sent may be dropped.
+  virtual void Wake(uint32_t rank) = 0;
 
   /// Drains every pending message for `rank`, in delivery order.
   virtual std::vector<RtMessage> DrainAll(uint32_t rank) = 0;
@@ -91,9 +109,8 @@ class Transport {
   virtual void Close() = 0;
 
   /// False once the transport is closed or broken (an endpoint died).
-  /// Pollers that cannot block in Recv — the engine's remote-compute
-  /// await loop, in-thread worker hosts — use this to stop promptly
-  /// instead of waiting out a timeout against a dead world.
+  /// A Recv that returns without a message consults this to tell a dead
+  /// world from a deadline or a Wake.
   virtual bool healthy() const { return true; }
 
   /// True when ranks are backed by endpoint OS processes that host
@@ -118,10 +135,10 @@ class Transport {
                                  "' does not support recovery");
   }
 
-  /// Process ids of locally forked endpoint processes, indexed by rank.
-  /// Feeds the engine's liveness pid probe, which turns "lease expired"
-  /// into "known dead" via waitpid. Empty when the backend has no local
-  /// endpoint processes to probe (inproc, tcp cluster mode).
+  /// Process ids of locally forked endpoint processes, indexed by rank,
+  /// for harnesses that measure or kill endpoints. The engine never reads
+  /// them: a killed endpoint reaches it as a broken link. Empty when the
+  /// backend has no local endpoint processes (inproc, tcp cluster mode).
   virtual std::vector<int64_t> endpoint_process_ids() const { return {}; }
 
   /// Global counters since construction or the last ResetStats().
@@ -145,7 +162,8 @@ class MailboxTransport : public Transport {
 
   std::optional<RtMessage> TryRecv(uint32_t rank) override;
   std::optional<RtMessage> TryRecv(uint32_t rank, uint32_t tag) override;
-  Result<RtMessage> Recv(uint32_t rank) override;
+  Result<RtMessage> Recv(uint32_t rank, RecvDeadline deadline) override;
+  void Wake(uint32_t rank) override;
   std::vector<RtMessage> DrainAll(uint32_t rank) override;
   size_t PendingCount(uint32_t rank) const override;
 
@@ -183,7 +201,7 @@ class MailboxTransport : public Transport {
   bool MarkClosed();
 
   /// Recovery support: empties every mailbox (releasing payloads back to
-  /// the pool) and clears the closed flag, returning the mailbox layer to
+  /// the pool), drops unconsumed wakes and clears the closed flag, returning the mailbox layer to
   /// its just-constructed state. Backends call this from Recover() after
   /// tearing down their transport-specific halves.
   void ResetForRecovery();
@@ -195,6 +213,7 @@ class MailboxTransport : public Transport {
     mutable std::mutex mu;
     std::condition_variable cv;
     std::deque<RtMessage> queue;
+    bool woken = false;  // a Wake no Recv has consumed yet
   };
 
   uint32_t size_;

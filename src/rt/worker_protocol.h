@@ -104,15 +104,15 @@ enum WorkerProtocolTag : uint32_t {
   kTagWkMirror = 0x112,    // r -> s: mirror placement answers, one frame
   kTagWkBuildAck = 0x113,  // r -> 0: fragment resident (token + shape)
 
-  // Fault tolerance (rt/checkpoint.h, rt/liveness.h): all control frames,
-  // invisible to CommStats like the rest of the protocol, and only ever
-  // emitted when a CheckpointPolicy is enabled — with the policy off the
-  // wire traffic is byte-identical to a build without these tags.
+  // Fault tolerance (rt/checkpoint.h): all control frames, invisible to
+  // CommStats like the rest of the protocol, and only ever emitted when a
+  // CheckpointPolicy is enabled — with the policy off the wire traffic is
+  // byte-identical to a build without these tags. 0x117 and 0x118 are
+  // unused: a dead endpoint is the transport's broken link, not a missed
+  // ping.
   kTagWkCheckpoint = 0x114,     // 0 -> r: snapshot order at a barrier
   kTagWkCheckpointAck = 0x115,  // r -> 0: encoded image (or disk receipt)
   kTagWkRestore = 0x116,        // 0 -> r: rebuild state from an image
-  kTagWkPing = 0x117,           // 0 -> r: liveness probe
-  kTagWkPong = 0x118,           // r -> 0: probe reply (payload echoed)
 
   // Query sessions (core/engine.h SessionRun, the serving layer's hot
   // path): a loaded slot is handed the NEXT query without a new attach —

@@ -2,7 +2,7 @@
 // EngineOptions::checkpoint): the checkpoint image codec must never yield
 // a half-restored image under truncation or corruption; the
 // CheckpointStore round-trips in both memory and disk modes; the shared
-// retry/backoff and liveness primitives honor their bounds; and — the
+// retry/backoff primitives honor their bounds; and — the
 // core contract — an engine whose world dies at an arbitrary frame budget
 // recovers to observables bit-identical to the fault-free run (output
 // hash, message/byte counters, superstep count), while a policy-off
@@ -27,7 +27,6 @@
 #include "rt/checkpoint.h"
 #include "rt/comm_world.h"
 #include "rt/flaky_transport.h"
-#include "rt/liveness.h"
 #include "rt/retry.h"
 #include "tests/message_path_scenarios.h"
 #include "tests/test_util.h"
@@ -253,35 +252,6 @@ TEST(RetryTest, DeadlineBoundsTheLoop) {
   EXPECT_LT(RetryState::NowMs(), deadline + 1000);
 }
 
-TEST(LivenessTest, ProbeDetectsDeathAndLeaseAloneNeverFails) {
-  WorkerLivenessMonitor monitor(2, /*lease_ms=*/10);
-  // No probe installed: Check never fails, no matter how stale the lease.
-  std::this_thread::sleep_for(std::chrono::milliseconds(25));
-  ASSERT_OK(monitor.Check());
-
-  bool dead = false;
-  monitor.set_pid_probe([&dead](uint32_t frag) { return frag == 1 && dead; });
-  ASSERT_OK(monitor.Check());
-  dead = true;
-  Status st = monitor.Check();
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsUnavailable()) << st;
-}
-
-TEST(LivenessTest, PingsAreLeaseGatedAndNotFlooding) {
-  WorkerLivenessMonitor monitor(1, /*lease_ms=*/30);
-  EXPECT_FALSE(monitor.ShouldPing(0)) << "pinged inside a fresh lease";
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  EXPECT_TRUE(monitor.ShouldPing(0)) << "stale lease never triggered a ping";
-  EXPECT_FALSE(monitor.ShouldPing(0)) << "ping clock did not debounce";
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  monitor.Heard(0);
-  EXPECT_FALSE(monitor.ShouldPing(0)) << "proof of life did not renew lease";
-
-  WorkerLivenessMonitor disabled(1, /*lease_ms=*/0);
-  EXPECT_FALSE(disabled.ShouldPing(0)) << "lease 0 must disable pings";
-}
-
 // ---------------------------------------------------------------------------
 // Engine recovery over FlakyTransport's deterministic crash knobs. The
 // inproc twin of the SIGKILL matrix in transport_fault_test.cc: the world
@@ -342,9 +312,6 @@ RemoteObs RunRemoteFlaky(const FragmentedGraph& fg, const char* app_name,
 CheckpointPolicy EveryStepPolicy() {
   CheckpointPolicy cp;
   cp.every_k = 1;
-  // Pings are wall-clock driven and would perturb the deterministic frame
-  // budgets below; a generous lease keeps them out of fast test runs.
-  cp.lease_ms = 60000;
   return cp;
 }
 

@@ -213,7 +213,7 @@ TEST(CommWorldTest, CrossThreadBlockingRecv) {
   std::thread sender([&world] {
     world.Send(0, 1, kTagControl, {42});
   });
-  Result<RtMessage> msg = world.Recv(1);
+  Result<RtMessage> msg = world.Recv(1, kNoDeadline);
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(msg->payload[0], 42);
   sender.join();

@@ -26,6 +26,7 @@
 #include "rt/distributed_load.h"
 #include "rt/remote_worker.h"
 #include "tests/message_path_scenarios.h"
+#include "tests/probing_transport.h"
 #include "tests/test_util.h"
 
 namespace grape {
@@ -457,6 +458,41 @@ TEST(DistributedLoadTest, HostRejectsBadDepositsAndDropsBadReleases) {
   ASSERT_OK(host.OnFrame(0, kTagWkRelease, release.TakeBuffer()));
   EXPECT_EQ(out.size(), 3u);
   EXPECT_EQ(ResidentFragmentStore::Global().Get(good_token, rank), nullptr);
+}
+
+// A deposit that fails on every rank leaves none of its errors queued at
+// rank 0: the shared await takes every rank's answer before it returns the
+// first error. Otherwise the next warm query wave of a live session on the
+// same world — which, unlike a cold start, drains nothing — would fail on
+// them.
+TEST(DistributedLoadTest, FailedDepositLeavesNoErrorForTheNextWarmWave) {
+  RegisterBuiltinWorkerApps();
+  Graph g = testing::ScenarioGraph("grid");
+  FragmentedGraph fg = testing::ScenarioFragments(g, "hash", 3);
+  GrapeEngine<SsspApp> local(fg, SsspApp{}, EngineOptions{});
+  ASSERT_OK_AND_ASSIGN(SsspOutput expected, local.Run(SsspQuery{5}));
+  for (const std::string& transport : TransportNames()) {
+    SCOPED_TRACE(transport);
+    auto inner = MakeTransport(transport, 4);
+    ASSERT_TRUE(inner.ok()) << inner.status();
+    testing::ProbingTransport world(std::move(inner).value());
+    EngineOptions options;
+    options.transport = &world;
+    options.remote_app = "sssp";
+    GrapeEngine<SsspApp> engine(fg, SsspApp{}, options);
+    ASSERT_OK(engine.SessionRun(SsspQuery{3}).status());
+    const uint64_t loads = world.loads();
+
+    world.FailNextBuildAcks(3);  // every rank's deposit ack
+    auto deposit = DepositFragments(&world, fg);
+    ASSERT_FALSE(deposit.ok()) << "every deposit ack was turned into an error";
+    EXPECT_TRUE(deposit.status().IsInternal()) << deposit.status();
+
+    ASSERT_OK_AND_ASSIGN(SsspOutput warm, engine.SessionRun(SsspQuery{5}));
+    EXPECT_EQ(world.loads(), loads) << "the second query was not warm";
+    EXPECT_EQ(warm.dist, expected.dist);
+    engine.EndSession();
+  }
 }
 
 }  // namespace

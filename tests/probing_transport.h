@@ -18,8 +18,8 @@ namespace testing {
 
 /// Forwards everything to an inner transport, counts the kTagWkLoad and
 /// kTagWkDeposit frames the coordinator sends (and keeps each deposit's
-/// token), and on demand turns one rank's next kTagWkMutateAck into a
-/// kTagWkError on its way to the coordinator.
+/// token), and on demand turns one rank's next kTagWkMutateAck, or the next
+/// few kTagWkBuildAcks, into kTagWkErrors as the coordinator receives them.
 class ProbingTransport final : public Transport {
  public:
   explicit ProbingTransport(std::unique_ptr<Transport> inner)
@@ -33,6 +33,8 @@ class ProbingTransport final : public Transport {
     return deposit_tokens_;
   }
   void FailNextMutateAckFrom(uint32_t rank) { fail_ack_from_.store(rank); }
+  /// The next `count` deposit (or distributed-build) acks fail.
+  void FailNextBuildAcks(uint32_t count) { fail_build_acks_.store(count); }
 
   uint32_t size() const override { return inner_->size(); }
   std::string name() const override { return "probing+" + inner_->name(); }
@@ -53,21 +55,17 @@ class ProbingTransport final : public Transport {
     return inner_->Send(from, to, tag, std::move(payload));
   }
   std::optional<RtMessage> TryRecv(uint32_t rank) override {
-    std::optional<RtMessage> msg = inner_->TryRecv(rank);
-    if (msg && rank == kCoordinatorRank && msg->tag == kTagWkMutateAck &&
-        fail_ack_from_.load() == msg->from) {
-      fail_ack_from_.store(0);
-      Encoder enc;
-      EncodeWorkerError(enc, Status::Internal("injected mutation failure"));
-      msg->tag = kTagWkError;
-      msg->payload = enc.TakeBuffer();
-    }
-    return msg;
+    return inner_->TryRecv(rank);
   }
   std::optional<RtMessage> TryRecv(uint32_t rank, uint32_t tag) override {
     return inner_->TryRecv(rank, tag);
   }
-  Result<RtMessage> Recv(uint32_t rank) override { return inner_->Recv(rank); }
+  Result<RtMessage> Recv(uint32_t rank, RecvDeadline deadline) override {
+    Result<RtMessage> msg = inner_->Recv(rank, deadline);
+    if (msg.ok() && rank == kCoordinatorRank) MaybeFail(msg.value());
+    return msg;
+  }
+  void Wake(uint32_t rank) override { inner_->Wake(rank); }
   std::vector<RtMessage> DrainAll(uint32_t rank) override {
     return inner_->DrainAll(rank);
   }
@@ -85,12 +83,31 @@ class ProbingTransport final : public Transport {
   BufferPool& buffer_pool() override { return inner_->buffer_pool(); }
 
  private:
+  /// Rewrites a coordinator-bound ack into the kTagWkError an armed fault
+  /// asks for.
+  void MaybeFail(RtMessage& msg) {
+    const char* what = nullptr;
+    if (msg.tag == kTagWkMutateAck && fail_ack_from_.load() == msg.from) {
+      fail_ack_from_.store(0);
+      what = "injected mutation failure";
+    } else if (msg.tag == kTagWkBuildAck && fail_build_acks_.load() > 0) {
+      fail_build_acks_.fetch_sub(1);
+      what = "injected deposit failure";
+    }
+    if (what == nullptr) return;
+    Encoder enc;
+    EncodeWorkerError(enc, Status::Internal(what));
+    msg.tag = kTagWkError;
+    msg.payload = enc.TakeBuffer();
+  }
+
   std::unique_ptr<Transport> inner_;
   std::atomic<uint64_t> loads_{0};
   std::atomic<uint64_t> deposits_{0};
   mutable std::mutex mu_;
   std::vector<uint64_t> deposit_tokens_;
   std::atomic<uint32_t> fail_ack_from_{0};
+  std::atomic<uint32_t> fail_build_acks_{0};
 };
 
 }  // namespace testing

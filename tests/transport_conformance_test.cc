@@ -4,8 +4,9 @@
 // contract — FIFO per channel, tag filtering, concurrent senders, large
 // and empty payloads, drain semantics, the Flush delivery barrier
 // (including barriers interleaved across ranks and racing Close),
-// TryRecv liveness under saturation, Close-wakes-receivers, and
-// backend-identical CommStats. A backend that passes here is safe to
+// TryRecv liveness under saturation, Recv's deadline, the wakes that end
+// a blocked Recv early (a frame, Close, Wake, a killed FlakyTransport),
+// and backend-identical CommStats. A backend that passes here is safe to
 // plug under the engine; the end-to-end guarantee (bit-identical outputs
 // and counters) is frozen separately by tests/message_path_golden_test.cc.
 
@@ -22,11 +23,16 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "rt/flaky_transport.h"
 #include "rt/transport.h"
 #include "util/status.h"
 
 namespace grape {
 namespace {
+
+using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+using std::chrono::seconds;
 
 class TransportConformanceTest
     : public ::testing::TestWithParam<std::string> {
@@ -187,32 +193,116 @@ TEST_P(TransportConformanceTest, FlushIsTheVisibilityBarrier) {
 
 TEST_P(TransportConformanceTest, BlockingRecvGetsCrossThreadMessage) {
   auto t = Make(2);
+  const auto start = Clock::now();
   std::thread sender([&t] {
+    std::this_thread::sleep_for(milliseconds(20));
     ASSERT_TRUE(t->Send(0, 1, kTagControl, {42}).ok());
     ASSERT_TRUE(t->Flush().ok());
   });
-  auto msg = t->Recv(1);
+  auto msg = t->Recv(1, start + seconds(30));
+  const auto waited = Clock::now() - start;
   ASSERT_TRUE(msg.ok()) << msg.status();
   EXPECT_EQ(msg->payload[0], 42);
+  EXPECT_LT(waited, seconds(5)) << "the frame, not the deadline, ends Recv";
   sender.join();
+}
+
+TEST_P(TransportConformanceTest, RecvOnAnEmptyMailboxReturnsAtItsDeadline) {
+  auto t = Make(2);
+  const auto start = Clock::now();
+  auto msg = t->Recv(1, start + milliseconds(200));
+  const auto waited = Clock::now() - start;
+  EXPECT_FALSE(msg.ok());
+  EXPECT_TRUE(t->healthy()) << "a deadline is not a death";
+  EXPECT_GE(waited, milliseconds(200)) << "Recv gave up before its deadline";
+  EXPECT_LT(waited, seconds(5));
+  // A deadline already past returns at once without taking anything.
+  EXPECT_FALSE(t->Recv(1, Clock::now()).ok());
 }
 
 TEST_P(TransportConformanceTest, CloseWakesBlockedReceiversWithCancelled) {
   auto t = Make(3);
   std::atomic<int> cancelled{0};
+  const auto start = Clock::now();
   std::vector<std::thread> receivers;
   for (uint32_t r = 0; r < 3; ++r) {
-    receivers.emplace_back([&t, &cancelled, r] {
-      auto msg = t->Recv(r);
+    receivers.emplace_back([&t, &cancelled, r, start] {
+      auto msg = t->Recv(r, start + seconds(60));
       if (!msg.ok() && msg.status().IsCancelled()) cancelled++;
     });
   }
   // Let the receivers block, then shut down.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::this_thread::sleep_for(milliseconds(50));
   t->Close();
   for (auto& th : receivers) th.join();
   EXPECT_EQ(cancelled.load(), 3);
+  EXPECT_LT(Clock::now() - start, seconds(10)) << "Close, not the deadline";
+  EXPECT_FALSE(t->healthy());
   EXPECT_TRUE(t->Send(0, 1, kTagControl, {1}).IsCancelled());
+}
+
+TEST_P(TransportConformanceTest, WakeEndsOneRecvAndIsKeptUntilConsumed) {
+  auto t = Make(2);
+  // A wake with nobody waiting is kept for the next Recv...
+  t->Wake(1);
+  auto start = Clock::now();
+  auto woken = t->Recv(1, start + seconds(30));
+  EXPECT_TRUE(woken.status().IsCancelled()) << woken.status();
+  EXPECT_LT(Clock::now() - start, seconds(5));
+  EXPECT_TRUE(t->healthy()) << "a wake is not a death";
+  // ...and consumed by it: the one after waits out its deadline.
+  start = Clock::now();
+  EXPECT_FALSE(t->Recv(1, start + milliseconds(50)).ok());
+  EXPECT_GE(Clock::now() - start, milliseconds(50));
+
+  // A wake reaches a receiver that is already blocked.
+  start = Clock::now();
+  std::thread receiver([&t, start] {
+    auto msg = t->Recv(1, start + seconds(60));
+    EXPECT_TRUE(msg.status().IsCancelled()) << msg.status();
+  });
+  std::this_thread::sleep_for(milliseconds(50));
+  t->Wake(1);
+  receiver.join();
+  EXPECT_LT(Clock::now() - start, seconds(10));
+
+  // Delivered frames come before a pending wake.
+  ASSERT_TRUE(t->Send(0, 1, kTagControl, {7}).ok());
+  ASSERT_TRUE(t->Flush().ok());
+  t->Wake(1);
+  auto msg = t->Recv(1, Clock::now() + seconds(30));
+  ASSERT_TRUE(msg.ok()) << msg.status();
+  EXPECT_EQ(msg->payload[0], 7);
+  EXPECT_TRUE(t->Recv(1, Clock::now() + seconds(30)).status().IsCancelled());
+}
+
+// FlakyTransport's kill_after_frames stands in for a SIGKILLed endpoint in
+// the recovery tests, so it must end a blocked Recv the way a broken real
+// transport does, not leave the receiver to its deadline.
+TEST_P(TransportConformanceTest, KilledFlakyTransportWakesABlockedRecv) {
+  auto inner = Make(3);
+  FlakyOptions opts;
+  opts.kill_after_frames = 1;
+  FlakyTransport flaky(inner.get(), opts);
+  const auto start = Clock::now();
+  Status got;
+  std::thread receiver([&flaky, &got, start] {
+    got = flaky.Recv(1, start + seconds(60)).status();
+  });
+  std::this_thread::sleep_for(milliseconds(50));
+  ASSERT_TRUE(flaky.Send(0, 2, kTagControl, {1}).ok());
+  EXPECT_TRUE(flaky.Send(0, 2, kTagControl, {2}).IsUnavailable());
+  receiver.join();
+  EXPECT_TRUE(got.IsUnavailable()) << got;
+  EXPECT_LT(Clock::now() - start, seconds(10)) << "the kill, not the deadline";
+  EXPECT_FALSE(flaky.healthy());
+  // What was delivered before the kill is still handed out first.
+  ASSERT_TRUE(inner->Flush().ok());
+  auto before = flaky.Recv(2, Clock::now() + seconds(30));
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_EQ(before->payload[0], 1);
+  EXPECT_TRUE(flaky.Recv(2, Clock::now() + seconds(30)).status()
+                  .IsUnavailable());
 }
 
 TEST_P(TransportConformanceTest, MessagesSurviveClose) {

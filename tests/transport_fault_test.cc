@@ -488,9 +488,9 @@ TEST(TransportFaultTest, KilledTcpEndpointFailsDirectTransportOpsToo) {
 }
 
 // ---------------------------------------------------------------------------
-// SIGKILL recovery (ISSUE 7 tentpole): with a CheckpointPolicy enabled, a
-// worker endpoint killed mid-run is detected (pid probe + liveness
-// monitor), the whole world is respawned, workers restore from the last
+// SIGKILL recovery: with a CheckpointPolicy enabled, a worker endpoint
+// killed mid-run is detected (its broken link wakes the coordinator's
+// blocked await), the whole world is respawned, workers restore from the last
 // checkpoint, and the finished run is bit-identical to the fault-free
 // golden — same output hash, same CommStats counters, same superstep
 // count. The FlakyTransport crash matrix in checkpoint_test.cc covers
@@ -552,10 +552,6 @@ void RunSigkillRecoveryScenario(const std::string& backend,
   options.remote_timeout_ms = 60000;
   options.verbose = ::getenv("GRAPE_TEST_VERBOSE") != nullptr;
   options.checkpoint.every_k = 1;
-  // Death detection below runs through the pid probe (waitpid) on the
-  // liveness monitor's Check, not through ping timeouts; a generous lease
-  // keeps ping frames out of the deterministic run.
-  options.checkpoint.lease_ms = 60000;
   std::atomic<bool> killed{false};
   options.on_superstep = [&](uint32_t superstep) {
     if (superstep != kill_superstep || killed.exchange(true)) return;
@@ -566,6 +562,7 @@ void RunSigkillRecoveryScenario(const std::string& backend,
   };
 
   GrapeEngine<AppT> engine(fg, AppT{}, options);
+  const auto start = std::chrono::steady_clock::now();
   auto fut = std::async(std::launch::async,
                         [&engine, &query] { return engine.Run(query); });
   if (fut.wait_for(std::chrono::seconds(120)) != std::future_status::ready) {
@@ -575,6 +572,10 @@ void RunSigkillRecoveryScenario(const std::string& backend,
     std::abort();
   }
   auto out = fut.get();
+  // Far under remote_timeout_ms: the kill must wake the await, not the
+  // deadline.
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10))
+      << "the killed endpoint was not seen until the await timed out";
   ASSERT_TRUE(killed.load()) << "run finished before superstep "
                              << kill_superstep << " — kill never landed";
   ASSERT_TRUE(out.ok()) << out.status();

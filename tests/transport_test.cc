@@ -145,7 +145,7 @@ TEST(TransportShutdownTest, CloseWakesManyConcurrentBlockedReceivers) {
   for (uint32_t rank = 0; rank < 4; ++rank) {
     for (int k = 0; k < kReceiversPerRank; ++k) {
       receivers.emplace_back([&world, &woke_cancelled, rank] {
-        auto msg = world.Recv(rank);
+        auto msg = world.Recv(rank, kNoDeadline);
         if (!msg.ok() && msg.status().IsCancelled()) woke_cancelled++;
       });
     }
@@ -160,7 +160,7 @@ TEST(TransportShutdownTest, CloseWakesManyConcurrentBlockedReceivers) {
 TEST(TransportShutdownTest, RecvAfterCloseReturnsImmediately) {
   CommWorld world(2);
   world.Close();
-  auto msg = world.Recv(1);
+  auto msg = world.Recv(1, kNoDeadline);
   ASSERT_FALSE(msg.ok());
   EXPECT_TRUE(msg.status().IsCancelled());
 }
@@ -180,7 +180,7 @@ TEST(TransportShutdownTest, PendingMessageWinsOverClose) {
 TEST(TransportShutdownTest, CloseIsIdempotentAndRaceFree) {
   CommWorld world(2);
   std::thread blocked([&world] {
-    auto msg = world.Recv(0);
+    auto msg = world.Recv(0, kNoDeadline);
     EXPECT_FALSE(msg.ok());
   });
   std::vector<std::thread> closers;
