@@ -164,12 +164,10 @@ bool RunSelfTest(grape::ServeServer& server, uint32_t num_clients,
   const ServeStats stats = server.stats();
   std::printf(
       "selftest: %llu queries, %llu waves, %llu fused, %llu cache hits, "
-      "%llu promoted mutations, %llu errors\n",
+      "%llu errors\n",
       (unsigned long long)stats.queries, (unsigned long long)stats.waves,
       (unsigned long long)stats.fused_queries,
-      (unsigned long long)stats.cache_hits,
-      (unsigned long long)stats.promoted_mutations,
-      (unsigned long long)stats.errors);
+      (unsigned long long)stats.cache_hits, (unsigned long long)stats.errors);
   if (mismatches.load() != 0) {
     std::fprintf(stderr,
                  "selftest FAILED: %u concurrent answers diverged from the "

@@ -2,7 +2,6 @@
 #define GRAPE_CORE_ENGINE_H_
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <functional>

@@ -33,10 +33,9 @@ struct FlakyOptions {
   /// world "dies" — Send and Flush fail with Unavailable, healthy() goes
   /// false, and every blocked Recv wakes with Unavailable once its
   /// mailbox is drained, as on a real broken transport — until Recover()
-  /// heals it. One-shot: recovery
-  /// disarms the knob, so the retried run proceeds cleanly. This is the
-  /// SIGKILL-without-the-timing-race primitive the recovery tests build
-  /// their superstep-k crash matrix on.
+  /// heals it. One-shot: recovery disarms the knob, so the retried run
+  /// proceeds cleanly. This is the SIGKILL-without-the-timing-race
+  /// primitive the recovery tests build their superstep-k crash matrix on.
   uint64_t kill_after_frames = 0;
   /// One-shot partition: after `partition_after_frames` accepted sends,
   /// the next `partition_heal_frames` send attempts fail with Unavailable

@@ -55,9 +55,8 @@ struct CommStats {
 ///  * TryRecv/DrainAll never block. Recv blocks until a message arrives,
 ///    the transport is closed or broken (an endpoint died), Wake is
 ///    called for its rank, or its deadline passes, whichever comes first;
-///    only a delivered message makes it return OK. Awaits block here
-///    instead of polling, so a dead endpoint reaches them as a woken
-///    Recv, not as a missed poll.
+///    only a delivered message makes it return OK. Awaits block here, so
+///    a dead endpoint reaches them as a woken Recv.
 ///  * Close() is idempotent, wakes every blocked Recv with Cancelled, and
 ///    fails subsequent Sends with Cancelled. Messages already delivered
 ///    remain drainable after Close, and Recv returns them first.
@@ -201,9 +200,10 @@ class MailboxTransport : public Transport {
   bool MarkClosed();
 
   /// Recovery support: empties every mailbox (releasing payloads back to
-  /// the pool), drops unconsumed wakes and clears the closed flag, returning the mailbox layer to
-  /// its just-constructed state. Backends call this from Recover() after
-  /// tearing down their transport-specific halves.
+  /// the pool), drops unconsumed wakes and clears the closed flag,
+  /// returning the mailbox layer to its just-constructed state. Backends
+  /// call this from Recover() after tearing down their transport-specific
+  /// halves.
   void ResetForRecovery();
 
   static constexpr size_t kEnvelopeBytes = 16;
